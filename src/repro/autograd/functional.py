@@ -140,8 +140,10 @@ _IM2COL_CACHE = {}
 
 
 def _im2col_indices(channels: int, kh: int, kw: int, out_h: int, out_w: int, stride: int):
-    """Index arrays that gather convolution patches into columns (cached:
-    the same geometry recurs every simulation time step)."""
+    """Index arrays ``(k, i, j)`` that gather convolution patches from a
+    padded ``(C, H, W)`` image (cached per geometry).  Only used where a
+    handful of receptive fields is gathered; full patch matrices come from
+    :func:`im2col`."""
     key = (channels, kh, kw, out_h, out_w, stride)
     cached = _IM2COL_CACHE.get(key)
     if cached is not None:
@@ -157,22 +159,65 @@ def _im2col_indices(channels: int, kh: int, kw: int, out_h: int, out_w: int, str
     return k, i, j
 
 
-_COL2IM_CACHE = {}
+def _conv_out_hw(height: int, width: int, kh: int, kw: int, stride: int, padding: int):
+    return (
+        (height + 2 * padding - kh) // stride + 1,
+        (width + 2 * padding - kw) // stride + 1,
+    )
 
 
-def _col2im_flat_indices(
-    channels: int, kh: int, kw: int, out_h: int, out_w: int, stride: int, hp: int, wp: int
+def im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
 ) -> np.ndarray:
-    """Flat destination indices of each (patch-entry, position) pair inside
-    one padded image — the scatter map for the conv input gradient."""
-    key = (channels, kh, kw, out_h, out_w, stride, hp, wp)
-    cached = _COL2IM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    k, i, j = _im2col_indices(channels, kh, kw, out_h, out_w, stride)
-    flat = (k * hp + i) * wp + j  # (C*kh*kw, out_h*out_w)
-    _COL2IM_CACHE[key] = flat
-    return flat
+    """Patch matrix of a ``(B, C, H, W)`` array: C-contiguous
+    ``(B, C*kh*kw, out_h*out_w)`` in the input dtype.
+
+    Row ``(c*kh + i)*kw + j`` holds kernel tap ``(c, i, j)`` at every
+    output position.  The input is zero-padded into one buffer, then each
+    of the ``kh*kw`` taps is one strided block copy — no index arrays, and
+    BLAS receives a contiguous operand.  Every entry is a plain copy of an
+    input value, so the matrix equals an index gather exactly.
+    """
+    batch, channels, height, width = x.shape
+    out_h, out_w = _conv_out_hw(height, width, kh, kw, stride, padding)
+    if padding:
+        x_pad = np.zeros(
+            (batch, channels, height + 2 * padding, width + 2 * padding), dtype=x.dtype
+        )
+        x_pad[:, :, padding:padding + height, padding:padding + width] = x
+    else:
+        x_pad = x
+    cols = np.empty((batch, channels, kh, kw, out_h, out_w), dtype=x.dtype)
+    h_span = stride * (out_h - 1) + 1
+    w_span = stride * (out_w - 1) + 1
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = x_pad[:, :, i:i + h_span:stride, j:j + w_span:stride]
+    return cols.reshape(batch, channels * kh * kw, out_h * out_w)
+
+
+def _col2im(
+    grad_cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """Adjoint of :func:`im2col`: sum ``(B, C*kh*kw, L)`` patch gradients
+    back onto the ``(B, C, H, W)`` input, accumulating in float64.
+
+    Each pixel sums its taps in ``(i, j)``-ascending order starting from
+    zero, as a sequential scatter-add over the patch matrix would, so the
+    result does not depend on batch size or input dtype."""
+    batch, channels, height, width = x_shape
+    out_h, out_w = _conv_out_hw(height, width, kh, kw, stride, padding)
+    hp, wp = height + 2 * padding, width + 2 * padding
+    taps = grad_cols.reshape(batch, channels, kh, kw, out_h, out_w)
+    gx_pad = np.zeros((batch, channels, hp, wp), dtype=np.float64)
+    h_span = stride * (out_h - 1) + 1
+    w_span = stride * (out_w - 1) + 1
+    for i in range(kh):
+        for j in range(kw):
+            gx_pad[:, :, i:i + h_span:stride, j:j + w_span:stride] += taps[:, :, i, j]
+    if padding:
+        return gx_pad[:, :, padding:hp - padding, padding:wp - padding]
+    return gx_pad
 
 
 def conv2d(
@@ -202,21 +247,13 @@ def conv2d(
     if wc != channels:
         raise ShapeError(f"kernel channels {wc} != input channels {channels}")
 
-    hp, wp = height + 2 * padding, width + 2 * padding
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
+    out_h, out_w = _conv_out_hw(height, width, kh, kw, stride, padding)
     if out_h <= 0 or out_w <= 0:
         raise ShapeError(
             f"conv2d output would be empty for input {x.shape}, kernel {weight.shape}"
         )
 
-    x_pad = (
-        np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        if padding
-        else x.data
-    )
-    k, i, j = _im2col_indices(channels, kh, kw, out_h, out_w, stride)
-    cols = x_pad[:, k, i, j]  # (B, C*kh*kw, out_h*out_w)
+    cols = im2col(x.data, kh, kw, stride, padding)  # (B, C*kh*kw, out_h*out_w)
     w_mat = weight.data.reshape(filters, -1)
     # matmul (BLAS) rather than einsum: each batch slice is the same GEMM
     # regardless of batch size, so the fused (T*B)-batched call and the
@@ -232,31 +269,17 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_flat.sum(axis=(0, 2)))
         if weight.requires_grad:
-            gw = np.einsum("bfl,bkl->fk", grad_flat, cols)
+            # einsum's reduction order follows its operands' memory
+            # layout.  Patches go in batch-innermost, the layout this
+            # gradient has always been reduced in, so trained weights do
+            # not depend on how the forward pass laid out its operands.
+            batch_inner = np.empty(cols.shape[1:] + (batch,), dtype=cols.dtype)
+            batch_inner[...] = cols.transpose(1, 2, 0)
+            gw = np.einsum("bfl,bkl->fk", grad_flat, batch_inner.transpose(2, 0, 1))
             weight._accumulate(gw.reshape(weight.shape))
         if x.requires_grad:
             grad_cols = np.matmul(w_mat.T, grad_flat)
-            # Scatter-add via one bincount over the whole batch (much
-            # faster than np.add.at or a per-image loop): each patch entry
-            # accumulates into its batch-offset padded-image position.
-            # Within an image the entries land in the same scan order as a
-            # per-image bincount, so the sums are bit-identical.
-            flat_idx = _col2im_flat_indices(
-                channels, kh, kw, out_h, out_w, stride, hp, wp
-            )
-            image_size = channels * hp * wp
-            offsets = (np.arange(batch) * image_size).reshape(batch, 1, 1)
-            gx_pad = np.bincount(
-                (flat_idx + offsets).ravel(),
-                weights=grad_cols.ravel(),
-                minlength=batch * image_size,
-            ).reshape(batch, channels, hp, wp)
-            gx = (
-                gx_pad[:, :, padding:hp - padding, padding:wp - padding]
-                if padding
-                else gx_pad
-            )
-            x._accumulate(gx)
+            x._accumulate(_col2im(grad_cols, x.shape, kh, kw, stride, padding))
 
     return x._make(out, parents, backward, "conv2d")
 

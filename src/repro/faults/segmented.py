@@ -79,6 +79,7 @@ from repro.snn.events import (
     LazyMargin,
 )
 from repro.snn.layers import (
+    SumPool,
     compute_dtype_context,
     dispatch_layer_names,
     event_dispatch_context,
@@ -226,7 +227,8 @@ class _FaultGroup:
     - ``"splice"`` — neuron faults in layers without lateral coupling: only
       the faulty neuron's mini-LIF is advanced per row; the full module
       output is materialized (golden + spliced trace) only for rows that
-      must propagate downstream.
+      must propagate downstream — at pooled resolution when the module
+      feeds a sum pool (see :meth:`_splice_materialize`).
     - ``"neuron"`` — neuron faults needing a full module re-run (recurrent
       layers, or the splice fast path disabled).
     - ``"synapse_splice"`` — synapse faults in layers where one weight
@@ -313,6 +315,22 @@ class _FaultGroup:
                 self.batch_size = simulator.synapse_batch
             else:  # synapse_seq: reversible inject(), one fault per pass
                 self.batch_size = 1
+        # Index of the first downstream module that _run_downstream runs.
+        # Splice-style rows of a module feeding a sum pool materialize the
+        # pool's output directly, so propagation starts after the pool.
+        self.entry = 0
+        if (
+            kind in ("splice", "synapse_splice", "delay")
+            and self.downstream
+            and isinstance(self.downstream[0], SumPool)
+        ):
+            pool = self.downstream[0]
+            channel, row, col = np.unravel_index(self.neuron_idx, shape)
+            self.cell_idx = np.ravel_multi_index(
+                (channel, row // pool.window, col // pool.window),
+                pool.output_shape(shape),
+            )
+            self.entry = 1
         # Per-group compute precision: the campaign promotes eligible
         # groups to float32 (see SegmentedDetectionCampaign.run) and resets
         # this to float64 when rebuilding a group for a fallback re-run.
@@ -399,9 +417,7 @@ class _FaultGroup:
 
     def _run_splice(self, rows: np.ndarray, gseg: _GoldenSegment, offset: int):
         """Advance the faulty neurons' mini-LIF rows; returns ``(same,
-        materialize)`` where ``materialize(positions)`` builds full module
-        outputs (golden output with the faulty traces spliced in) for a
-        subset of ``rows`` on demand."""
+        materialize)`` (see :meth:`_splice_compare`)."""
         module = self.module
         seg_input = gseg.module_input(self.module_index)
         steps = seg_input.shape[0]
@@ -429,29 +445,49 @@ class _FaultGroup:
                 if guard is not None:
                     guard.observe(state.potential, thr)
         self._store_state(rows, state)
-        return self._splice_compare(gseg, idx, traces, steps)
+        return self._splice_compare(gseg, rows, traces)
 
-    def _splice_compare(self, gseg: _GoldenSegment, idx: np.ndarray,
-                        traces: np.ndarray, steps: int):
+    def _splice_compare(self, gseg: _GoldenSegment, rows: np.ndarray,
+                        traces: np.ndarray):
         """``(same, materialize)`` for R spliced traces ``(T, R)``: compare
-        each against its golden trace, and build full module outputs
-        (golden output with the faulty traces spliced in) on demand."""
-        module = self.module
-        n = int(np.prod(module.neuron_shape))
-        golden_flat = gseg.outputs[self.module_index].reshape(steps, n)
-        golden_traces = golden_flat[:, idx]  # (T, R)
+        each against its golden trace; see :meth:`_splice_materialize`."""
+        golden = gseg.outputs[self.module_index]
+        golden_traces = golden.reshape(golden.shape[0], -1)[:, self.neuron_idx[rows]]
         same = np.array(
             [np.array_equal(traces[:, j], golden_traces[:, j])
              for j in range(traces.shape[1])]
         )
+        return same, self._splice_materialize(gseg, rows, traces, golden_traces)
+
+    def _splice_materialize(self, gseg: _GoldenSegment, rows: np.ndarray,
+                            traces: np.ndarray, golden_traces: np.ndarray):
+        """``materialize(positions)`` for splice-style rows: the golden
+        output tiled over the selected rows, each with its faulty neuron
+        trace spliced in.
+
+        With a sum pool next (``self.entry == 1``) the tile is the golden
+        *pooled* output, and each row adds ``trace - golden_trace`` at its
+        neuron's pooled cell.  Spike counts are small integers, so that
+        equals pooling the spliced full-resolution tile exactly, without
+        building it."""
+        steps = traces.shape[0]
+        base = gseg.outputs[self.module_index + self.entry]
+        base_flat = base.reshape(steps, -1)
+        cells = (self.cell_idx if self.entry else self.neuron_idx)[rows]
 
         def materialize(positions: List[int]) -> np.ndarray:
             m = len(positions)
-            tiled = np.broadcast_to(golden_flat[:, None, :], (steps, m, n)).copy()
-            tiled[:, np.arange(m), idx[positions]] = traces[:, positions]
-            return tiled.reshape((steps, m) + module.neuron_shape)
+            tiled = np.broadcast_to(
+                base_flat[:, None, :], (steps, m, base_flat.shape[1])
+            ).copy()
+            at = (slice(None), np.arange(m), cells[positions])
+            if self.entry:
+                tiled[at] += traces[:, positions] - golden_traces[:, positions]
+            else:
+                tiled[at] = traces[:, positions]
+            return tiled.reshape((steps, m) + base.shape[2:])
 
-        return same, materialize
+        return materialize
 
     def _run_synapse_splice(self, rows: np.ndarray, gseg: _GoldenSegment,
                             offset: int):
@@ -488,7 +524,7 @@ class _FaultGroup:
                 if guard is not None:
                     guard.observe(state.potential, params[0])
         self._store_state(rows, state)
-        return self._splice_compare(gseg, idx, traces, steps)
+        return self._splice_compare(gseg, rows, traces)
 
     def _run_neuron(
         self, rows: np.ndarray, seg_input: np.ndarray, offset: int
@@ -596,13 +632,9 @@ class _FaultGroup:
         pass already did), so the faulty trace is the golden trace of the
         row's neuron time-shifted by its delay, with the tail of the
         previous segments carried in ``self.hist``."""
-        module = self.module
         golden = gseg.outputs[self.module_index]
         steps = golden.shape[0]
-        n = int(np.prod(module.neuron_shape))
-        golden_flat = golden.reshape(steps, n)
-        idx = self.neuron_idx[rows]
-        traces = golden_flat[:, idx]  # (T, R)
+        traces = golden.reshape(steps, -1)[:, self.neuron_idx[rows]]  # (T, R)
         out = traces.copy()
         hist = self.hist
         for j, row in enumerate(rows):
@@ -626,14 +658,7 @@ class _FaultGroup:
         same = np.array(
             [np.array_equal(out[:, j], traces[:, j]) for j in range(len(rows))]
         )
-
-        def materialize(positions: List[int]) -> np.ndarray:
-            m = len(positions)
-            tiled = np.broadcast_to(golden_flat[:, None, :], (steps, m, n)).copy()
-            tiled[:, np.arange(m), idx[positions]] = out[:, positions]
-            return tiled.reshape((steps, m) + module.neuron_shape)
-
-        return same, materialize
+        return same, self._splice_materialize(gseg, rows, out, traces)
 
     # ------------------------------------------------------------------
     # Downstream propagation with golden-entry seeding
@@ -686,7 +711,8 @@ class _FaultGroup:
         # a float32 group casts once here before propagating downstream.
         if current.dtype != self.dtype:
             current = current.astype(self.dtype)
-        for dj, dm in enumerate(self.downstream):
+        for dj in range(self.entry, len(self.downstream)):
+            dm = self.downstream[dj]
             if not self._down_stateful()[dj]:
                 current = (
                     dm.run_sequence_fused(current)

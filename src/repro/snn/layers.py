@@ -677,7 +677,6 @@ class ConvLIF(SpikingModule):
             rng.normal(0.0, weight_scale / np.sqrt(fan_in), (out_channels, in_channels, kernel, kernel)),
             requires_grad=True,
         )
-        self._col_indices = None
 
     @property
     def synapse_count(self) -> int:
@@ -692,19 +691,11 @@ class ConvLIF(SpikingModule):
         return self.neuron_shape
 
     def _im2col(self, x: np.ndarray) -> np.ndarray:
-        """(B, C, H, W) -> (B, C*k*k, L) patch matrix with cached indices."""
-        if self._col_indices is None:
-            _, out_h, out_w = self.neuron_shape
-            self._col_indices = F._im2col_indices(
-                self.in_channels, self.kernel, self.kernel, out_h, out_w, self.stride
-            )
-        k, i, j = self._col_indices
-        pad = self.padding
-        x_pad = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-        return x_pad[:, k, i, j]
+        """(B, C, H, W) -> contiguous (B, C*k*k, L) patch matrix."""
+        return F.im2col(x, self.kernel, self.kernel, self.stride, self.padding)
 
     def _conv_numpy(self, x: np.ndarray) -> np.ndarray:
-        """Raw-numpy convolution with cached im2col indices (hot path)."""
+        """Raw-numpy im2col convolution (hot path)."""
         cols = self._im2col(x)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         # matmul, not einsum: bit-identical per batch slice to the autograd
@@ -816,11 +807,9 @@ class ConvLIF(SpikingModule):
         _, out_h, out_w = self.neuron_shape
         positions = np.asarray(neuron_indices) % (out_h * out_w)  # spatial site
         filters = np.asarray(neuron_indices) // (out_h * out_w)
-        if self._col_indices is None:
-            self._col_indices = F._im2col_indices(
-                self.in_channels, self.kernel, self.kernel, out_h, out_w, self.stride
-            )
-        k, i, j = self._col_indices
+        k, i, j = F._im2col_indices(
+            self.in_channels, self.kernel, self.kernel, out_h, out_w, self.stride
+        )
         pad = self.padding
         steps, batch = seq.shape[:2]
         i_sel, j_sel = i[:, positions], j[:, positions]

@@ -414,3 +414,98 @@ def test_property_segmented_equals_assembled(
     if not drop:
         assert np.array_equal(result.output_l1, reference.output_l1)
         assert np.array_equal(result.class_count_diff, reference.class_count_diff)
+
+
+# ----------------------------------------------------------------------
+# Pooled-resolution splice: conv -> pool -> conv -> pool -> dense
+# ----------------------------------------------------------------------
+def _pooled_net():
+    spec = NetworkSpec(
+        name="pooled",
+        input_shape=(2, 6, 6),
+        layers=(
+            ConvSpec(out_channels=3, kernel=3, padding=1, weight_scale=4.0),
+            PoolSpec(3),
+            ConvSpec(out_channels=4, kernel=3, padding=1, weight_scale=4.0),
+            PoolSpec(2),
+            FlattenSpec(),
+            DenseSpec(out_features=4),
+        ),
+        lif=LIFParameters(leak=0.9, refractory_steps=1),
+    )
+    return build_network(spec, np.random.default_rng(21))
+
+
+@pytest.fixture(scope="module")
+def pooled_campaign():
+    from repro.faults.catalog import _neuron_variants
+
+    net = _pooled_net()
+    config = FaultModelConfig()
+    # Chunks 4, 3, 5 give segments [0, 8), [8, 14), [14, 19); the
+    # transient window [6, 11) straddles the first boundary.
+    stimulus = _stimulus((2, 6, 6), [4, 3, 5], np.random.default_rng(5), density=0.5)
+    faults = []
+    for module_index in (0, 2):  # both conv layers feed a pool
+        count = net.modules[module_index].neuron_count
+        for kind in NeuronFaultKind:
+            for variant in _neuron_variants(kind, config):
+                for n, window in enumerate((None, (6, 11))):
+                    neuron = (7 * len(faults) + 3 * n) % count
+                    faults.append(NeuronFault(
+                        module_index=module_index, neuron_index=neuron,
+                        kind=kind, window=window, **variant,
+                    ))
+    oracle = FaultSimulator(net, config, fused=False, synapse_batch=1, neuron_splice=False)
+    return {
+        "net": net,
+        "config": config,
+        "faults": faults,
+        "stimulus": stimulus,
+        "reference": oracle.detect(stimulus.assembled(), faults),
+    }
+
+
+def test_pooled_splice_rows_enter_after_the_pool(pooled_campaign, monkeypatch):
+    """Every splice-style group of a pool-feeding conv takes the pooled
+    path, and the campaign still matches the per-step oracle."""
+    from repro.faults.segmented import _FaultGroup
+
+    entries = []
+    materialize = _FaultGroup._splice_materialize
+
+    def spy(self, *args):
+        entries.append((self.kind, self.entry))
+        return materialize(self, *args)
+
+    monkeypatch.setattr(_FaultGroup, "_splice_materialize", spy)
+    simulator = FaultSimulator(pooled_campaign["net"], pooled_campaign["config"])
+    result = simulator.detect_segmented(
+        pooled_campaign["stimulus"], pooled_campaign["faults"], drop_detected=False
+    )
+    assert {kind for kind, _ in entries} == {"splice", "delay"}
+    assert all(entry == 1 for _, entry in entries)
+    reference = pooled_campaign["reference"]
+    assert 0 < reference.detected.sum() < len(pooled_campaign["faults"])
+    assert np.array_equal(result.detected, reference.detected)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("drop", [False, True])
+def test_pooled_splice_matches_per_step_oracle(pooled_campaign, drop, workers):
+    if workers > 1 and not fork_available():
+        pytest.skip("fork start method unavailable")
+    simulator = FaultSimulator(pooled_campaign["net"], pooled_campaign["config"])
+    result = parallel_detect_segmented(
+        simulator,
+        pooled_campaign["stimulus"],
+        pooled_campaign["faults"],
+        workers=workers,
+        drop_detected=drop,
+    )
+    reference = pooled_campaign["reference"]
+    assert np.array_equal(result.detected, reference.detected)
+    if not drop:
+        # With dropping on, the metrics stop at first detection by design.
+        assert np.array_equal(result.output_l1, reference.output_l1)
+        assert np.array_equal(result.class_count_diff, reference.class_count_diff)
