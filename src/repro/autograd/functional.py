@@ -32,7 +32,12 @@ def _surrogate_derivative(x: np.ndarray, kind: str, slope: float) -> np.ndarray:
     peaks at ``x == 0`` and decays with ``|x|`` at a rate set by ``slope``.
     """
     if kind == "fast_sigmoid":
-        return 1.0 / (1.0 + slope * np.abs(x)) ** 2
+        # ``1.0 / (1.0 + slope * |x|) ** 2`` in place after the first
+        # product, which fixes the dtype: the same floats, fewer buffers.
+        d = np.asarray(slope * np.abs(x))
+        d += 1.0
+        d *= d
+        return np.divide(1.0, d, out=d)
     if kind == "arctan":
         return 1.0 / (1.0 + (np.pi * slope * x / 2.0) ** 2)
     if kind == "exponential":
@@ -59,7 +64,7 @@ def spike(
     data = (x.data >= 0.0).astype(x.data.dtype)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * _surrogate_derivative(x.data, surrogate, slope))
+        x._accumulate(grad * _surrogate_derivative(x.data, surrogate, slope), owned=True)
 
     return x._make(data, (x,), backward, "spike")
 
@@ -196,6 +201,14 @@ def im2col(
     return cols.reshape(batch, channels * kh * kw, out_h * out_w)
 
 
+def _tap_span(size: int, out_size: int, tap: int, stride: int, padding: int):
+    """Output positions ``o0..o1`` (inclusive) whose tap ``tap`` lands
+    inside an unpadded axis of ``size``, and the input index of ``o0``."""
+    o0 = max(0, -((tap - padding) // stride))
+    o1 = min(out_size - 1, (size - 1 + padding - tap) // stride)
+    return o0, o1, o0 * stride + tap - padding
+
+
 def _col2im(
     grad_cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int
 ) -> np.ndarray:
@@ -204,20 +217,25 @@ def _col2im(
 
     Each pixel sums its taps in ``(i, j)``-ascending order starting from
     zero, as a sequential scatter-add over the patch matrix would, so the
-    result does not depend on batch size or input dtype."""
+    result does not depend on batch size or input dtype.  Taps that land
+    in the zero padding are never added: each tap adds only its interior
+    block, so no padded buffer is built and cropped."""
     batch, channels, height, width = x_shape
     out_h, out_w = _conv_out_hw(height, width, kh, kw, stride, padding)
-    hp, wp = height + 2 * padding, width + 2 * padding
     taps = grad_cols.reshape(batch, channels, kh, kw, out_h, out_w)
-    gx_pad = np.zeros((batch, channels, hp, wp), dtype=np.float64)
-    h_span = stride * (out_h - 1) + 1
-    w_span = stride * (out_w - 1) + 1
+    gx = np.zeros((batch, channels, height, width), dtype=np.float64)
     for i in range(kh):
+        y0, y1, r0 = _tap_span(height, out_h, i, stride, padding)
+        if y1 < y0:
+            continue
+        rows = slice(r0, r0 + stride * (y1 - y0) + 1, stride)
         for j in range(kw):
-            gx_pad[:, :, i:i + h_span:stride, j:j + w_span:stride] += taps[:, :, i, j]
-    if padding:
-        return gx_pad[:, :, padding:hp - padding, padding:wp - padding]
-    return gx_pad
+            x0, x1, c0 = _tap_span(width, out_w, j, stride, padding)
+            if x1 < x0:
+                continue
+            cols = slice(c0, c0 + stride * (x1 - x0) + 1, stride)
+            gx[:, :, rows, cols] += taps[:, :, i, j, y0:y1 + 1, x0:x1 + 1]
+    return gx
 
 
 def conv2d(
@@ -267,7 +285,7 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         grad_flat = grad.reshape(batch, filters, -1)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_flat.sum(axis=(0, 2)))
+            bias._accumulate(grad_flat.sum(axis=(0, 2)), owned=True)
         if weight.requires_grad:
             # einsum's reduction order follows its operands' memory
             # layout.  Patches go in batch-innermost, the layout this
@@ -276,10 +294,12 @@ def conv2d(
             batch_inner = np.empty(cols.shape[1:] + (batch,), dtype=cols.dtype)
             batch_inner[...] = cols.transpose(1, 2, 0)
             gw = np.einsum("bfl,bkl->fk", grad_flat, batch_inner.transpose(2, 0, 1))
-            weight._accumulate(gw.reshape(weight.shape))
+            weight._accumulate(gw.reshape(weight.shape), owned=True)
         if x.requires_grad:
             grad_cols = np.matmul(w_mat.T, grad_flat)
-            x._accumulate(_col2im(grad_cols, x.shape, kh, kw, stride, padding))
+            x._accumulate(
+                _col2im(grad_cols, x.shape, kh, kw, stride, padding), owned=True
+            )
 
     return x._make(out, parents, backward, "conv2d")
 
@@ -303,7 +323,7 @@ def sum_pool2d(x: Tensor, window: int) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         g = np.repeat(np.repeat(grad, window, axis=2), window, axis=3)
-        x._accumulate(g)
+        x._accumulate(g, owned=True)
 
     return x._make(data, (x,), backward, "sum_pool2d")
 

@@ -19,11 +19,13 @@ for all T steps with one matmul/conv (see ``forward_sequence_fused`` on the
 layer modules); only the LIF recursion itself stays sequential.  For
 recurrent layers the spike-feedback matmul is folded into the kernel.
 
-Gradient-equality with the elementary tape is pinned bitwise by
-``tests/autograd/test_fused_lif.py``; the recursion algebra is additionally
-checked by central differences in *soft* mode, where the Heaviside is
-replaced by a sigmoid so the kernel becomes a genuinely differentiable
-function of its inputs.
+``tests/autograd/test_fused_lif.py`` pins spikes and gradient values
+against the elementary tape (``np.array_equal``: the sign of a zero
+gradient entry may differ) and pins them byte for byte against the
+pre-optimisation scans; the recursion algebra is additionally checked by
+central differences in *soft* mode, where the Heaviside is replaced by a
+sigmoid so the kernel becomes a genuinely differentiable function of its
+inputs.
 
 The update implemented (identical to ``repro.snn.neuron``)::
 
@@ -38,7 +40,7 @@ The update implemented (identical to ``repro.snn.neuron``)::
 from __future__ import annotations
 
 import contextlib
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -104,6 +106,40 @@ def _spike_derivative(
     return _surrogate_derivative(x, surrogate, slope)
 
 
+class _Scan(NamedTuple):
+    """What a forward scan saves for backward."""
+
+    spikes: np.ndarray
+    potentials: np.ndarray
+    #: ``u[t] - threshold`` per step; ``None`` after the lean scan, whose
+    #: backward derives it from ``potentials``.
+    xs: Optional[np.ndarray]
+    actives: np.ndarray
+    th: np.ndarray
+    lk: np.ndarray
+
+
+def _lean_scan_applies(
+    th: np.ndarray, refractory_steps: np.ndarray, reset_mode: str, soft: bool
+) -> bool:
+    """Whether the lean refractory-1 scan reproduces the general loop.
+
+    With hard spikes, zero reset and a one-step refractory period, r is 1
+    exactly where the neuron just fired, so ``active[t+1] == 1 - s[t]``
+    (both exact {0, 1} floats) and the integer counter disappears.  A
+    finite threshold > 0 makes ``u >= th`` decide exactly what
+    ``(u - th >= 0) * active`` decides: ``u - th`` is exact in sign for
+    finite operands, and a refractory step's potential is zero or NaN,
+    which no positive threshold reaches.
+    """
+    return (
+        not soft
+        and reset_mode == "zero"
+        and bool((np.asarray(refractory_steps) == 1).all())
+        and bool(((th > 0.0) & (th < np.inf)).all())
+    )
+
+
 def _forward_scan(
     c: np.ndarray,
     threshold: np.ndarray,
@@ -113,7 +149,7 @@ def _forward_scan(
     slope: float,
     soft: bool,
     w_rec: np.ndarray = None,
-) -> Tuple[np.ndarray, ...]:
+) -> _Scan:
     """Run the LIF recursion over all T steps, saving what backward needs.
 
     With ``w_rec`` set, the previous step's spikes feed back through the
@@ -125,40 +161,38 @@ def _forward_scan(
     lk = np.asarray(leak, dtype=dtype)
     spikes = np.empty_like(c)
     potentials = np.empty_like(c)
-    xs = np.empty_like(c)
     actives = np.empty_like(c)
     u = np.zeros(c.shape[1:], dtype=dtype)
     s = np.zeros(c.shape[1:], dtype=dtype)
-    r = np.zeros(c.shape[1:], dtype=np.int64)
-    refr = np.asarray(refractory_steps)
-    if steps and not soft and refr.size and (refr == 1).all():
-        # Fast path for the ubiquitous one-step refractory with hard
-        # spikes: r is 1 exactly where the neuron just fired, so
-        # active[t+1] == 1 - s[t] (both are exact {0,1} floats) and the
-        # integer refractory counter disappears.  Every float expression
-        # below is the same as in the generic loop, so the scan stays
-        # bit-identical to it (and to the elementary tape).
-        actives[0] = 1.0
+    if _lean_scan_applies(th, refractory_steps, reset_mode, soft):
+        # Each potential is the general loop's float, term for term:
+        # ``(u * active) * leak + current * active``.  Masking ``u * leak
+        # + current`` instead would flip the sign of some refractory
+        # zeros, which reach the gradient through the reset carry.
+        # Spikes come straight from ``u >= th``; ``u - th`` is left to
+        # backward.
+        gated = np.empty(c.shape[1:], dtype=dtype)
+        if steps:
+            actives[0] = 1.0
         for t in range(steps):
             active = actives[t]
-            if reset_mode == "zero":
-                retained = u * active  # == u * (1 - s[t-1]), exact
-            else:
-                retained = u - s * th
             current = c[t] if w_rec is None else c[t] + s @ w_rec
-            u = potentials[t]
-            np.multiply(retained, lk, out=u)
-            u += current * active
-            x = xs[t]
-            np.subtract(u, th, out=x)
+            p = potentials[t]
+            np.multiply(u, active, out=p)
+            p *= lk
+            np.multiply(current, active, out=gated)
+            p += gated
             s = spikes[t]
-            np.multiply(x >= 0.0, active, out=s, casting="unsafe")
+            np.greater_equal(p, th, out=s)
             if t + 1 < steps:
                 np.subtract(1.0, s, out=actives[t + 1])
-        return spikes, potentials, xs, actives, th, lk
+            u = p
+        return _Scan(spikes, potentials, None, actives, th, lk)
     # The loop writes each step's results straight into the (T, ...)
     # blocks with ``out=`` views — same arithmetic, same order, no
     # temporary-plus-copy per step.
+    xs = np.empty_like(c)
+    r = np.zeros(c.shape[1:], dtype=np.int64)
     for t in range(steps):
         active = actives[t]
         np.copyto(active, r == 0, casting="unsafe")
@@ -181,66 +215,75 @@ def _forward_scan(
             np.multiply(x >= 0.0, active, out=s, casting="unsafe")
             fired = s > 0.0
         r = np.where(fired, refractory_steps, np.maximum(r - 1, 0))
-    return spikes, potentials, xs, actives, th, lk
+    return _Scan(spikes, potentials, xs, actives, th, lk)
 
 
 def _backward_scan(
     grad: np.ndarray,
-    spikes: np.ndarray,
-    potentials: np.ndarray,
-    xs: np.ndarray,
-    actives: np.ndarray,
-    th: np.ndarray,
-    lk: np.ndarray,
+    scan: _Scan,
     reset_mode: str,
     surrogate: str,
     slope: float,
     soft: bool,
     w_rec: np.ndarray = None,
     want_w_rec_grad: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """BPTT over the saved forward scan; returns (grad_currents, grad_w_rec).
 
     The expression *shapes and association order* deliberately mirror the
-    elementary tape (e.g. ``(gs * active) * rho``, future carry accumulated
-    before the spike-path term) so float64 gradients match it bit for bit.
+    elementary tape (future carry accumulated before the spike-path term,
+    carries summed in the tape's order) so float64 gradients match it.
+    Three rewrites save passes without changing a float, because every
+    ``active`` is exactly 0 or 1: the refractory mask rides in the
+    surrogate (``(g * active) * rho == g * (active * rho)``, signed zeros
+    included), ``g - glk * u`` stands for ``g + -(glk * u)`` (IEEE
+    subtraction is addition of the negation), and the membrane adjoint
+    accumulates in place.
     """
+    spikes, potentials, xs, actives, th, lk = scan
+    if xs is None:
+        # Lean scan (zero reset, refractory 1): ``active[t] == 1 - s[t-1]``.
+        xs = potentials - th
+        retain = actives[1:]
+    elif reset_mode == "zero":
+        retain = 1.0 - spikes[:-1]
     steps = grad.shape[0]
     gc = np.empty_like(grad)
     gw = np.zeros_like(w_rec) if want_w_rec_grad else None
-    # Hoist the per-step elementwise precomputations out of the scan: the
-    # surrogate derivative and the retained-fraction (1 - s) blocks do not
-    # depend on the carried state, and one (T, ...) vectorised op is far
-    # cheaper than T small ones.  Elementwise, so still bit-identical.
+    # Hoist the per-step elementwise precomputations out of the scan: one
+    # (T, ...) vectorised op is far cheaper than T small ones.
     rhos = _spike_derivative(xs, surrogate, slope, soft)
-    one_minus_s = 1.0 - spikes if reset_mode == "zero" else None
+    rhos *= actives
     gu = None  # dL/du[t] carried from t+1 through the reset coupling
-    reset_carry = None  # dL/ds[t] from t+1's reset term
+    glk = None  # dL/du[t+1] * leak: the factor of t+1's reset term
     rec_carry = None  # dL/ds[t] from t+1's recurrent matmul
     for t in range(steps - 1, -1, -1):
         # The elementary tape accumulates into s[t].grad in reverse node-
         # creation order: external grad (losses, next layer), then the
         # reset term of step t+1, then step t+1's recurrent matmul.  Sum
-        # in exactly that association for bitwise equality.
-        gs_total = grad[t]
-        if reset_carry is not None:
-            gs_total = gs_total + reset_carry
-        if rec_carry is not None:
-            gs_total = gs_total + rec_carry
-        spike_term = (gs_total * actives[t]) * rhos[t]
-        gu_total = spike_term if gu is None else gu + spike_term
+        # in exactly that association.
+        if glk is None:
+            term = grad[t] * rhos[t]
+        else:
+            term = glk * (potentials[t] if reset_mode == "zero" else th)
+            np.subtract(grad[t], term, out=term)
+            if rec_carry is not None:
+                term += rec_carry
+            term *= rhos[t]
+        if gu is None:
+            gu = term
+        else:
+            gu += term
         gcur = gc[t]
-        np.multiply(gu_total, actives[t], out=gcur)
-        if want_w_rec_grad and t > 0:
-            gw += spikes[t - 1].T @ gcur
+        np.multiply(gu, actives[t], out=gcur)
         if t > 0:
-            glk = gu_total * lk
+            if gw is not None:
+                gw += spikes[t - 1].T @ gcur
+            glk = gu * lk
             if reset_mode == "zero":
-                gu = glk * one_minus_s[t - 1]
-                reset_carry = -(glk * potentials[t - 1])
+                np.multiply(glk, retain[t - 1], out=gu)
             else:
                 gu = glk
-                reset_carry = -(glk * th)
             if w_rec is not None:
                 rec_carry = gcur @ w_rec.T
     return gc, gw
@@ -280,19 +323,18 @@ def lif_sequence(
     """
     _validate(currents, surrogate, reset_mode)
     _observe(currents.data)
-    spikes, potentials, xs, actives, th, lk = _forward_scan(
+    scan = _forward_scan(
         currents.data, threshold, leak, refractory_steps, reset_mode,
         surrogate_slope, soft,
     )
 
     def backward(grad: np.ndarray) -> None:
         gc, _ = _backward_scan(
-            grad, spikes, potentials, xs, actives, th, lk,
-            reset_mode, surrogate, surrogate_slope, soft,
+            grad, scan, reset_mode, surrogate, surrogate_slope, soft,
         )
-        currents._accumulate(gc)
+        currents._accumulate(gc, owned=True)
 
-    return currents._make(spikes, (currents,), backward, "lif_sequence")
+    return currents._make(scan.spikes, (currents,), backward, "lif_sequence")
 
 
 def recurrent_lif_sequence(
@@ -322,22 +364,21 @@ def recurrent_lif_sequence(
         )
     _observe(input_currents.data)
     w = recurrent_weight.data
-    spikes, potentials, xs, actives, th, lk = _forward_scan(
+    scan = _forward_scan(
         input_currents.data, threshold, leak, refractory_steps, reset_mode,
         surrogate_slope, soft, w_rec=w,
     )
 
     def backward(grad: np.ndarray) -> None:
         gc, gw = _backward_scan(
-            grad, spikes, potentials, xs, actives, th, lk,
-            reset_mode, surrogate, surrogate_slope, soft,
+            grad, scan, reset_mode, surrogate, surrogate_slope, soft,
             w_rec=w, want_w_rec_grad=recurrent_weight.requires_grad,
         )
-        input_currents._accumulate(gc)
+        input_currents._accumulate(gc, owned=True)
         if gw is not None:
-            recurrent_weight._accumulate(gw)
+            recurrent_weight._accumulate(gw, owned=True)
 
     return input_currents._make(
-        spikes, (input_currents, recurrent_weight), backward,
+        scan.spikes, (input_currents, recurrent_weight), backward,
         "recurrent_lif_sequence",
     )

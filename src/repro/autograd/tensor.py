@@ -185,15 +185,23 @@ class Tensor:
             out._op = op
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer."""
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        A first gradient becomes the buffer itself when nothing else can
+        reach it: ``owned=True`` (the caller built ``grad`` for this call
+        and keeps no reference) or a dtype cast / broadcast reduction made
+        a fresh array here.  Anything else — an upstream ``.grad``, a view
+        of one — is copied, so no two tensors ever share a buffer that
+        ``+=`` later writes through.
+        """
         if not self.requires_grad:
             return
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        g = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = g if owned or g is not grad else g.copy()
         else:
-            self.grad += grad
+            self.grad += g
 
     # ------------------------------------------------------------------
     # Backward pass
@@ -275,7 +283,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
-            other._accumulate(-grad)
+            other._accumulate(-grad, owned=True)
 
         return self._make(data, (self, other), backward, "sub")
 
@@ -287,8 +295,8 @@ class Tensor:
         data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * other.data)
-            other._accumulate(grad * self.data)
+            self._accumulate(grad * other.data, owned=True)
+            other._accumulate(grad * self.data, owned=True)
 
         return self._make(data, (self, other), backward, "mul")
 
@@ -299,8 +307,8 @@ class Tensor:
         data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other.data)
-            other._accumulate(-grad * self.data / (other.data ** 2))
+            self._accumulate(grad / other.data, owned=True)
+            other._accumulate(-grad * self.data / (other.data ** 2), owned=True)
 
         return self._make(data, (self, other), backward, "div")
 
@@ -311,7 +319,7 @@ class Tensor:
         data = -self.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, owned=True)
 
         return self._make(data, (self,), backward, "neg")
 
@@ -321,7 +329,7 @@ class Tensor:
         data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
         return self._make(data, (self,), backward, "pow")
 
@@ -333,14 +341,14 @@ class Tensor:
             if self.requires_grad:
                 if other.data.ndim == 1:
                     self._accumulate(np.outer(grad, other.data) if grad.ndim == 1
-                                     else grad[..., None] * other.data)
+                                     else grad[..., None] * other.data, owned=True)
                 else:
-                    self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+                    self._accumulate(grad @ np.swapaxes(other.data, -1, -2), owned=True)
             if other.requires_grad:
                 if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, grad))
+                    other._accumulate(np.outer(self.data, grad), owned=True)
                 else:
-                    other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+                    other._accumulate(np.swapaxes(self.data, -1, -2) @ grad, owned=True)
 
         return self._make(data, (self, other), backward, "matmul")
 
@@ -402,7 +410,7 @@ class Tensor:
             mask = (self.data == full)
             # Split gradient equally among ties, matching subgradient choice.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(np.broadcast_to(g, self.data.shape) * mask / counts)
+            self._accumulate(np.broadcast_to(g, self.data.shape) * mask / counts, owned=True)
 
         return self._make(np.asarray(data), (self,), backward, "max")
 
@@ -413,7 +421,7 @@ class Tensor:
         data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data)
+            self._accumulate(grad * data, owned=True)
 
         return self._make(data, (self,), backward, "exp")
 
@@ -421,7 +429,7 @@ class Tensor:
         data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, owned=True)
 
         return self._make(data, (self,), backward, "log")
 
@@ -429,7 +437,7 @@ class Tensor:
         data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data * (1.0 - data))
+            self._accumulate(grad * data * (1.0 - data), owned=True)
 
         return self._make(data, (self,), backward, "sigmoid")
 
@@ -437,7 +445,7 @@ class Tensor:
         data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data ** 2))
+            self._accumulate(grad * (1.0 - data ** 2), owned=True)
 
         return self._make(data, (self,), backward, "tanh")
 
@@ -445,7 +453,7 @@ class Tensor:
         data = np.abs(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.sign(self.data))
+            self._accumulate(grad * np.sign(self.data), owned=True)
 
         return self._make(data, (self,), backward, "abs")
 
@@ -453,7 +461,7 @@ class Tensor:
         data = np.maximum(self.data, 0.0)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (self.data > 0.0))
+            self._accumulate(grad * (self.data > 0.0), owned=True)
 
         return self._make(data, (self,), backward, "relu")
 
@@ -462,7 +470,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             inside = (self.data >= low) & (self.data <= high)
-            self._accumulate(grad * inside)
+            self._accumulate(grad * inside, owned=True)
 
         return self._make(data, (self,), backward, "clip")
 
@@ -473,8 +481,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self_wins = self.data >= other.data
-            self._accumulate(grad * self_wins)
-            other._accumulate(grad * ~self_wins)
+            self._accumulate(grad * self_wins, owned=True)
+            other._accumulate(grad * ~self_wins, owned=True)
 
         return self._make(data, (self, other), backward, "maximum")
 
@@ -485,8 +493,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self_wins = self.data <= other.data
-            self._accumulate(grad * self_wins)
-            other._accumulate(grad * ~self_wins)
+            self._accumulate(grad * self_wins, owned=True)
+            other._accumulate(grad * ~self_wins, owned=True)
 
         return self._make(data, (self, other), backward, "minimum")
 
@@ -525,14 +533,20 @@ class Tensor:
         )
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            if basic:
-                # Basic indices never alias, so plain assignment into the
-                # zero buffer equals (and is much faster than) add.at.
-                full[index] = grad
-            else:
+            if not self.requires_grad:
+                return
+            if not basic:
+                full = np.zeros_like(self.data)
                 np.add.at(full, index, grad)
-            self._accumulate(full)
+                self._accumulate(full, owned=True)
+            elif self.grad is None:
+                # Basic indices never alias, so assigning into a zero
+                # buffer equals (and is much faster than) add.at ...
+                self.grad = np.zeros_like(self.data)
+                self.grad[index] = grad
+            else:
+                # ... and a later gradient adds into its slice alone.
+                self.grad[index] += grad
 
         return self._make(np.asarray(data), (self,), backward, "getitem")
 
@@ -615,7 +629,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     data = np.where(condition, a.data, b.data)
 
     def backward(grad: np.ndarray) -> None:
-        a._accumulate(grad * condition)
-        b._accumulate(grad * ~condition)
+        a._accumulate(grad * condition, owned=True)
+        b._accumulate(grad * ~condition, owned=True)
 
     return a._make(data, (a, b), backward, "where")

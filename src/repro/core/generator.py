@@ -23,6 +23,7 @@ The final test is the chunk sequence interleaved with sleep inputs
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -188,16 +189,20 @@ class TestGenerator:
         """Per spiking layer, which neurons fire >= activation_threshold
         times under ``stimulus`` (fast path, no gradients).
 
-        Memoized by stimulus bytes: within one iteration the same best
-        stimulus is simulated by the growth progress check and again after
-        the stage returns, so the cache halves those forward passes.
-        Callers must not mutate the returned arrays.
+        Memoized by stimulus content (shape, dtype and a SHA-256 of the
+        bytes, so an entry does not hold a copy of the stimulus): within
+        one iteration the same best stimulus is simulated by the growth
+        progress check and again after the stage returns, so the cache
+        halves those forward passes.  Callers must not mutate the
+        returned arrays.
         """
-        key = (stimulus.shape, stimulus.tobytes())
+        stimulus = np.ascontiguousarray(stimulus)
+        key = (stimulus.shape, stimulus.dtype.str, hashlib.sha256(stimulus).digest())
         cached = self._activation_cache.get(key)
         if cached is not None:
             return cached
-        records = self.network.run_spiking_layers(stimulus)
+        network = self.network
+        records = network._spiking_records(network.run_modules(stimulus, fused=True))
         threshold = float(self.config.activation_threshold)
         sets = [rec[:, 0, :].sum(axis=0) >= threshold for rec in records]
         if len(self._activation_cache) >= 128:  # bound memory across iterations

@@ -95,7 +95,7 @@ class Module:
         :mod:`repro.autograd.fused` — one tape node per layer instead of
         ~10 per layer per time step — and precompute their synaptic input
         currents for all T steps in a single matmul/convolution.  Spike
-        values and input gradients are bit-identical to
+        values are bit-identical and input gradients equal in value to
         :meth:`forward_sequence` in float64 (pinned by tests).
         """
         raise NotImplementedError
@@ -900,28 +900,40 @@ class SumPool(Module):
     def run_sequence_fused(
         self, seq: np.ndarray, state: Optional[LIFState] = None
     ) -> np.ndarray:
-        window = self.window
-        # Accumulate the window^2 strided slices with plain ufunc adds
-        # instead of a strided axis reduction — several times faster on
-        # large blocks.  Pool inputs are spike counts (exact small
-        # integers), so the re-association cannot change the result —
-        # the differential suite pins equality with the per-step engine.
-        out = seq[..., 0::window, 0::window].copy()
-        for i in range(window):
-            for j in range(window):
-                if i or j:
-                    out += seq[..., i::window, j::window]
-        return out
+        return _window_sum(seq, self.window)
 
     def forward_sequence(self, seq: List[Tensor]) -> List[Tensor]:
         return [F.sum_pool2d(x_t, self.window) for x_t in seq]
 
     def forward_sequence_fused(self, seq: Tensor) -> Tensor:
-        steps, batch, channels, height, width = seq.shape
+        # One tape node: each input pixel's gradient is its pooled cell's,
+        # written into the window^2 strided slots.
         window = self.window
-        return seq.reshape(
-            steps, batch, channels, height // window, window, width // window, window
-        ).sum(axis=(4, 6))
+
+        def backward(grad: np.ndarray) -> None:
+            g = np.empty_like(seq.data)
+            for i in range(window):
+                for j in range(window):
+                    g[..., i::window, j::window] = grad
+            seq._accumulate(g, owned=True)
+
+        return seq._make(_window_sum(seq.data, window), (seq,), backward, "sum_pool")
+
+
+def _window_sum(seq: np.ndarray, window: int) -> np.ndarray:
+    """Sum non-overlapping ``window``x``window`` blocks of the last two axes.
+
+    ``window^2`` strided slice adds instead of a strided axis reduction —
+    several times faster on large blocks.  Pool inputs are spike counts
+    (exact small integers), so the order of the adds cannot change the
+    result: it equals the per-step reshape-sum.
+    """
+    out = seq[..., 0::window, 0::window].copy()
+    for i in range(window):
+        for j in range(window):
+            if i or j:
+                out += seq[..., i::window, j::window]
+    return out
 
 
 class Flatten(Module):

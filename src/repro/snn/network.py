@@ -174,8 +174,9 @@ class SNN:
         seq:
             A single ``(T, B, *input_shape)`` sequence tensor.  Each layer
             contributes one tape node (plus its current precomputation)
-            instead of ~10 per time step; spike values and input gradients
-            are bit-identical to :meth:`forward` in float64.
+            instead of ~10 per time step; spike values are bit-identical
+            and input gradients equal in value to :meth:`forward` in
+            float64.
         """
         self._check_feature_shape(tuple(seq.shape[2:]))
         records: List[Tensor] = []
@@ -270,7 +271,11 @@ class SNN:
 
     def run_spiking_layers(self, seq: np.ndarray) -> List[np.ndarray]:
         """Fast inference returning each spiking layer's (T, B, N) record."""
-        outputs = self.run_modules(seq)
+        return self._spiking_records(self.run_modules(seq))
+
+    def _spiking_records(self, outputs: List[np.ndarray]) -> List[np.ndarray]:
+        """Each spiking layer's (T, B, N) record from :meth:`run_modules`
+        outputs."""
         records = []
         for idx in self.spiking_indices:
             out = outputs[idx]

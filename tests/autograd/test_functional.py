@@ -29,6 +29,18 @@ class TestSpike:
         expected = _surrogate_derivative(x.data, kind, 5.0)
         assert np.allclose(x.grad, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fast_sigmoid_matches_closed_form_bytes(self, dtype):
+        from repro.autograd.functional import _surrogate_derivative
+
+        xs = np.random.default_rng(0).normal(scale=2.0, size=257).astype(dtype)
+        xs[:3] = [0.0, -0.0, np.inf]
+        for x in (xs, xs[7]):  # an array and a scalar
+            expected = 1.0 / (1.0 + 5.0 * np.abs(x)) ** 2
+            got = _surrogate_derivative(x, "fast_sigmoid", 5.0)
+            assert got.dtype == expected.dtype
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
     def test_surrogate_peaks_at_threshold(self):
         from repro.autograd.functional import _surrogate_derivative
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.autograd.functional import ste_binarize
 from repro.autograd.tensor import Tensor, concatenate, no_grad, stack, where
 from repro.errors import GradientError, ShapeError
 from repro.utils.gradcheck import gradcheck
@@ -304,3 +305,89 @@ class TestBackwardSemantics:
     def test_repr(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         assert "2, 2" in repr(a)
+
+
+def _assert_private_grads(*tensors):
+    """No two gradient buffers share memory: a later ``+=`` into one must
+    never show up in another."""
+    grads = [t.grad for t in tensors]
+    assert all(g is not None for g in grads)
+    for i, first in enumerate(grads):
+        for second in grads[i + 1:]:
+            assert not np.shares_memory(first, second)
+
+
+class TestGradientOwnership:
+    """One gradient array reaching several tensors: each tensor still ends
+    up with its own buffer, holding the same values as ever."""
+
+    def test_add_hands_one_array_to_both_operands(self):
+        a, b = _t((3, 4), 0), _t((3, 4), 1)
+        out = a + b
+        seed = np.random.default_rng(2).normal(size=(3, 4))
+        out.backward(seed)
+        assert np.array_equal(a.grad, seed) and np.array_equal(b.grad, seed)
+        _assert_private_grads(a, b, out)
+
+    def test_self_add(self):
+        x = _t((5,), 0)
+        y = x + x
+        seed = np.random.default_rng(3).normal(size=5)
+        y.backward(seed)
+        assert np.array_equal(x.grad, seed + seed)
+        _assert_private_grads(x, y)
+
+    def test_mul_and_sub_operands(self):
+        a, b = _t((4,), 0), _t((4,), 1)
+        prod = a * b
+        out = prod - a
+        seed = np.random.default_rng(4).normal(size=4)
+        out.backward(seed)
+        assert np.array_equal(b.grad, seed * a.data)
+        assert np.array_equal(a.grad, seed * b.data + -seed)
+        _assert_private_grads(a, b, prod, out)
+
+    def test_ste_passes_its_gradient_through(self):
+        x = _t((6,), 0)
+        soft = x * 2.0
+        hard = ste_binarize(soft)
+        seed = np.random.default_rng(5).normal(size=6)
+        hard.backward(seed)
+        assert np.array_equal(soft.grad, seed)
+        assert np.array_equal(x.grad, seed * 2.0)
+        _assert_private_grads(x, soft, hard)
+
+    def test_reshape_and_transpose_views(self):
+        x = _t((2, 6), 0)
+        y = x.reshape(3, 4)
+        z = y.transpose()
+        seed = np.random.default_rng(6).normal(size=(4, 3))
+        z.backward(seed)
+        assert np.array_equal(y.grad, seed.T)
+        assert np.array_equal(x.grad, seed.T.reshape(2, 6))
+        _assert_private_grads(x, y, z)
+
+    def test_getitem_into_an_existing_gradient(self):
+        x = _t((5, 3), 0)
+        (x * 3.0).sum().backward()
+        first = x.grad
+        head = x[1:]
+        head.backward(np.ones((4, 3)))
+        expected = np.full((5, 3), 3.0)
+        expected[1:] += 1.0
+        assert x.grad is first  # added in place, no new full-size buffer
+        assert np.array_equal(x.grad, expected)
+        _assert_private_grads(x, head)
+
+    def test_getitem_pair_on_one_tensor(self):
+        # The temporal-diversity pattern: two slices of one record.
+        x = _t((6, 2), 0)
+        later, earlier = x[1:], x[:-1]
+        diff = later - earlier
+        seed = np.random.default_rng(7).normal(size=(5, 2))
+        diff.backward(seed)
+        expected = np.zeros((6, 2))
+        expected[1:] = seed
+        expected[:-1] += -seed
+        assert np.array_equal(x.grad, expected)
+        _assert_private_grads(x, later, earlier, diff)

@@ -197,3 +197,60 @@ class TestGeneratorEndToEnd:
         result = generator.generate()
         assert time.perf_counter() - start < 30.0
         assert result.num_chunks >= 1
+
+
+class TestActivationMemo:
+    """``activation_sets`` memoizes by stimulus content without holding a
+    copy of each stimulus."""
+
+    @staticmethod
+    def _counting(generator, monkeypatch):
+        calls = []
+        run_modules = generator.network.run_modules
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_modules(*args, **kwargs)
+
+        monkeypatch.setattr(generator.network, "run_modules", counted)
+        return calls
+
+    @staticmethod
+    def _stimulus(network, seed, steps=12):
+        rng = np.random.default_rng(seed)
+        return (rng.random((steps, 1) + network.input_shape) < 0.3).astype(np.float64)
+
+    def test_equal_stimuli_hit(self, tiny_network, monkeypatch):
+        generator = TestGenerator(tiny_network, TestGenConfig())
+        calls = self._counting(generator, monkeypatch)
+        stimulus = self._stimulus(tiny_network, 0)
+        first = generator.activation_sets(stimulus)
+        again = generator.activation_sets(stimulus.copy())
+        assert again is first
+        assert len(calls) == 1
+        # The fused bookkeeping agrees with the per-step network run.
+        threshold = generator.config.activation_threshold
+        oracle = [
+            rec[:, 0, :].sum(axis=0) >= threshold
+            for rec in tiny_network.run_spiking_layers(stimulus)
+        ]
+        assert all(np.array_equal(a, b) for a, b in zip(first, oracle))
+
+    def test_one_spike_change_misses(self, tiny_network, monkeypatch):
+        generator = TestGenerator(tiny_network, TestGenConfig())
+        calls = self._counting(generator, monkeypatch)
+        stimulus = self._stimulus(tiny_network, 1)
+        generator.activation_sets(stimulus)
+        flipped = stimulus.copy()
+        flipped[3, 0, 5] = 1.0 - flipped[3, 0, 5]
+        generator.activation_sets(flipped)
+        assert len(calls) == 2
+
+    def test_memo_stays_bounded(self, tiny_network):
+        generator = TestGenerator(tiny_network, TestGenConfig())
+        for seed in range(200):
+            generator.activation_sets(self._stimulus(tiny_network, seed, steps=4))
+            assert len(generator._activation_cache) <= 128
+        # Keys carry a digest, not the stimulus bytes.
+        for key in generator._activation_cache:
+            assert sum(len(part) for part in key if isinstance(part, bytes)) <= 32
