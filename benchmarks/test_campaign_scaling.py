@@ -20,7 +20,6 @@ the speedup floor is only asserted in full mode, since a subsampled
 campaign under-utilises the batched paths.
 """
 
-import dataclasses
 import json
 import os
 import time
@@ -235,9 +234,9 @@ def test_fused_campaign(results_dir):
     """One-BLAS-call fused batches + shared-memory workers vs the PR 5
     segmented engine (per-step kernels, pickled-spool transport) on the
     nmnist-small full catalog.  Emits ``results/campaign_fused.json``
-    with one row per (mode, dtype) including parent peak RSS, and — in
-    full mode — asserts the fused float64 shm campaign clears the 2x
-    acceptance bar.  All modes must stay bit-identical."""
+    with one row per mode including parent peak RSS, and — in full mode —
+    asserts the fused shm campaign clears the 2x acceptance bar.  All
+    modes must stay bit-identical."""
     definition, network, faults, _ = _campaign_setup()
     chunk_steps = [3, 3, 2] if QUICK else [8] * 6
     rng = np.random.default_rng(4)
@@ -267,28 +266,21 @@ def test_fused_campaign(results_dir):
             os.environ["REPRO_SHM"] = shm_env
     assert not reference.health.shm
 
-    rows = []
-    for dtype in ("float64", "float32"):
-        config = dataclasses.replace(definition.fault_config, dtype=dtype)
-        simulator = FaultSimulator(network, config, fused=True)
-        result, elapsed, rss = _rss_traced(
-            lambda: parallel_detect_segmented(
-                simulator, stimulus, faults, workers=workers
-            )
-        )
-        assert np.array_equal(reference.detected, result.detected), dtype
-        assert result.dtype == dtype
-        rows.append(
-            {
-                "mode": "fused-shm",
-                "dtype": dtype,
-                "seconds": elapsed,
-                "speedup_vs_baseline": t_baseline / elapsed,
-                "throughput_faults_per_s": len(faults) / elapsed,
-                "parent_peak_rss_mb": rss,
-                "shm": bool(result.health.shm),
-            }
-        )
+    simulator = FaultSimulator(network, definition.fault_config, fused=True)
+    result, elapsed, rss = _rss_traced(
+        lambda: parallel_detect_segmented(simulator, stimulus, faults, workers=workers)
+    )
+    assert np.array_equal(reference.detected, result.detected)
+    rows = [
+        {
+            "mode": "fused-shm",
+            "seconds": elapsed,
+            "speedup_vs_baseline": t_baseline / elapsed,
+            "throughput_faults_per_s": len(faults) / elapsed,
+            "parent_peak_rss_mb": rss,
+            "shm": bool(result.health.shm),
+        }
+    ]
 
     payload = {
         "benchmark": definition.cache_key,
@@ -299,7 +291,6 @@ def test_fused_campaign(results_dir):
         "workers": workers,
         "baseline": {
             "mode": "segmented-unfused-spool",
-            "dtype": "float64",
             "seconds": t_baseline,
             "throughput_faults_per_s": len(faults) / t_baseline,
             "parent_peak_rss_mb": rss_baseline,
@@ -311,9 +302,7 @@ def test_fused_campaign(results_dir):
     with open(results_dir / "campaign_fused.json", "w") as fh:
         json.dump(payload, fh, indent=2)
     summary = ", ".join(
-        f"{row['dtype']} {row['seconds']:.2f}s "
-        f"({row['speedup_vs_baseline']:.2f}x)"
-        for row in rows
+        f"{row['seconds']:.2f}s ({row['speedup_vs_baseline']:.2f}x)" for row in rows
     )
     print(
         f"\nfused campaign ({len(faults)} faults, "
@@ -322,135 +311,10 @@ def test_fused_campaign(results_dir):
     )
 
     if not QUICK:
-        # Acceptance bar: fused float64 with shm workers >= 2x the PR 5
-        # segmented engine on the full catalog.
+        # Acceptance bar: fused with shm workers >= 2x the PR 5 segmented
+        # engine on the full catalog.
         assert rows[0]["speedup_vs_baseline"] >= 2.0, payload
-        assert rows[0]["shm"] and rows[1]["shm"], payload
-
-
-def test_event_driven_campaign(results_dir):
-    """Event-driven dispatch vs the PR 7 dense engine.
-
-    Two measurements land in ``results/campaign_event_driven.json``:
-
-    1. the nmnist-small full catalog on an NMNIST-sparse stimulus
-       (0.1% cell density), ``REPRO_EVENT_DRIVEN=off`` vs ``auto`` — the
-       density-adaptive engine must be >= 1.5x faster with bit-identical
-       results.  On this net's small panels the win comes from the exact
-       zero tiers (empty time slices and all-zero blocks are never
-       multiplied); the gather kernel stays off because every block is
-       below ``MIN_EVENT_WORK``, which is the dispatcher doing its job;
-    2. a kernel-level density sweep on a BLAS-sized panel (T=32, B=4,
-       2048 -> 512) where occupancy actually crosses the 0.5 threshold:
-       below it ``auto`` must pick the gathered panel GEMM and win, above
-       it the dense kernel.
-    """
-    from repro.snn.events import EventDispatch
-
-    definition, network, faults, _ = _campaign_setup()
-    steps = 12 if QUICK else 48
-    rng = np.random.default_rng(6)
-    density = 0.001
-    stimulus = (
-        rng.random((steps, 1) + definition.spec.input_shape) < density
-    ).astype(float)
-
-    dense_sim = FaultSimulator(network, definition.fault_config, event_driven="off")
-    event_sim = FaultSimulator(network, definition.fault_config, event_driven="auto")
-    reference, t_dense = _timed(lambda: dense_sim.detect(stimulus, faults))
-    result, t_event = _timed(lambda: event_sim.detect(stimulus, faults))
-
-    assert np.array_equal(reference.detected, result.detected)
-    assert np.array_equal(reference.output_l1, result.output_l1)
-    assert np.array_equal(reference.class_count_diff, result.class_count_diff)
-    assert reference.dispatch is None
-    assert result.dispatch is not None
-
-    # Kernel-level sweep: controlled occupancy on a panel big enough for
-    # the gather kernel to matter.
-    t_steps, batch, n_in, n_out = 32, 4, 2048, 512
-    krng = np.random.default_rng(9)
-    weight = krng.standard_normal((n_in, n_out))
-
-    def _best(fn, reps=5):
-        return min(_timed(fn)[1] for _ in range(reps))
-
-    sweep = []
-    for cell_density in (0.001, 0.005, 0.01, 0.015, 0.05, 0.2):
-        seq = (krng.random((t_steps, batch, n_in)) < cell_density).astype(float)
-        occupancy = (
-            np.count_nonzero(seq.reshape(-1, n_in).any(axis=0)) / n_in
-        )
-        probe = EventDispatch("auto")
-        probe.dense_block(seq, weight, "sweep")
-        counts = probe.stats.as_dict()
-        choice = (
-            "event"
-            if counts["event_blocks"]
-            else ("dense" if counts["dense_blocks"] else "zero")
-        )
-        t_dense_kernel = _best(
-            lambda: EventDispatch("auto", exact_only=True).dense_block(
-                seq, weight, "sweep"
-            )
-        )
-        t_event_kernel = _best(
-            lambda: EventDispatch("on").dense_block(seq, weight, "sweep")
-        )
-        sweep.append(
-            {
-                "density": cell_density,
-                "occupancy": occupancy,
-                "dense_s": t_dense_kernel,
-                "event_s": t_event_kernel,
-                "event_speedup": t_dense_kernel / t_event_kernel,
-                "dispatcher_choice": choice,
-                "fallbacks": 0,  # no spiking loop here, the guard can't trip
-            }
-        )
-
-    payload = {
-        "benchmark": definition.cache_key,
-        "quick_mode": QUICK,
-        "faults": len(faults),
-        "stimulus_steps": steps,
-        "stimulus_density": density,
-        "campaign": {
-            "dense_s": t_dense,
-            "event_s": t_event,
-            "event_speedup": t_dense / t_event,
-            "dispatch": result.dispatch,
-        },
-        "sweep": sweep,
-        "cpu_count": os.cpu_count(),
-    }
-    with open(results_dir / "campaign_event_driven.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-    table = "\n".join(
-        f"  density {row['density']:<6} occupancy {row['occupancy']:.3f} "
-        f"dense {row['dense_s'] * 1e3:7.2f}ms event {row['event_s'] * 1e3:7.2f}ms "
-        f"({row['event_speedup']:5.2f}x) -> {row['dispatcher_choice']}"
-        for row in sweep
-    )
-    print(
-        f"\nevent-driven campaign ({len(faults)} faults, {steps} steps, "
-        f"density {density}): dense {t_dense:.2f}s, event {t_event:.2f}s "
-        f"({payload['campaign']['event_speedup']:.2f}x)\n{table}"
-    )
-
-    if not QUICK:
-        # Acceptance bar: density-adaptive dispatch >= 1.5x the dense
-        # engine on the sparse full-catalog campaign ...
-        assert payload["campaign"]["event_speedup"] >= 1.5, payload
-        # ... and the kernel sweep crosses over where the model says it
-        # should: gathered panels win below the occupancy threshold,
-        # dense wins above.
-        for row in sweep:
-            if row["occupancy"] <= 0.2:
-                assert row["dispatcher_choice"] == "event", row
-                assert row["event_speedup"] >= 1.5, row
-            if row["occupancy"] >= 0.6:
-                assert row["dispatcher_choice"] == "dense", row
+        assert rows[0]["shm"], payload
 
 
 def test_incremental_verify(tmp_path, results_dir):

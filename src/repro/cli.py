@@ -111,11 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "detection is still exact but output_l1/class_count_diff "
                         "only cover segments up to first detection (skips the "
                         "Fig. 9 exact-metrics guarantee)")
-    verify.add_argument("--dtype", choices=("float64", "float32"), default=None,
-                        help="campaign compute precision; float32 runs behind an "
-                        "exactness gate (bit-equal golden probe + spike-margin "
-                        "guard) and falls back to float64 per fault group when "
-                        "the guard trips, so detection masks are unchanged")
     verify.add_argument("--store", type=Path, default=None, metavar="DIR",
                         help="coverage-store directory for differential "
                         "re-verification (default: <results>/cache/"
@@ -281,8 +276,6 @@ def _fault_config_override(args, base):
     bits = getattr(args, "bitflip_bits", None)
     if bits is not None:
         changes["bitflip_bits"] = tuple(int(b) for b in bits.split(","))
-    if getattr(args, "dtype", None) is not None:
-        changes["dtype"] = args.dtype
     if not changes:
         return None
     return dataclasses.replace(base, **changes)
@@ -378,12 +371,11 @@ def _cmd_verify(args) -> int:
             from repro.snn.events import DispatchStats
 
             stats = DispatchStats.from_dict(detection.dispatch)
-            print(f"Event dispatch: {stats.summary()}")
+            print(f"Current dispatch: {stats.summary()}")
             for name, fields in sorted(detection.dispatch["layers"].items()):
                 print(
                     f"  {name}: {fields['spikes']} spikes, "
                     f"{fields['dense_blocks']} dense / "
-                    f"{fields['event_blocks']} event / "
                     f"{fields['zero_blocks']} zero blocks"
                 )
     return 0

@@ -332,11 +332,13 @@ class ExperimentPipeline:
             with np.load(path) as data:
                 if data["detected"].shape[0] == len(catalog):
                     dispatch = None
-                    if "dispatch" in data and data["dispatch"].size:
-                        dispatch = DispatchStats.from_vector(
-                            data["dispatch"],
-                            [str(name) for name in data["dispatch_layers"]],
-                        ).as_dict()
+                    if "dispatch" in data:
+                        names = [str(name) for name in data["dispatch_layers"]]
+                        vector = data["dispatch"]
+                        # A vector in an older counter layout is dropped:
+                        # the detection arrays are still valid.
+                        if vector.size == DispatchStats.vector_size(len(names)):
+                            dispatch = DispatchStats.from_vector(vector, names).as_dict()
                     return DetectionResult(
                         faults=catalog.faults,
                         detected=data["detected"].astype(bool),
@@ -360,31 +362,26 @@ class ExperimentPipeline:
             exact_metrics=not self.fast_metrics,
             store=None if self.store_dir is None else str(self.store_dir),
         )
-        extras = {}
-        if detection.dispatch is not None:
-            # The counter vector plus its layer-name legend round-trip the
-            # dispatch stats through the cache without loading the network.
-            names = dispatch_layer_names(self.network().modules)
-            extras["dispatch"] = DispatchStats.from_dict(
-                detection.dispatch
-            ).to_vector(names)
-            extras["dispatch_layers"] = np.array(names)
+        # The counter vector plus its layer-name legend round-trip the
+        # dispatch stats through the cache without loading the network.
+        names = dispatch_layer_names(self.network().modules)
         atomic_npz_save(
             str(path),
             detected=detection.detected,
             output_l1=detection.output_l1,
             class_count_diff=detection.class_count_diff,
             wall_time=np.float64(detection.wall_time),
-            **extras,
+            dispatch=DispatchStats.from_dict(detection.dispatch).to_vector(names),
+            dispatch_layers=np.array(names),
         )
         self._drop_progress(progress_ckpt)
         self.log(
             f"[{self.definition.cache_key}] detection rate "
             f"{detection.detection_rate():.2%} in {detection.wall_time:.0f}s"
         )
-        if self.verbose and detection.dispatch is not None:
+        if self.verbose:
             self.log(
-                f"[{self.definition.cache_key}] event dispatch: "
+                f"[{self.definition.cache_key}] current dispatch: "
                 f"{DispatchStats.from_dict(detection.dispatch).summary()}"
             )
         return detection

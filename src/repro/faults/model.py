@@ -294,13 +294,6 @@ class FaultModelConfig:
         Fraction of sites enumerated per kind (1.0 = exhaustive).  Sampling
         keeps CPU campaigns tractable for the larger benchmarks and is the
         documented substitute for the paper's multi-day GPU campaigns.
-    dtype:
-        Compute precision of detection campaigns: ``"float64"`` (default)
-        or ``"float32"``.  Float32 campaigns run behind an exactness gate
-        (golden-vs-golden divergence probe plus a per-group near-threshold
-        margin guard) with transparent per-group float64 fallback, so the
-        detection masks are bit-equal to float64 either way; classification
-        campaigns always run in float64.  Requires the fused campaign path.
     """
 
     neuron_kinds: Tuple[NeuronFaultKind, ...] = CLASSIC_NEURON_KINDS
@@ -322,13 +315,8 @@ class FaultModelConfig:
     transient_synapse_kinds: Tuple[SynapseFaultKind, ...] = ()
     neuron_sample_fraction: float = 1.0
     synapse_sample_fraction: float = 1.0
-    dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.dtype not in ("float64", "float32"):
-            raise FaultModelError(
-                f"dtype must be 'float64' or 'float32', got {self.dtype!r}"
-            )
         if self.timing_threshold_factor <= 0:
             raise FaultModelError("timing_threshold_factor must be positive")
         if not 0.0 < self.timing_leak_factor <= 1.0:

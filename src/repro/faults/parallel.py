@@ -59,6 +59,7 @@ See ``docs/PARALLELISM.md`` for the worker model and
 from __future__ import annotations
 
 import atexit
+import ctypes
 import hashlib
 import heapq
 import itertools
@@ -91,7 +92,7 @@ from repro.faults.simulator import (
     ProgressFn,
     _ProgressTracker,
 )
-from repro.snn.events import DispatchStats
+from repro.snn.events import DispatchStats, EventDispatch
 from repro.snn.layers import dispatch_layer_names, event_dispatch_context
 from repro.utils import chaos
 
@@ -248,11 +249,8 @@ class SupervisionConfig:
 # running concurrently in one process (the campaign service) can never
 # see each other's state.
 def _dispatch_vector(simulator: FaultSimulator, result: DetectionResult) -> np.ndarray:
-    """Flattened event-dispatch counters of a shard result for payload /
-    checkpoint transport (an empty vector when the engine is off — int64
-    either way so the spool pickle and shm re-materialization agree)."""
-    if result.dispatch is None:
-        return np.zeros(0, dtype=np.int64)
+    """Flattened dispatch counters of a shard result for payload /
+    checkpoint transport."""
     names = dispatch_layer_names(simulator.network.modules)
     return DispatchStats.from_dict(result.dispatch).to_vector(names)
 
@@ -450,6 +448,24 @@ def _reap(rec: _ShardRun, kill: bool = False):
     return status
 
 
+def _trim_heap() -> None:
+    """Hand the parent's free heap pages back to the OS before forking.
+
+    A forked worker starts with every page the parent has resident, heap
+    memory the parent freed but glibc kept included, and that dead weight
+    counts in the worker's RSS for its whole life, so a worker's peak
+    would depend on whatever the parent happened to free earlier.  A
+    no-op where the C library has no ``malloc_trim``.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
 def _supervised_run(
     worker_fn,
     shared: dict,
@@ -473,6 +489,7 @@ def _supervised_run(
     # the import machinery's lock would deadlock inside the deferred
     # import.  Once imported here, the children inherit the ready module.
     import repro.faults.store  # noqa: F401
+    _trim_heap()
 
     ticket = itertools.count()
     queue: List[tuple] = [(0.0, next(ticket), b, 0) for b in pending]
@@ -727,12 +744,12 @@ def parallel_detect(
     health = CampaignHealth(workers=workers if use_pool else 1)
     start = time.perf_counter()
     # Mirror the serial engine's accounting: the parent computes the
-    # shared golden reference once under the exact dispatch tiers, and the
+    # shared golden reference once under zero-skip dispatch, and the
     # per-shard counters (faulty-row work only) merge on top of it.
     layer_names = dispatch_layer_names(simulator.network.modules)
-    merged_stats = DispatchStats() if simulator.event_mode != "off" else None
+    merged_stats = DispatchStats()
     with event_dispatch_context(
-        simulator.network.modules, simulator._exact_dispatch(merged_stats)
+        simulator.network.modules, EventDispatch(merged_stats)
     ):
         golden_modules = simulator.network.run_modules(
             stimulus, fused=simulator.fused
@@ -743,7 +760,7 @@ def parallel_detect(
     bounds = shard_bounds(n_faults, workers)
     checkpoint, bounds = _prepare_checkpoint(
         "detect", checkpoint_path, resume, simulator, faults, (stimulus,), bounds,
-        extra=f"dtype={simulator.dtype},v=2",
+        extra="v=3",
     )
     detected = np.zeros(n_faults, dtype=bool)
     output_l1 = np.zeros(n_faults)
@@ -781,10 +798,7 @@ def parallel_detect(
                 detected[lo:hi] = shard_detected
                 output_l1[lo:hi] = shard_l1
                 class_diff[lo:hi] = shard_diff
-                if merged_stats is not None and np.asarray(shard_vec).size:
-                    merged_stats.merge(
-                        DispatchStats.from_vector(shard_vec, layer_names)
-                    )
+                merged_stats.merge(DispatchStats.from_vector(shard_vec, layer_names))
         finally:
             # Closing the generator runs its cleanup *now* (remove the
             # spool dir) even when this merge loop aborts —
@@ -801,8 +815,7 @@ def parallel_detect(
         class_count_diff=class_diff,
         wall_time=time.perf_counter() - start,
         health=health,
-        dtype=str(simulator.dtype),
-        dispatch=merged_stats.as_dict() if merged_stats is not None else None,
+        dispatch=merged_stats.as_dict(),
     )
 
 
@@ -1010,25 +1023,15 @@ def parallel_detect_segmented(
         tuple(stimulus.chunks), bounds,
         extra=(
             f"segmented:drop={int(options[0])},div={int(options[1])},"
-            f"comp={int(options[2])},v=3"
+            f"comp={int(options[2])},v=4"
         ),
     )
     # The chain the parent expects every shard to report.  Computed before
     # any shm re-wrap of the stimulus: sharing the chunks moves their
     # storage, never their bytes, so both stimuli hash identically.
     expected_chain = chain_to_array(stimulus_chain(stimulus))
-    # Event-dispatch counter merging.  Every shard campaign scans the same
-    # stimulus, so the static sleep-segment census would be summed W times
-    # over; the parent takes its own census (also pre-shm-rewrap) and pins
-    # the merged counter to it afterwards.
     layer_names = dispatch_layer_names(simulator.network.modules)
-    merged_stats = DispatchStats() if simulator.event_mode != "off" else None
-    sleep_census = 0
-    if merged_stats is not None:
-        for index in range(n_segments):
-            seg = stimulus.segment(index)
-            if seg.shape[0] and not seg[-1].any():
-                sleep_census += 1
+    merged_stats = DispatchStats()
     detected = np.zeros(n_faults, dtype=bool)
     output_l1 = np.zeros(n_faults)
     class_diff = np.zeros((n_faults, classes))
@@ -1079,18 +1082,12 @@ def parallel_detect_segmented(
                 detected[lo:hi] = shard_detected
                 output_l1[lo:hi] = shard_l1
                 class_diff[lo:hi] = shard_diff
-                shard_vec = payload[5]
-                if merged_stats is not None and np.asarray(shard_vec).size:
-                    merged_stats.merge(
-                        DispatchStats.from_vector(shard_vec, layer_names)
-                    )
+                merged_stats.merge(DispatchStats.from_vector(payload[5], layer_names))
         finally:
             gen.close()
     finally:
         if arena is not None:
             arena.close()
-    if merged_stats is not None:
-        merged_stats.set_sleep(sleep_census)
     return DetectionResult(
         faults=list(faults),
         detected=detected,
@@ -1098,11 +1095,10 @@ def parallel_detect_segmented(
         class_count_diff=class_diff,
         wall_time=time.perf_counter() - start,
         health=health,
-        dtype=str(simulator.dtype),
         # From the pre-sharing chain: the shm-backed chunks are unmapped by
         # the arena close above and must not be touched again.
         segment_digests=chain_from_array(expected_chain),
-        dispatch=merged_stats.as_dict() if merged_stats is not None else None,
+        dispatch=merged_stats.as_dict(),
     )
 
 

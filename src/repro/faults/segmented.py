@@ -61,7 +61,6 @@ from repro.faults.store import StoreSession, stimulus_chain
 from repro.faults.model import NeuronFaultKind
 from repro.faults.simulator import (
     DetectionResult,
-    FLOAT32_GUARD_MARGIN,
     _perturbed_neuron_arrays,
     _perturbed_neuron_scalars,
     _ProgressTracker,
@@ -72,19 +71,9 @@ from repro.faults.simulator import (
     _synapse_entries,
     _window_pieces,
 )
-from repro.snn.events import (
-    EVENT_GUARD_MARGIN,
-    DispatchStats,
-    EventDispatch,
-    LazyMargin,
-)
-from repro.snn.layers import (
-    SumPool,
-    compute_dtype_context,
-    dispatch_layer_names,
-    event_dispatch_context,
-)
-from repro.snn.neuron import LIFState, SpikeMargin, lif_step_numpy
+from repro.snn.events import DispatchStats, EventDispatch
+from repro.snn.layers import SumPool, dispatch_layer_names, event_dispatch_context
+from repro.snn.neuron import LIFState, lif_step_numpy
 
 
 class _GoldenSegment:
@@ -111,13 +100,10 @@ class GoldenSegmentRunner:
     ``fused=True`` routes every module through its fused fast path
     (bit-identical in float64, pinned by the fused differential suite).
 
-    ``events`` optionally attaches an event-driven dispatcher
+    ``events`` optionally attaches a zero-skip dispatcher
     (:class:`repro.snn.events.EventDispatch`) to the fused kernels for
-    the duration of each segment.  The golden pass is the campaign's
-    reference, so callers pass an ``exact_only`` dispatcher: sleep gaps
-    and other all-zero stretches of a segment skip their GEMMs outright
-    (a guaranteed bit-exact zero-current view feeds the membrane scan)
-    while everything else stays on the dense kernel."""
+    the duration of each segment: sleep gaps and other all-zero stretches
+    of a segment skip their GEMMs outright, bit-exactly."""
 
     def __init__(self, network, fused: bool = False, events=None) -> None:
         self.network = network
@@ -131,25 +117,17 @@ class GoldenSegmentRunner:
             outputs = self.network.run_modules(
                 seg, states=self.states, fused=self.fused
             )
-        if self.events is not None and seg.shape[0] and not seg[-1].any():
-            # Trailing all-zero input step: this segment carries a sleep
-            # gap whose current blocks resolve through the zero tier.
-            self.events.stats.note_sleep()
         return _GoldenSegment(seg, outputs, entry)
 
     def skip_segments(self, stimulus, count: int) -> None:
         """Replay ``count`` segments without keeping outputs (deterministic
         golden-state reconstruction on checkpoint resume).
 
-        The replay still benefits from the exact zero-skip tiers, but on a
-        throwaway counter set: the skipped segments were already accounted
-        before the checkpoint, so re-counting them here would make resumed
-        stats diverge from an uninterrupted run's."""
-        events = None
-        if self.events is not None:
-            events = EventDispatch(
-                self.events.mode, self.events.threshold, exact_only=True
-            )
+        The replay still skips zero blocks, but on a throwaway counter
+        set: the skipped segments were already accounted before the
+        checkpoint, so re-counting them here would make resumed stats
+        diverge from an uninterrupted run's."""
+        events = EventDispatch() if self.events is not None else None
         with event_dispatch_context(self.network.modules, events):
             for index in range(count):
                 self.network.run_modules(
@@ -180,8 +158,6 @@ class _SessionGoldenRunner:
     answered from its record (outputs + end states, the current states
     becoming the entry states) without simulating; a missing segment runs
     normally and is stored for every later group, worker, and invocation.
-    The golden pass always computes in float64, so records are valid
-    regardless of any float32 group gating around them.
     """
 
     def __init__(self, session: StoreSession, network, fused: bool, events=None) -> None:
@@ -331,10 +307,6 @@ class _FaultGroup:
                 pool.output_shape(shape),
             )
             self.entry = 1
-        # Per-group compute precision: the campaign promotes eligible
-        # groups to float32 (see SegmentedDetectionCampaign.run) and resets
-        # this to float64 when rebuilding a group for a fallback re-run.
-        self.dtype = np.dtype(np.float64)
         # State arrays are allocated lazily (and released when the group
         # finishes) so peak memory is bounded by the largest *single*
         # group, not the sum over all groups in the campaign.
@@ -365,15 +337,8 @@ class _FaultGroup:
 
     def _ensure_state(self) -> None:
         if self.pot is None:
-            # Splice rows advance a float64 mini-LIF even in a float32
-            # group (the faulty trace stays exact by construction; only
-            # the downstream propagation follows the group dtype), and
-            # delay rows never integrate at all.
-            state_dtype = (
-                self.dtype if self.kind in ("neuron", "synapse_k") else np.float64
-            )
-            self.pot = np.zeros(self._state_shape, dtype=state_dtype)
-            self.spk = np.zeros(self._state_shape, dtype=state_dtype)
+            self.pot = np.zeros(self._state_shape)
+            self.spk = np.zeros(self._state_shape)
             self.ref = np.zeros(self._state_shape, dtype=np.int64)
         if self.kind == "delay" and self.hist is None:
             self.hist = np.zeros((len(self.indices), self.hist_len))
@@ -435,15 +400,12 @@ class _FaultGroup:
         )
         reset_mode = module.params.reset_mode
         traces = np.empty((steps, len(rows)))
-        guard = self.campaign.simulator._splice_guard(module)
         for a, b, in_window in _window_pieces(self.window, steps, offset):
             thr, leak, refr, mode = faulty if in_window else nominal
             for t in range(a, b):
                 traces[t] = lif_step_numpy(
                     currents[t], state, thr, leak, refr, mode, reset_mode
                 )[:, 0]
-                if guard is not None:
-                    guard.observe(state.potential, thr)
         self._store_state(rows, state)
         return self._splice_compare(gseg, rows, traces)
 
@@ -514,15 +476,12 @@ class _FaultGroup:
         )
         reset_mode = module.params.reset_mode
         traces = np.empty((steps, len(rows)))
-        guard = self.campaign.simulator._splice_guard(module)
         for a, b, in_window in _window_pieces(self.window, steps, offset):
             currents = faulty if in_window else nominal_cur
             for t in range(a, b):
                 traces[t] = lif_step_numpy(
                     currents[t], state, *params, reset_mode=reset_mode
                 )[:, 0]
-                if guard is not None:
-                    guard.observe(state.potential, params[0])
         self._store_state(rows, state)
         return self._splice_compare(gseg, rows, traces)
 
@@ -559,10 +518,8 @@ class _FaultGroup:
     ) -> np.ndarray:
         module = self.module
         params = module.parameters()
-        # astype always copies, so this both detaches the broadcast view
-        # and lands the stacks in the group's compute dtype.
         stacks = [
-            np.broadcast_to(p.data, (len(rows),) + p.data.shape).astype(self.dtype)
+            np.broadcast_to(p.data, (len(rows),) + p.data.shape).copy()
             for p in params
         ]
         for j, row in enumerate(rows):
@@ -579,11 +536,7 @@ class _FaultGroup:
             out = run(tiled, stacks, state=state)
         else:
             nominal = [
-                np.broadcast_to(
-                    p.data if p.data.dtype == self.dtype else p.data.astype(self.dtype),
-                    (len(rows),) + p.data.shape,
-                )
-                for p in params
+                np.broadcast_to(p.data, (len(rows),) + p.data.shape) for p in params
             ]
             pieces = [
                 run(tiled[a:b], stacks if in_window else nominal, state=state)
@@ -680,12 +633,9 @@ class _FaultGroup:
                 slots.append(None)
             else:
                 entry = gseg.entry_states[self.module_index + 1 + dj]
-                # astype copies; in a float32 group the golden entry state
-                # is downcast once at the seed point (rounding there is the
-                # same class of float32 error the margin guard bounds).
                 slots.append({
-                    "pot": entry.potential[0].astype(self.dtype),
-                    "spk": entry.last_spike[0].astype(self.dtype),
+                    "pot": entry.potential[0].copy(),
+                    "spk": entry.last_spike[0].copy(),
                     "ref": entry.refractory[0].copy(),
                 })
         self.dstates[row] = slots
@@ -707,10 +657,6 @@ class _FaultGroup:
         self.diverged[rows] = True
         fused = self.campaign.simulator.fused
         current = module_out
-        # Splice/delay rows materialize from the float64 golden cache, so
-        # a float32 group casts once here before propagating downstream.
-        if current.dtype != self.dtype:
-            current = current.astype(self.dtype)
         for dj in range(self.entry, len(self.downstream)):
             dm = self.downstream[dj]
             if not self._down_stateful()[dj]:
@@ -754,10 +700,6 @@ class _FaultGroup:
         offset = campaign.segment_offsets[segment_index]
         has_down = bool(self.downstream)
         seg_input = gseg.module_input(self.module_index)
-        if self.kind in ("neuron", "synapse_k") and seg_input.dtype != self.dtype:
-            # Float32 groups drive the faulty module with float32 inputs;
-            # the golden cache itself always stays float64.
-            seg_input = seg_input.astype(self.dtype)
         golden_out = gseg.outputs[self.module_index]  # (T, 1, *neuron_shape)
         for rows in self._batches():
             if self.kind == "splice":
@@ -935,27 +877,16 @@ class SegmentedDetectionCampaign:
         self.tracker = tracker if tracker is not None else _ProgressTracker(
             progress, n * self.n_segments
         )
-        self.f32_groups = 0
-        self.f32_fallbacks = 0
-        # Event-driven dispatch counters.  The shared set only accumulates
-        # faulty-row work — exactly once per (fault, segment) — plus the
-        # static sleep-segment census below; the per-group golden re-runs
-        # use throwaway counters so stats stay identical whether a group's
-        # golden pass ran, re-ran after a gate trip, was seeked over on
-        # resume, or was answered from the coverage store.
-        self.stats = (
-            DispatchStats() if simulator.event_mode != "off" else None
-        )
+        # Dispatch counters.  The shared set only accumulates faulty-row
+        # work — exactly once per (fault, segment); the per-group golden
+        # re-runs use throwaway counters so stats stay identical whether a
+        # group's golden pass ran, was seeked over on resume, or was
+        # answered from the coverage store.
+        self.stats = DispatchStats()
         self.layer_names = dispatch_layer_names(simulator.network.modules)
-        if self.stats is not None:
-            for index in range(self.n_segments):
-                seg = stimulus.segment(index)
-                if seg.shape[0] and not seg[-1].any():
-                    self.stats.note_sleep()
         self.groups = self._build_groups()
         self._start_group = 0
         self._start_segment = 0
-        self._resumed = resume_state is not None
         if resume_state is not None:
             self._restore(resume_state)
 
@@ -1042,61 +973,6 @@ class SegmentedDetectionCampaign:
             self.detected[fault_idx] = True
 
     # ------------------------------------------------------------------
-    # Float32 campaign mode (per-group, gated)
-    # ------------------------------------------------------------------
-    def _dtype_probe(self) -> np.ndarray:
-        """Segment-wise counterpart of :meth:`FaultSimulator._dtype_probe`:
-        advance a float64 and a float32 golden runner in lockstep and
-        require bit-equal module outputs on *every* segment.  ``safe[m]``
-        is True when every module from ``m`` on reproduced its golden
-        output across the whole test."""
-        network = self.simulator.network
-        reference = GoldenSegmentRunner(network, fused=True)
-        with compute_dtype_context(network.modules, np.float32):
-            probe = GoldenSegmentRunner(network, fused=True)
-        n = len(network.modules)
-        equal = np.ones(n, dtype=bool)
-        for index in range(self.n_segments):
-            seg = self.stimulus.segment(index)
-            ref_out = reference.run_segment(seg).outputs
-            with compute_dtype_context(network.modules, np.float32):
-                probe_out = probe.run_segment(seg.astype(np.float32)).outputs
-            for m in range(n):
-                equal[m] &= np.array_equal(ref_out[m], probe_out[m])
-        safe = np.ones(n + 1, dtype=bool)
-        for m in range(n - 1, -1, -1):
-            safe[m] = safe[m + 1] and equal[m]
-        return safe
-
-    def _snapshot_group(self, group: _FaultGroup) -> Dict[str, Any]:
-        idx = np.asarray(group.indices)
-        return {
-            "idx": idx,
-            "detected": self.detected[idx].copy(),
-            "l1": self.output_l1[idx].copy(),
-            "counts": self.counts_delta[idx].copy(),
-            "ticks": self.tracker.done,
-            "dispatch": self.stats.copy() if self.stats is not None else None,
-        }
-
-    def _rollback_group(self, group_index: int, saved: Dict[str, Any]) -> None:
-        """Undo a tripped float32/event attempt: restore the group's slice
-        of every campaign accumulator (dispatch counters included), rewind
-        the progress counter (re-fired progress values are non-strictly
-        monotone across the re-run), and rebuild the group with fresh
-        float64 state."""
-        idx = saved["idx"]
-        self.detected[idx] = saved["detected"]
-        self.output_l1[idx] = saved["l1"]
-        self.counts_delta[idx] = saved["counts"]
-        self.tracker.done = saved["ticks"]
-        if saved.get("dispatch") is not None:
-            self.stats.restore(saved["dispatch"])
-        old = self.groups[group_index]
-        self.groups[group_index] = _FaultGroup(
-            self, old.kind, old.module_index, old.indices, window=old.window
-        )
-
     def _apply_hit(self, group: _FaultGroup, hit) -> int:
         """Splice a cached store record into the campaign accumulators and
         return the first segment index that still needs computing.
@@ -1134,159 +1010,48 @@ class SegmentedDetectionCampaign:
         self.tracker.tick(live * (s + 1) + (k - live) * n)
         return s + 1
 
-    def _f32_eligible(self, group: _FaultGroup, safe_from) -> bool:
-        if safe_from is None or not safe_from[group.module_index]:
-            return False
-        if group.kind == "synapse_seq":
-            # The sequential reference path stays float64 by definition.
-            return False
-        if group.kind == "synapse_k" and not _supports_kbatched_fused(group.module):
-            return False
-        return True
-
     # ------------------------------------------------------------------
     def run(self) -> DetectionResult:
         start = time.perf_counter()
         simulator = self.simulator
         network = simulator.network
         modules = network.modules
-        # Checkpointing (segment_hook / resume) snapshots raw group state,
-        # so those campaigns stay float64: a checkpoint must never carry a
-        # half-finished float32 attempt that a resume could not re-gate.
-        safe_from = None
-        if (
-            simulator.dtype == np.float32
-            and self.segment_hook is None
-            and not self._resumed
-        ):
-            safe_from = self._dtype_probe()
-        stats = self.stats
-        # Guarded (gather-kernel) event attempts follow the float32
-        # carve-out: a checkpoint must never carry a half-finished guarded
-        # attempt that a resume could not re-gate, so hook/resumed
-        # campaigns keep only the bit-exact dispatch tiers.
-        event_guard_ok = (
-            stats is not None
-            and self.segment_hook is None
-            and not self._resumed
-        )
         session = self.session
+        events = EventDispatch(self.stats)
         for group_index in range(self._start_group, len(self.groups)):
             group = self.groups[group_index]
-            use_f32 = self._f32_eligible(group, safe_from)
-            use_event = event_guard_ok
-            gdigest = session.group_digest(self, group) if session is not None else None
-            ckpt_segment = 0
-            if group_index == self._start_group and self._start_segment:
-                ckpt_segment = self._start_segment
-            while True:
-                group.dtype = np.dtype(np.float32 if use_f32 else np.float64)
-                # Per-attempt guard wiring: a float32 attempt guards both
-                # relaxations with one real SpikeMargin (its 1e-4 band
-                # dominates the event gate's 1e-9); an event-only attempt
-                # uses a lazy margin that only observes once a guarded
-                # gather kernel has run; everything else gets the exact
-                # zero/dense tiers and needs no guard at all.
-                events = None
-                margin = None
-                if use_f32:
-                    margin = SpikeMargin()
-                    if stats is not None:
-                        events = EventDispatch(
-                            simulator.event_mode,
-                            simulator.event_threshold,
-                            stats=stats,
-                        )
-                elif use_event:
-                    events = EventDispatch(
-                        simulator.event_mode, simulator.event_threshold, stats=stats
-                    )
-                    margin = LazyMargin(events)
-                elif stats is not None:
-                    events = simulator._exact_dispatch(stats)
-                guarded = use_f32 or use_event
-                # Snapshot before any store hit is applied, so a tripped
-                # guard rolls back to the pristine group (counters
-                # included) and the exact re-run starts from segment zero.
-                saved = self._snapshot_group(group) if guarded else None
-                hit = None
-                if session is not None and ckpt_segment == 0:
-                    hit = session.lookup_group(self, group, gdigest, str(group.dtype))
-                first_segment = ckpt_segment
-                if hit is not None:
-                    first_segment = self._apply_hit(group, hit)
-                # The golden re-run is per (group, attempt), so it counts
-                # into a throwaway set — the shared counters only ever see
-                # each (fault, segment) once (resume/store stability).
-                golden_events = (
-                    simulator._exact_dispatch(DispatchStats())
-                    if stats is not None
-                    else None
+            first_segment = 0
+            if group_index == self._start_group:
+                first_segment = self._start_segment
+            gdigest = None
+            if session is not None:
+                gdigest = session.group_digest(self, group)
+                if first_segment == 0:
+                    hit = session.lookup_group(self, group, gdigest)
+                    if hit is not None:
+                        first_segment = self._apply_hit(group, hit)
+            # The golden re-run is per group, so it counts into a
+            # throwaway set (see the ``stats`` note in ``__init__``).
+            if session is not None:
+                golden = _SessionGoldenRunner(
+                    session, network, simulator.fused, EventDispatch()
                 )
-                if session is not None:
-                    golden = _SessionGoldenRunner(
-                        session, network, simulator.fused, golden_events
-                    )
-                else:
-                    golden = _PlainGoldenRunner(
-                        network, simulator.fused, golden_events
-                    )
-                # Guarded attempts buffer their records until the gate
-                # passes; a tripped attempt must leave no trace in the
-                # store (its results are discarded, not merely imprecise).
-                pending = []
-                if first_segment and first_segment < self.n_segments and not group.done:
-                    golden.seek(self.stimulus, first_segment)
-                for segment_index in range(first_segment, self.n_segments):
-                    if group.done:
-                        break
-                    gseg = golden.run_segment(
-                        segment_index, self.stimulus.segment(segment_index)
-                    )
-                    if use_f32:
-                        # Only the faulty rows run in float32 — the golden
-                        # runner above stays outside the dtype context.
-                        with compute_dtype_context(modules, np.float32, margin):
-                            with event_dispatch_context(modules, events):
-                                group.step(segment_index, gseg)
-                        if margin.min < FLOAT32_GUARD_MARGIN:
-                            break  # fail fast; rolled back below
-                    else:
-                        with event_dispatch_context(modules, events, margin=margin):
-                            group.step(segment_index, gseg)
-                        if (
-                            use_event
-                            and events.used_event
-                            and margin.min < EVENT_GUARD_MARGIN
-                        ):
-                            break  # fail fast; rolled back below
-                    if session is not None:
-                        staged = session.stage_group(self, group, gdigest, segment_index)
-                        if staged is not None:
-                            pending.append(staged)
-                    if self.segment_hook is not None:
-                        self.segment_hook(self, group_index, segment_index)
-                tripped = (use_f32 and margin.min < FLOAT32_GUARD_MARGIN) or (
-                    use_event
-                    and events.used_event
-                    and margin.min < EVENT_GUARD_MARGIN
+            else:
+                golden = _PlainGoldenRunner(network, simulator.fused, EventDispatch())
+            if first_segment and first_segment < self.n_segments and not group.done:
+                golden.seek(self.stimulus, first_segment)
+            for segment_index in range(first_segment, self.n_segments):
+                if group.done:
+                    break
+                gseg = golden.run_segment(
+                    segment_index, self.stimulus.segment(segment_index)
                 )
-                if tripped:
-                    self._rollback_group(group_index, saved)
-                    group = self.groups[group_index]
-                    if use_f32:
-                        self.f32_fallbacks += 1
-                    if stats is not None and events is not None and events.used_event:
-                        stats.note_fallback()
-                    use_f32 = False
-                    use_event = False
-                    continue
-                if use_f32:
-                    self.f32_groups += 1
+                with event_dispatch_context(modules, events):
+                    group.step(segment_index, gseg)
                 if session is not None:
-                    for key, payload in pending:
-                        session.store.put_bytes(key, payload)
-                break
+                    session.stage_group(self, group, gdigest, segment_index)
+                if self.segment_hook is not None:
+                    self.segment_hook(self, group_index, segment_index)
             group.release()
         self.tracker.finish()
         return DetectionResult(
@@ -1295,11 +1060,8 @@ class SegmentedDetectionCampaign:
             output_l1=self.output_l1.copy(),
             class_count_diff=np.abs(self.counts_delta),
             wall_time=time.perf_counter() - start,
-            dtype=str(simulator.dtype),
-            f32_groups=self.f32_groups,
-            f32_fallbacks=self.f32_fallbacks,
             segment_digests=list(self.segment_digests),
-            dispatch=stats.as_dict() if stats is not None else None,
+            dispatch=self.stats.as_dict(),
         )
 
     # ------------------------------------------------------------------
@@ -1316,9 +1078,8 @@ class SegmentedDetectionCampaign:
             "res.detected": self.detected,
             "res.l1": self.output_l1,
             "res.counts": self.counts_delta,
+            "res.dispatch": self.stats.to_vector(self.layer_names),
         }
-        if self.stats is not None:
-            arrays["res.dispatch"] = self.stats.to_vector(self.layer_names)
         meta: Dict[str, Any] = {
             "group": group_index,
             "segment": segment_index,
@@ -1350,7 +1111,7 @@ class SegmentedDetectionCampaign:
                 f"segment checkpoint does not match this campaign: {exc}"
             ) from exc
         self.tracker.done = int(meta["ticks"])
-        if self.stats is not None and "res.dispatch" in arrays:
+        if "res.dispatch" in arrays:
             self.stats = DispatchStats.from_vector(
                 arrays["res.dispatch"], self.layer_names
             )

@@ -46,39 +46,18 @@ from repro.faults.model import (
     NeuronFaultKind,
     SynapseFault,
 )
-from repro.snn.events import (
-    EVENT_GUARD_MARGIN,
-    DispatchStats,
-    EventDispatch,
-    LazyMargin,
-    resolve_event_mode,
-    resolve_event_threshold,
-)
-from repro.snn.layers import (
-    SpikingModule,
-    compute_dtype_context,
-    event_dispatch_context,
-)
+from repro.snn.events import DispatchStats, EventDispatch
+from repro.snn.layers import SpikingModule, event_dispatch_context
 from repro.snn.network import SNN
 from repro.snn.neuron import (
     MODE_DEAD,
     MODE_SATURATED,
     LIFState,
-    SpikeMargin,
     lif_step_numpy,
 )
 
 Fault = Union[NeuronFault, SynapseFault]
 ProgressFn = Callable[[int, int], None]
-
-#: Runtime guard of the float32 exactness gate: if any membrane potential in
-#: a float32 fault-group run came within this distance of its threshold, a
-#: single-precision rounding error could have flipped a firing decision
-#: relative to the float64 reference, so the group is transparently re-run
-#: in float64.  Deliberately generous — the accumulated float32 error of the
-#: LIF recurrence on the benchmark networks is orders of magnitude smaller —
-#: because a spurious trip only costs a fallback re-run, never correctness.
-FLOAT32_GUARD_MARGIN = 1e-4
 
 
 @dataclass
@@ -139,20 +118,14 @@ class DetectionResult:
     class_count_diff: np.ndarray  # float (N_f, classes): |spike-count delta| per class
     wall_time: float
     health: Optional[CampaignHealth] = None
-    #: Campaign compute dtype requested via FaultModelConfig.dtype.  The
-    #: result arrays are exact regardless: float32 groups that trip the
-    #: exactness gate transparently re-run in float64.
-    dtype: str = "float64"
-    f32_groups: int = 0  # fault groups whose float32 run passed the gate
-    f32_fallbacks: int = 0  # fault groups re-run in float64 after a gate trip
     #: Rolling stimulus-segment chain digests (segment-wise campaigns only;
     #: see :func:`repro.faults.store.stimulus_chain`).  The parallel
     #: frontend cross-checks worker chains against the parent's, and the
     #: coverage store keys its records off them.
     segment_digests: Optional[List[str]] = None
-    #: Density/dispatch counters from the event-driven current engine
+    #: Work counters of the zero-skip current dispatch
     #: (:class:`repro.snn.events.DispatchStats` ``as_dict`` payload), or
-    #: ``None`` when the engine ran with ``REPRO_EVENT_DRIVEN=off``.
+    #: ``None`` for a result loaded from a cache that predates them.
     dispatch: Optional[Dict[str, object]] = None
 
     @property
@@ -455,21 +428,18 @@ class FaultSimulator:
         with only the membrane recurrence scanned per step.  Bit-identical
         to the per-step path in float64 (pinned by the fused differential
         suite).  ``None`` reads ``$REPRO_FUSED`` (default on; ``0``
-        disables).
+        disables).  ``fused=False`` with ``synapse_batch=1`` and
+        ``neuron_splice=False`` is the per-step reference oracle the
+        differential suites compare the production engine against.
     time_block:
         Split fused runs into time blocks of at most this many steps with
         LIF state carried across block boundaries, bounding the size of
         the stacked current tensors (most relevant for conv im2col).
         ``None`` reads ``$REPRO_TIME_BLOCK`` (default: whole sequence).
-    event_driven:
-        Event-driven current engine mode (``auto`` | ``on`` | ``off``):
-        per (layer, time-block) the dispatcher measures spike occupancy
-        and routes through a gathered column-panel GEMM, a zero-current
-        skip, or the dense kernel (see :mod:`repro.snn.events`).  ``None``
-        reads ``$REPRO_EVENT_DRIVEN`` (default ``auto``).
-    event_threshold:
-        Column-occupancy crossover for the ``auto`` dispatcher; ``None``
-        reads ``$REPRO_EVENT_THRESHOLD`` (default 0.5).
+
+    Every campaign attaches a zero-skip dispatcher to the fused current
+    kernels (see :mod:`repro.snn.events`); all-zero blocks and time
+    slices skip their GEMMs, bit-exactly.
     """
 
     def __init__(
@@ -482,8 +452,6 @@ class FaultSimulator:
         synapse_splice: bool = True,
         fused: Optional[bool] = None,
         time_block: Optional[int] = None,
-        event_driven: Optional[str] = None,
-        event_threshold: Optional[float] = None,
     ) -> None:
         self.network = network
         self.config = config or FaultModelConfig()
@@ -506,44 +474,6 @@ class FaultSimulator:
         if time_block is not None and time_block < 1:
             raise FaultModelError(f"time_block must be >= 1, got {time_block}")
         self.time_block = time_block
-        self.event_mode = resolve_event_mode(event_driven)
-        self.event_threshold = resolve_event_threshold(event_threshold)
-        self.dtype = np.dtype(self.config.dtype)
-        if self.dtype == np.float32 and not self.fused:
-            raise FaultModelError(
-                "float32 campaigns require the fused path (REPRO_FUSED=0 set?)"
-            )
-
-    # ------------------------------------------------------------------
-    def _exact_dispatch(self, stats: Optional[DispatchStats]) -> Optional[EventDispatch]:
-        """Dispatcher limited to the bit-exact tiers (zero skips + dense).
-
-        Used wherever the result must match the dense engine without a
-        guard: golden reference runs, classification, and post-trip
-        fallback re-runs.  ``None`` (a no-op context) when the engine is
-        off.
-        """
-        if stats is None:
-            return None
-        return EventDispatch(
-            self.event_mode, self.event_threshold, exact_only=True, stats=stats
-        )
-
-    @staticmethod
-    def _splice_guard(module):
-        """Margin observer for a splice mini-LIF loop, or ``None``.
-
-        The mini-LIF itself always runs in float64, but under a guarded
-        event-driven attempt its input currents may come off the gathered
-        panel kernel, so its firing decisions must feed the same margin
-        the fused scan reports to.  Exact-only dispatches (and the plain
-        float32 path with the engine off) keep the loop unobserved, so
-        pre-existing gate behaviour is unchanged.
-        """
-        events = module._events
-        if events is None or events.exact_only or module._margin is None:
-            return None
-        return module._margin
 
     # ------------------------------------------------------------------
     def _time_blocks(self, steps: int) -> List[tuple]:
@@ -610,16 +540,12 @@ class FaultSimulator:
         shape = module.neuron_shape
         k = len(group)
         s = base_seq.shape[1]
-        dtype = module.compute_dtype
         saved = (module.threshold, module.leak, module.refractory_steps, module.mode)
         # Per-row parameter arrays: (K, 1, *shape) broadcast over samples,
         # reshaped to (K*S, *shape) to match the tiled batch.
         threshold, leak, refractory, mode = _perturbed_neuron_arrays(
             module, group, self.config
         )
-        if threshold.dtype != dtype:
-            threshold = threshold.astype(dtype)
-            leak = leak.astype(dtype)
 
         def expand(arr: np.ndarray) -> np.ndarray:
             return (
@@ -628,8 +554,6 @@ class FaultSimulator:
             )
 
         # Fault-major batch layout: row (fault_k * S + sample_s).
-        if base_seq.dtype != dtype:
-            base_seq = base_seq.astype(dtype)
         tiled = np.tile(base_seq, (1, k) + (1,) * (base_seq.ndim - 2))
         faulty = (expand(threshold), expand(leak), expand(refractory), expand(mode))
         steps = base_seq.shape[0]
@@ -722,15 +646,12 @@ class FaultSimulator:
         state = LIFState.zeros_numpy((k, s))
         traces = np.empty((steps, k, s))
         reset_mode = module.params.reset_mode
-        guard = self._splice_guard(module)
         for a, b, in_w in _window_pieces(window, steps):
             thr, lk, ref, md = faulty_params if in_w else nominal_params
             for t in range(a, b):
                 traces[t] = lif_step_numpy(
                     currents[t], state, thr, lk, ref, md, reset_mode
                 )
-                if guard is not None:
-                    guard.observe(state.potential, thr)
 
         return self._splice_downstream(module_index, neuron_idx, traces, golden_out)
 
@@ -754,11 +675,6 @@ class FaultSimulator:
         ).copy()
         tiled[:, np.arange(k), :, neuron_idx] = traces.transpose(1, 0, 2)
         merged = tiled.reshape((steps, k * s) + shape)
-        # The mini-LIF traces are always computed in float64, so the faulty
-        # module's spike trains are exact by construction; only the
-        # downstream propagation follows the campaign compute dtype.
-        if merged.dtype != module.compute_dtype:
-            merged = merged.astype(module.compute_dtype)
         if self.fused:
             out = self._fused_tail(module_index + 1, merged)
         elif module_index + 1 < len(self.network.modules):
@@ -809,15 +725,12 @@ class FaultSimulator:
         state = LIFState.zeros_numpy((k, s))
         traces = np.empty((steps, k, s))
         reset_mode = module.params.reset_mode
-        guard = self._splice_guard(module)
         for a, b, in_w in _window_pieces(window, steps):
             currents = faulty if in_w else nominal
             for t in range(a, b):
                 traces[t] = lif_step_numpy(
                     currents[t], state, threshold, leak, refractory, mode, reset_mode
                 )
-                if guard is not None:
-                    guard.observe(state.potential, threshold)
         return self._splice_downstream(module_index, neuron_idx, traces, golden_out)
 
     # ------------------------------------------------------------------
@@ -851,10 +764,6 @@ class FaultSimulator:
                 trace, fault.delay, window
             )
         merged = tiled.reshape((steps, k * s) + shape)
-        # The delayed traces are exact copies of golden float64 spikes; only
-        # the downstream propagation follows the campaign compute dtype.
-        if merged.dtype != module.compute_dtype:
-            merged = merged.astype(module.compute_dtype)
         if self.fused:
             out = self._fused_tail(module_index + 1, merged)
         elif module_index + 1 < len(self.network.modules):
@@ -901,7 +810,6 @@ class FaultSimulator:
         k = len(group)
         s = base_seq.shape[1]
         steps = base_seq.shape[0]
-        dtype = module.compute_dtype
         stacks = [
             np.broadcast_to(p.data, (k,) + p.data.shape).copy() for p in params
         ]
@@ -909,10 +817,6 @@ class FaultSimulator:
             _synapse_entries(module, group, self.config)
         ):
             stacks[pidx][row].reshape(-1)[widx] = value
-        if stacks and stacks[0].dtype != dtype:
-            stacks = [stack.astype(dtype) for stack in stacks]
-        if base_seq.dtype != dtype:
-            base_seq = base_seq.astype(dtype)
         tiled = np.tile(base_seq, (1, k) + (1,) * (base_seq.ndim - 2))
         fused = self.fused and _supports_kbatched_fused(module)
         if window is None and not fused:
@@ -921,8 +825,6 @@ class FaultSimulator:
             nominal = [
                 np.broadcast_to(p.data, (k,) + p.data.shape) for p in params
             ]
-            if nominal and nominal[0].dtype != dtype:
-                nominal = [arr.astype(dtype) for arr in nominal]
             state = module.init_state(k * s)
             outs = []
             for a, b, in_w in _window_pieces(window, steps):
@@ -1043,14 +945,29 @@ class FaultSimulator:
                 f"stimulus must be (T, 1, *input_shape), got {stimulus.shape}"
             )
         start = time.perf_counter()
-        stats = DispatchStats() if self.event_mode != "off" else None
+        stats = DispatchStats()
+        with event_dispatch_context(self.network.modules, EventDispatch(stats)):
+            detected, output_l1, class_diff = self._detect_impl(
+                stimulus, faults, progress, golden_modules
+            )
+        return DetectionResult(
+            faults=list(faults),
+            detected=detected,
+            output_l1=output_l1,
+            class_count_diff=class_diff,
+            wall_time=time.perf_counter() - start,
+            dispatch=stats.as_dict(),
+        )
+
+    def _detect_impl(
+        self,
+        stimulus: np.ndarray,
+        faults: Sequence[Fault],
+        progress: Optional[ProgressFn],
+        golden_modules: Optional[List[np.ndarray]],
+    ):
         if golden_modules is None:
-            # The golden reference must stay bit-exact, so it only gets the
-            # exact dispatch tiers (zero-block skip, zero-slice skip).
-            with event_dispatch_context(
-                self.network.modules, self._exact_dispatch(stats)
-            ):
-                golden_modules = self.network.run_modules(stimulus, fused=self.fused)
+            golden_modules = self.network.run_modules(stimulus, fused=self.fused)
         golden_out = golden_modules[-1].reshape(stimulus.shape[0], -1)  # (T, classes)
         golden_counts = golden_out.sum(axis=0)
 
@@ -1060,74 +977,7 @@ class FaultSimulator:
         class_diff = np.zeros((n_faults, golden_out.shape[1]))
         tracker = _ProgressTracker(progress, n_faults)
 
-        # Float32 exactness gate: a golden-vs-golden probe marks the module
-        # suffixes whose float32 run reproduces the float64 golden spikes
-        # bit-for-bit; eligible groups then run in float32 under a margin
-        # guard with transparent per-group float64 fallback.
-        safe_from = (
-            self._dtype_probe(stimulus, golden_modules)
-            if self.dtype == np.float32
-            else None
-        )
-        gate_stats = {"f32": 0, "fallback": 0}
-
-        def gated(runner, module_index):
-            f32_ok = safe_from is not None and safe_from[module_index]
-            if f32_ok:
-                # Combined float32 + event-driven attempt: one real
-                # SpikeMargin guards both relaxations (its 1e-4 band
-                # dominates the event gate's 1e-9).
-                snapshot = stats.copy() if stats is not None else None
-                margin = SpikeMargin()
-                events = (
-                    EventDispatch(
-                        self.event_mode, self.event_threshold, stats=stats
-                    )
-                    if stats is not None
-                    else None
-                )
-                with compute_dtype_context(
-                    self.network.modules, np.float32, margin
-                ):
-                    with event_dispatch_context(self.network.modules, events):
-                        out = runner()
-                if margin.min >= FLOAT32_GUARD_MARGIN:
-                    gate_stats["f32"] += 1
-                    return out
-                gate_stats["fallback"] += 1
-                if stats is not None:
-                    stats.restore(snapshot)
-                    stats.note_fallback()
-            elif stats is not None:
-                # Event-only attempt under a lazy margin that starts
-                # observing once a guarded gather kernel has actually run;
-                # dispatches that never left the exact tiers need no guard.
-                snapshot = stats.copy()
-                events = EventDispatch(
-                    self.event_mode, self.event_threshold, stats=stats
-                )
-                margin = LazyMargin(events)
-                with event_dispatch_context(
-                    self.network.modules, events, margin=margin
-                ):
-                    out = runner()
-                if not events.used_event or margin.min >= EVENT_GUARD_MARGIN:
-                    return out
-                stats.restore(snapshot)
-                stats.note_fallback()
-            else:
-                return runner()
-            # Guard tripped: exact reference re-run (float64, zero/dense
-            # dispatch tiers only).
-            with event_dispatch_context(
-                self.network.modules, self._exact_dispatch(stats)
-            ):
-                return runner()
-
         def record(idx: int, out: np.ndarray) -> None:
-            # Spike trains are exact 0/1 values in either dtype, so the
-            # float64 promotion of a float32 `out` is lossless and the
-            # metrics stay integer-exact.
             diff = np.abs(out - golden_out).sum()
             output_l1[idx] = diff
             detected[idx] = diff > 0
@@ -1143,20 +993,14 @@ class FaultSimulator:
                 group = indices[group_start : group_start + self.neuron_batch]
                 group_faults = [faults[i] for i in group]
                 if family == "delay":
-                    out = gated(
-                        lambda: self._delayed_neuron_run(
-                            module_index, group_faults,
-                            golden_modules[module_index], window=window,
-                        ),
-                        module_index,
+                    out = self._delayed_neuron_run(
+                        module_index, group_faults,
+                        golden_modules[module_index], window=window,
                     )[:, :, 0, :]  # (T, K, classes)
                 else:
-                    out = gated(
-                        lambda: self._batched_neuron_run(
-                            module_index, group_faults, seq,
-                            golden_out=golden_modules[module_index], window=window,
-                        ),
-                        module_index,
+                    out = self._batched_neuron_run(
+                        module_index, group_faults, seq,
+                        golden_out=golden_modules[module_index], window=window,
                     )[:, :, 0, :]  # (T, K, classes)
                 for row, idx in enumerate(group):
                     record(idx, out[:, row])
@@ -1171,18 +1015,14 @@ class FaultSimulator:
             for group_start in range(0, len(indices), self.synapse_batch):
                 group = indices[group_start : group_start + self.synapse_batch]
                 group_faults = [faults[i] for i in group]
-                out = gated(
-                    lambda: self._batched_synapse_run(
-                        module_index, group_faults, seq,
-                        golden_out=golden_modules[module_index], window=window,
-                    ),
-                    module_index,
+                out = self._batched_synapse_run(
+                    module_index, group_faults, seq,
+                    golden_out=golden_modules[module_index], window=window,
                 )[:, :, 0, :]  # (T, K, classes)
                 for row, idx in enumerate(group):
                     record(idx, out[:, row])
                 tracker.tick(len(group))
 
-        # The sequential remainder always runs in float64 (reference path).
         for idx in syn_sequential:
             fault = faults[idx]
             module_index = fault.module_index
@@ -1191,40 +1031,7 @@ class FaultSimulator:
             record(idx, out)
             tracker.tick(1)
         tracker.finish()
-        return DetectionResult(
-            faults=list(faults),
-            detected=detected,
-            output_l1=output_l1,
-            class_count_diff=class_diff,
-            wall_time=time.perf_counter() - start,
-            dtype=str(self.dtype),
-            f32_groups=gate_stats["f32"],
-            f32_fallbacks=gate_stats["fallback"],
-            dispatch=stats.as_dict() if stats is not None else None,
-        )
-
-    # ------------------------------------------------------------------
-    def _dtype_probe(self, stimulus: np.ndarray, golden_modules: List[np.ndarray]):
-        """Golden-vs-golden divergence probe for the float32 gate.
-
-        Runs the fault-free network once in float32 and compares every
-        module's spike sequence bit-for-bit against the float64 golden
-        cache (spikes are exact 0/1 values in both dtypes, so equality is
-        meaningful).  ``safe[m]`` is True when every module from ``m`` on
-        reproduced its golden output — the prerequisite for running a
-        fault group anchored at module ``m`` in float32.  The probe is an
-        advisory prefilter; per-group exactness is enforced by the margin
-        guard in :meth:`detect`.
-        """
-        with compute_dtype_context(self.network.modules, np.float32):
-            probe = self.network.run_modules(
-                stimulus.astype(np.float32), fused=True
-            )
-        n = len(self.network.modules)
-        safe = np.ones(n + 1, dtype=bool)
-        for m in range(n - 1, -1, -1):
-            safe[m] = safe[m + 1] and np.array_equal(golden_modules[m], probe[m])
-        return safe
+        return detected, output_l1, class_diff
 
     # ------------------------------------------------------------------
     def detect_segmented(
@@ -1317,15 +1124,10 @@ class FaultSimulator:
         ``golden_modules`` optionally supplies precomputed fault-free
         per-module outputs for ``inputs`` (see :meth:`detect`).
 
-        Classification has no margin/rollback machinery, so the
-        event-driven engine contributes only its bit-exact tiers here
-        (all-zero block and time-slice skips); the labels are identical
-        to the dense engine by construction.
+        All-zero current blocks and time slices skip their GEMMs (see
+        :mod:`repro.snn.events`); the counters are not reported.
         """
-        stats = DispatchStats() if self.event_mode != "off" else None
-        with event_dispatch_context(
-            self.network.modules, self._exact_dispatch(stats)
-        ):
+        with event_dispatch_context(self.network.modules, EventDispatch()):
             return self._classify_impl(
                 inputs, labels, faults, progress, chunk_size, golden_modules
             )

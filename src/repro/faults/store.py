@@ -25,7 +25,7 @@ Everything is content-addressed through three fingerprints:
   re-verify resumes from the deepest surviving prefix record.
 - the **base fingerprint**: network parameter digest + fault model config
   + the campaign options that change what the engine records
-  (drop/divergence/compaction flags, compute dtype, fused path) —
+  (drop/divergence/compaction flags, fused path) —
   extending the option-fingerprint scheme of the "detect-seg"
   checkpoints.
 - the **group digest**: a fault group's execution kind, module, transient
@@ -126,14 +126,13 @@ def options_token(
 ) -> str:
     """The campaign options folded into the base fingerprint: everything
     that changes what a record *contains* (which metrics are exact, the
-    compute dtype, the execution path family).  Batch widths are excluded
+    execution path family).  Batch widths are excluded
     deliberately — per-row results are independent of batch composition
     (pinned by the batched-equivalence suites), and the execution-path
     splits they cause are captured per group by its ``kind``."""
     return (
         f"drop={int(bool(drop_detected))},div={int(bool(divergence_exit))},"
-        f"comp={int(bool(compact_batches))},dtype={simulator.dtype},"
-        f"fused={int(bool(simulator.fused))}"
+        f"comp={int(bool(compact_batches))},fused={int(bool(simulator.fused))}"
     )
 
 
@@ -252,9 +251,7 @@ class CoverageStore:
         return self.put_bytes(key, serialize_checkpoint(arrays, stamped))
 
     def put_bytes(self, key: str, payload: bytes) -> bool:
-        """Store pre-serialized record bytes (see :func:`StoreSession.stage_group`
-        — records are serialized at capture time because group state
-        mutates in place as the campaign advances)."""
+        """Store pre-serialized record bytes (no-op when the key exists)."""
         path = self._path(key)
         if path.exists():
             return False
@@ -447,9 +444,7 @@ class StoreSession:
     # ------------------------------------------------------------------
     # Group records
     # ------------------------------------------------------------------
-    def lookup_group(
-        self, campaign, group, gdigest: str, dtype_str: str
-    ) -> Optional[_GroupHit]:
+    def lookup_group(self, campaign, group, gdigest: str) -> Optional[_GroupHit]:
         """The deepest surviving record for this group, scanning from the
         last segment down.  A full-test record (``has_state=False`` at the
         final segment) finishes the group outright; a mid-test record
@@ -472,11 +467,6 @@ class StoreSession:
                     f"(kind {meta.get('group_kind')!r} vs {group.kind!r}, "
                     f"k {meta.get('k')} vs {k})"
                 )
-            if meta.get("dtype") != dtype_str:
-                # Records computed under the other compute dtype cannot
-                # seed this attempt: continuing float64 from float32-
-                # rounded state (or vice versa) is unsound.
-                continue
             if not meta.get("has_state") and segment + 1 < n:
                 # Final-segment record of a shorter test: results are
                 # complete there but no state was kept to resume from.
@@ -487,18 +477,15 @@ class StoreSession:
 
     def stage_group(
         self, campaign, group, gdigest: str, segment_index: int
-    ) -> Optional[Tuple[str, bytes]]:
-        """Serialize a record for ``group`` after ``segment_index``.
-
-        Returns ``(key, payload)`` for the caller to flush once the
-        group's float32 gate (if any) has passed — serialization happens
-        now because the group state mutates in place on the very next
-        segment.  ``None`` when the record already exists on disk.
+    ) -> None:
+        """Write the record for ``group`` after ``segment_index`` (a no-op
+        when it already exists on disk).  Called as soon as the segment
+        finishes: the group state mutates in place on the next one.
         """
         key = self.group_key(gdigest, segment_index)
         self.touched.add(key)
         if self.store.has(key):
-            return None
+            return
         has_state = segment_index + 1 < campaign.n_segments
         idx = np.asarray(group.indices)
         arrays: Dict[str, np.ndarray] = {
@@ -515,10 +502,9 @@ class StoreSession:
             "segment": int(segment_index),
             "group_kind": group.kind,
             "module": int(group.module_index),
-            "dtype": str(group.dtype),
             "has_state": bool(has_state),
         }
-        return key, serialize_checkpoint(arrays, meta)
+        self.store.put_bytes(key, serialize_checkpoint(arrays, meta))
 
     # ------------------------------------------------------------------
     # Golden records

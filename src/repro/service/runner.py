@@ -239,8 +239,7 @@ def _run_verify(
         "output_l1": detection.output_l1,
         "class_count_diff": detection.class_count_diff,
     }
-    meta = {"kind": "service-verify", "job": spec.id, "n_faults": len(faults),
-            "dtype": detection.dtype}
+    meta = {"kind": "service-verify", "job": spec.id, "n_faults": len(faults)}
     digest = _save_result(store, spec.id, arrays, meta)
     health = detection.health
     summary = {

@@ -1,132 +1,47 @@
-"""Event-driven sparse current kernels with density-adaptive dispatch.
+"""Zero-skip dispatch for the fused campaign current kernels.
 
-Test stimuli are short spike trains that are typically 90-99% zeros, yet
-the fused engines compute synaptic currents as dense GEMMs over those
-binary matrices — full matmul FLOPs spent multiplying by zero.  This
-module provides the event-driven alternative: gather the active-spike
-entries of a time block and accumulate only the corresponding weight
-rows (`weight[idx]` panel gathers reduced with ``np.add.reduceat``), so
-per-block cost scales with *activity* instead of ``T x fan_in``.
-
-Dispatch is density-adaptive.  An :class:`EventDispatch` instance is
-attached to spiking modules (via :func:`repro.snn.layers.
-event_dispatch_context`); every current block then measures its spike
-density and picks one of three strategies per (layer, time block):
+Test stimuli are short spike trains that are typically 90-99% zeros, and
+every sleep gap is all zero, yet the fused engines compute synaptic
+currents as stacked GEMMs over those binary matrices.  An
+:class:`EventDispatch` attached to the spiking modules (via
+:func:`repro.snn.layers.event_dispatch_context`) routes every current
+block through one of two paths, per (layer, time block):
 
 ``zero``
     The block carries no spikes at all (sleep gaps): the current is an
-    exact all-zero array and no GEMM or gather runs.
-``event``
-    Active-column occupancy is at or below the crossover threshold: the
-    block's event list is compressed into the union of active input
-    columns and the GEMM runs on the gathered ``seq[..., idx] @
-    weight[idx]`` panel — BLAS speed over a fan-in proportional to
-    *activity*.  Dropping all-zero columns removes only exact ``+0.0``
-    terms, but it re-associates the surviving additions, so results are
-    only guaranteed identical at the *spike-decision* level — callers
-    must guard with :class:`~repro.snn.neuron.SpikeMargin` and roll the
-    fault group back to dense when a firing decision lands inside the
-    guard band (the float32 campaign-gate precedent).
+    exact all-zero array and no GEMM runs.
 ``dense``
-    Density is above the crossover: the usual stacked BLAS call, with
-    one exactness-preserving refinement — all-zero *time slices* inside
-    the block are skipped and filled with exact zeros.  Stacked matmuls
-    evaluate leading-axis slices independently, so dropping empty slices
-    is bit-identical to the full call (pinned by the differential
-    suites).
+    The usual stacked BLAS call, run only over the time slices that
+    carry a spike; the all-zero slices are filled with exact zeros.
+    Stacked matmuls evaluate leading-axis slices independently, so
+    dropping empty slices is bit-identical to the full call (pinned by
+    the differential suites).
 
-``exact_only`` dispatchers (golden runner, classification) never take
-the ``event`` branch: they get the zero-skip fast paths, which are
-bit-exact, without needing any guard.
-
-Environment knobs (read by the campaign engines, not here):
-
-- ``REPRO_EVENT_DRIVEN`` = ``auto`` (default) | ``on`` | ``off``
-- ``REPRO_EVENT_THRESHOLD`` = density crossover for ``auto`` mode
+Both paths are bit-exact by construction, so no guard is needed and the
+campaign engines always attach a dispatcher.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.snn.neuron import SpikeMargin
 
-#: Dispatch modes accepted by ``REPRO_EVENT_DRIVEN``.
-EVENT_MODES = ("auto", "on", "off")
-
-#: Guard band for the event-driven exactness gate, in membrane-potential
-#: units.  The panel GEMM computes the same nonzero products a full dot
-#: does, merely re-associated, so the current-level error is a few ulp
-#: of the partial sums (~1e-13 for float64 campaign blocks); a firing
-#: decision further than this from threshold cannot flip.  Deliberately
-#: generous, like the float32 gate's 1e-4 — tripping only costs a dense
-#: re-run.
-EVENT_GUARD_MARGIN = 1e-9
-
-#: Default active-column occupancy crossover for ``auto`` dispatch:
-#: when at most this fraction of a block's input columns carry any
-#: spike, the gathered panel GEMM beats the full dense GEMM (calibrated
-#: by benchmarks/test_campaign_scaling.py's density sweep; override
-#: with REPRO_EVENT_THRESHOLD).
-DEFAULT_EVENT_THRESHOLD = 0.5
-
-#: ``auto`` mode never takes the event branch for blocks below this
-#: many multiplies: at micro-GEMM sizes the fixed cost of the column
-#: gather exceeds the BLAS call it replaces, whatever the density.
-#: ``REPRO_EVENT_DRIVEN=on`` ignores the floor (the differential suites
-#: force the guarded kernel on tiny topologies through it).
-MIN_EVENT_WORK = 1 << 18
-
-_GLOBAL_FIELDS = (
-    "cells",
-    "spikes",
-    "dense_blocks",
-    "event_blocks",
-    "zero_blocks",
-    "zero_slices",
-    "sleep_segments",
-    "fallbacks",
-)
-_LAYER_FIELDS = ("spikes", "dense_blocks", "event_blocks", "zero_blocks")
-_CELLS, _SPIKES, _DENSE, _EVENT, _ZERO, _SLICES, _SLEEP, _FALLBACKS = range(8)
-_L_SPIKES, _L_DENSE, _L_EVENT, _L_ZERO = range(4)
-
-
-def resolve_event_mode(mode: Optional[str] = None) -> str:
-    """Resolve the event-driven dispatch mode (arg > env > ``auto``)."""
-    value = mode if mode is not None else os.environ.get("REPRO_EVENT_DRIVEN", "auto")
-    value = str(value).strip().lower() or "auto"
-    if value not in EVENT_MODES:
-        raise ConfigurationError(
-            f"REPRO_EVENT_DRIVEN must be one of {EVENT_MODES}, got {value!r}"
-        )
-    return value
-
-
-def resolve_event_threshold(threshold: Optional[float] = None) -> float:
-    """Resolve the occupancy crossover (arg > env > default)."""
-    if threshold is None:
-        raw = os.environ.get("REPRO_EVENT_THRESHOLD")
-        threshold = DEFAULT_EVENT_THRESHOLD if raw is None else float(raw)
-    threshold = float(threshold)
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigurationError(
-            f"event-driven density threshold must be in [0, 1], got {threshold}"
-        )
-    return threshold
+_GLOBAL_FIELDS = ("cells", "spikes", "dense_blocks", "zero_blocks", "zero_slices")
+_LAYER_FIELDS = ("spikes", "dense_blocks", "zero_blocks")
+_CELLS, _SPIKES, _DENSE, _ZERO, _SLICES = range(5)
+_L_SPIKES, _L_DENSE, _L_ZERO = range(3)
 
 
 class DispatchStats:
-    """Density/dispatch counters for one campaign.
+    """Counters of the work one campaign's current blocks did.
 
-    Global scalars plus a per-layer ``(spikes, dense, event, zero)``
-    breakdown.  Counters are plain int64 vectors so they can travel in
-    worker payloads and checkpoints (:meth:`to_vector` /
-    :meth:`from_vector`) and merge across shards by summation.
+    Global scalars plus a per-layer ``(spikes, dense, zero)`` breakdown.
+    Counters are plain int64 vectors so they can travel in worker
+    payloads and checkpoints (:meth:`to_vector` / :meth:`from_vector`)
+    and merge across shards by summation.
     """
 
     __slots__ = ("g", "layers")
@@ -142,40 +57,11 @@ class DispatchStats:
             self.layers[name] = arr
         return arr
 
-    def copy(self) -> "DispatchStats":
-        other = DispatchStats()
-        other.g = self.g.copy()
-        other.layers = {name: arr.copy() for name, arr in self.layers.items()}
-        return other
-
-    def restore(self, snapshot: "DispatchStats") -> None:
-        """Roll the counters back to a prior :meth:`copy` (group rollback)."""
-        self.g[:] = snapshot.g
-        self.layers.clear()
-        self.layers.update(
-            {name: arr.copy() for name, arr in snapshot.layers.items()}
-        )
-
     def merge(self, other: "DispatchStats") -> None:
         self.g += other.g
         for name, arr in other.layers.items():
             self.layer(name)
             self.layers[name] = self.layers[name] + arr
-
-    def note_sleep(self) -> None:
-        self.g[_SLEEP] += 1
-
-    def set_sleep(self, count: int) -> None:
-        """Pin the sleep-segment census to an absolute value.
-
-        The census is a static property of the stimulus, counted once per
-        campaign — a parallel frontend merging per-shard counters (each of
-        which saw every segment) resets it to the parent's own census
-        instead of summing duplicates."""
-        self.g[_SLEEP] = int(count)
-
-    def note_fallback(self) -> None:
-        self.g[_FALLBACKS] += 1
 
     @property
     def density(self) -> float:
@@ -210,18 +96,16 @@ class DispatchStats:
     def summary(self) -> str:
         """One-line human summary for verbose campaign logs."""
         g = self.g
-        parts = [
-            f"density {self.density:.2%}",
-            (
-                f"blocks {int(g[_DENSE])} dense / {int(g[_EVENT])} event / "
-                f"{int(g[_ZERO])} zero"
-            ),
-            f"{int(g[_SLICES])} zero slices skipped",
-        ]
-        if g[_SLEEP]:
-            parts.append(f"{int(g[_SLEEP])} sleep segments")
-        parts.append(f"{int(g[_FALLBACKS])} fallbacks")
-        return ", ".join(parts)
+        return (
+            f"density {self.density:.2%}, "
+            f"blocks {int(g[_DENSE])} dense / {int(g[_ZERO])} zero, "
+            f"{int(g[_SLICES])} zero slices skipped"
+        )
+
+    @staticmethod
+    def vector_size(layer_count: int) -> int:
+        """Length of :meth:`to_vector` for ``layer_count`` layers."""
+        return len(_GLOBAL_FIELDS) + len(_LAYER_FIELDS) * layer_count
 
     def to_vector(self, layer_names: Sequence[str]) -> np.ndarray:
         """Flatten to int64 for payload/checkpoint transport.
@@ -242,7 +126,7 @@ class DispatchStats:
         cls, vector: np.ndarray, layer_names: Sequence[str]
     ) -> "DispatchStats":
         vector = np.asarray(vector, dtype=np.int64).ravel()
-        expected = len(_GLOBAL_FIELDS) + len(_LAYER_FIELDS) * len(layer_names)
+        expected = cls.vector_size(len(layer_names))
         if vector.size != expected:
             raise ConfigurationError(
                 f"dispatch counter vector has {vector.size} entries, expected {expected}"
@@ -258,181 +142,91 @@ class DispatchStats:
         return stats
 
 
-class LazyMargin:
-    """Margin proxy that starts observing after the first event dispatch.
-
-    Until the gather kernel has actually run there is nothing to guard —
-    every current so far came off the exact dense/zero paths — so the
-    per-step ``|potential - threshold|`` reduction would be pure
-    overhead.  The dispatcher arms the proxy by setting ``used_event``.
-    """
-
-    __slots__ = ("dispatch", "inner")
-
-    def __init__(self, dispatch: "EventDispatch", inner: Optional[SpikeMargin] = None):
-        self.dispatch = dispatch
-        self.inner = inner if inner is not None else SpikeMargin()
-
-    def observe(self, potential: np.ndarray, threshold: np.ndarray) -> None:
-        if self.dispatch.used_event:
-            self.inner.observe(potential, threshold)
-
-    @property
-    def min(self) -> float:
-        return self.inner.min
-
-
 class EventDispatch:
-    """Per-campaign density-adaptive dispatcher for current blocks.
+    """Zero-skip dispatcher for current blocks.
 
     One instance is attached to every spiking module of a network for the
-    duration of a run attempt; blocks route through :meth:`dense_block`,
-    :meth:`kbatched_block`, or :meth:`stacked_block`, which account
-    density into a shared :class:`DispatchStats` and pick the kernel.
+    duration of a run; blocks route through :meth:`dense_block`,
+    :meth:`kbatched_block`, or :meth:`stacked_block`, which skip all-zero
+    blocks and time slices and count the work into a shared
+    :class:`DispatchStats`.
     """
 
-    __slots__ = ("mode", "threshold", "exact_only", "stats", "used_event")
+    __slots__ = ("stats",)
 
-    def __init__(
-        self,
-        mode: str = "auto",
-        threshold: Optional[float] = None,
-        exact_only: bool = False,
-        stats: Optional[DispatchStats] = None,
-    ) -> None:
-        self.mode = resolve_event_mode(mode)
-        self.threshold = resolve_event_threshold(threshold)
-        self.exact_only = exact_only
+    def __init__(self, stats: Optional[DispatchStats] = None) -> None:
         self.stats = stats if stats is not None else DispatchStats()
-        #: Set once any guarded (non-exact) gather kernel has produced a
-        #: current in this attempt; the exactness gate only applies then.
-        self.used_event = False
 
-    def _choose(
+    def _skip_zero_slices(
         self,
-        nnz: int,
-        size: int,
-        active_cols: int,
-        total_cols: int,
-        work: int,
-        layer: np.ndarray,
-    ) -> str:
+        seq: np.ndarray,
+        compute: Callable[[np.ndarray], np.ndarray],
+        feature_shape: Tuple[int, ...],
+        dtype,
+        name: str,
+    ) -> np.ndarray:
+        """``compute(seq)`` with its all-zero leading-axis slices skipped.
+
+        ``compute`` must evaluate each leading-axis slice independently,
+        so running it on the active subset and scattering into zeros is
+        bit-identical to the full call.
+        """
+        steps = seq.shape[0]
+        step_nnz = np.count_nonzero(seq.reshape(steps, -1), axis=1)
+        nnz = int(step_nnz.sum())
         stats = self.stats
-        stats.g[_CELLS] += size
+        layer = stats.layer(name)
+        stats.g[_CELLS] += seq.size
         stats.g[_SPIKES] += nnz
         layer[_L_SPIKES] += nnz
         if nnz == 0:
             stats.g[_ZERO] += 1
             layer[_L_ZERO] += 1
-            return "zero"
-        if not self.exact_only and active_cols is not None and (
-            self.mode == "on"
-            or (
-                work >= MIN_EVENT_WORK
-                and active_cols <= self.threshold * total_cols
-            )
-        ):
-            stats.g[_EVENT] += 1
-            layer[_L_EVENT] += 1
-            return "event"
+            return np.zeros((steps,) + tuple(feature_shape), dtype=dtype)
         stats.g[_DENSE] += 1
         layer[_L_DENSE] += 1
-        return "dense"
-
-    def _active_steps(self, seq: np.ndarray) -> np.ndarray:
-        """Indices of time slices that carry at least one spike."""
-        return np.flatnonzero(seq.reshape(seq.shape[0], -1).any(axis=1))
+        active = np.flatnonzero(step_nnz)
+        if active.size == steps:
+            return compute(seq)
+        stats.g[_SLICES] += steps - active.size
+        out = np.zeros((steps,) + tuple(feature_shape), dtype=dtype)
+        out[active] = compute(seq[active])
+        return out
 
     # -- dense (in, out) weights -------------------------------------
 
     def dense_block(self, seq: np.ndarray, weight: np.ndarray, name: str) -> np.ndarray:
         """Currents for ``seq @ weight`` with ``seq`` of shape (T, B, in)."""
-        steps = seq.shape[0]
-        flat = seq.reshape(-1, seq.shape[-1])
-        col_nnz = np.count_nonzero(flat, axis=0)
-        nnz = int(col_nnz.sum())
-        dtype = np.result_type(seq.dtype, weight.dtype)
-        out_shape = seq.shape[:-1] + (weight.shape[1],)
-        active_cols = np.flatnonzero(col_nnz)
-        choice = self._choose(
-            nnz,
-            flat.size,
-            active_cols.size,
-            flat.shape[1],
-            flat.size * weight.shape[1],
-            self.stats.layer(name),
+        return self._skip_zero_slices(
+            seq,
+            lambda sub: sub @ weight,
+            seq.shape[1:-1] + (weight.shape[1],),
+            np.result_type(seq.dtype, weight.dtype),
+            name,
         )
-        if choice == "zero":
-            return np.zeros(out_shape, dtype=dtype)
-        active_t = self._active_steps(seq)
-        sub = seq if active_t.size == steps else seq[active_t]
-        if choice == "event":
-            self.used_event = True
-            panel = sub[..., active_cols] @ weight[active_cols]
-        else:
-            panel = sub @ weight
-        if active_t.size == steps:
-            return panel
-        # Stacked matmul slices are per-t independent: skipped slices
-        # are exact zeros.
-        self.stats.g[_SLICES] += steps - active_t.size
-        out = np.zeros(out_shape, dtype=dtype)
-        out[active_t] = panel
-        return out
 
     # -- K weight variants (K, in, out) over a tiled (T, K*S, in) seq --
 
     def kbatched_block(
         self, seq: np.ndarray, weights: np.ndarray, name: str
     ) -> np.ndarray:
-        """Currents for the K-batched fused dense path.
-
-        All K faulty tiles share one gathered input panel: the active
-        input columns are found once on the tiled block, and every
-        variant's GEMM runs over the same compressed fan-in via one
-        ``weights[:, idx, :]`` panel gather.
-        """
-        k = weights.shape[0]
-        steps, batch = seq.shape[:2]
+        """Currents for the K-batched fused dense path: per (t, k) the
+        ``(S, in) @ weights[k]`` product, as one stacked matmul."""
+        k, in_features, out_features = weights.shape
+        batch = seq.shape[1]
         s = batch // k
-        in_features = seq.shape[-1]
-        flat = seq.reshape(-1, in_features)
-        col_nnz = np.count_nonzero(flat, axis=0)
-        nnz = int(col_nnz.sum())
-        dtype = np.result_type(seq.dtype, weights.dtype)
-        out_shape = (steps, batch, weights.shape[2])
-        active_cols = np.flatnonzero(col_nnz)
-        choice = self._choose(
-            nnz,
-            flat.size,
-            active_cols.size,
-            in_features,
-            flat.size * weights.shape[2],
-            self.stats.layer(name),
+
+        def compute(sub: np.ndarray) -> np.ndarray:
+            panel = np.matmul(sub.reshape(sub.shape[0], k, s, in_features), weights)
+            return panel.reshape(sub.shape[0], batch, out_features)
+
+        return self._skip_zero_slices(
+            seq,
+            compute,
+            (batch, out_features),
+            np.result_type(seq.dtype, weights.dtype),
+            name,
         )
-        if choice == "zero":
-            return np.zeros(out_shape, dtype=dtype)
-        active_t = self._active_steps(seq)
-        sub = seq if active_t.size == steps else seq[active_t]
-        if choice == "event":
-            self.used_event = True
-            panel = np.matmul(
-                sub[..., active_cols].reshape(
-                    active_t.size, k, s, active_cols.size
-                ),
-                weights[:, active_cols, :],
-            )
-        else:
-            panel = np.matmul(
-                sub.reshape(active_t.size, k, s, in_features), weights
-            )
-        panel = panel.reshape(active_t.size, batch, out_shape[-1])
-        if active_t.size == steps:
-            return panel
-        self.stats.g[_SLICES] += steps - active_t.size
-        out = np.zeros(out_shape, dtype=dtype)
-        out[active_t] = panel
-        return out
 
     # -- generic stacked computations (conv im2col, patch gathers) -----
 
@@ -444,29 +238,6 @@ class EventDispatch:
         dtype,
         name: str,
     ) -> np.ndarray:
-        """Zero-skip dispatch for per-time-slice independent computations.
-
-        ``compute`` must evaluate each leading-axis slice independently
-        (true for the im2col GEMMs and receptive-field gathers), so
-        running it on the active subset and scattering into zeros is
-        bit-identical to the full call.  No guarded kernel here — conv
-        currents stay exact under dispatch.
-        """
-        steps = seq.shape[0]
-        flat = seq.reshape(steps, -1)
-        step_nnz = np.count_nonzero(flat, axis=1)
-        nnz = int(step_nnz.sum())
-        # active_cols=None: no guarded kernel for these computations, the
-        # dispatcher only applies the exact zero skips.
-        choice = self._choose(
-            nnz, flat.size, None, 0, 0, self.stats.layer(name)
-        )
-        if choice == "zero":
-            return np.zeros((steps,) + tuple(feature_shape), dtype=dtype)
-        active = np.flatnonzero(step_nnz)
-        if active.size == steps:
-            return compute(seq)
-        self.stats.g[_SLICES] += steps - active.size
-        out = np.zeros((steps,) + tuple(feature_shape), dtype=dtype)
-        out[active] = compute(seq[active])
-        return out
+        """Zero-skip dispatch for per-time-slice independent computations
+        (the conv im2col GEMMs and receptive-field gathers)."""
+        return self._skip_zero_slices(seq, compute, feature_shape, dtype, name)

@@ -32,7 +32,6 @@ from repro.snn.events import EventDispatch
 from repro.snn.neuron import (
     LIFParameters,
     LIFState,
-    SpikeMargin,
     lif_scan_numpy,
     lif_step_numpy,
     lif_step_tensor,
@@ -78,9 +77,7 @@ class Module:
         Spiking modules override this; stateless modules are already
         time-vectorized, so the default just delegates to
         :meth:`run_sequence_numpy`.  Outputs are bit-identical to the
-        per-step path in float64 (pinned by the fused differential suite)
-        and preserve the input dtype, which the float32 campaign mode
-        relies on.
+        per-step path in float64 (pinned by the fused differential suite).
         """
         return self.run_sequence_numpy(seq, state=state)
 
@@ -129,44 +126,17 @@ class SpikingModule(Module):
         self.leak = np.full(self.neuron_shape, params.leak)
         self.refractory_steps = np.full(self.neuron_shape, params.refractory_steps, dtype=np.int64)
         self.mode = np.zeros(self.neuron_shape, dtype=np.int8)
-        # Campaign compute precision.  float64 (the default) runs exactly
-        # the historical path; float32 is entered per fault group through
-        # :func:`compute_dtype_context`, which also attaches the margin
-        # tracker that guards the float32 exactness gate.
-        self.compute_dtype = np.dtype(np.float64)
-        self._cast_cache: dict = {}
-        self._margin: Optional[SpikeMargin] = None
-        # Event-driven dispatcher (density-adaptive sparse currents),
-        # attached per run attempt through :func:`event_dispatch_context`.
-        # ``None`` (the default) runs the historical dense paths exactly.
+        # Zero-skip dispatcher for the fused current kernels, attached by
+        # the campaign engines through :func:`event_dispatch_context`.
+        # ``None`` (the default) runs the plain dense paths.
         self._events: Optional[EventDispatch] = None
 
     @property
     def neuron_count(self) -> int:
         return int(np.prod(self.neuron_shape))
 
-    def _cast(self, arr: np.ndarray, key: str) -> np.ndarray:
-        """Return ``arr`` in the compute dtype, cached per attribute.
-
-        The cache is keyed by the *identity* of the source array, so the
-        campaign idiom of temporarily swapping a parameter array (faulty
-        variants in, nominal back out) never serves a stale cast.  On the
-        float64 path the dtype already matches and the array is returned
-        as-is — zero overhead.
-        """
-        if arr.dtype == self.compute_dtype:
-            return arr
-        cached = self._cast_cache.get(key)
-        if cached is not None and cached[0] is arr:
-            return cached[1]
-        cast = arr.astype(self.compute_dtype)
-        self._cast_cache[key] = (arr, cast)
-        return cast
-
     def _state_numpy(self, batch: int) -> LIFState:
-        return LIFState.zeros_numpy(
-            (batch,) + self.neuron_shape, dtype=self.compute_dtype
-        )
+        return LIFState.zeros_numpy((batch,) + self.neuron_shape)
 
     def init_state(self, batch: int) -> LIFState:
         return self._state_numpy(batch)
@@ -178,8 +148,8 @@ class SpikingModule(Module):
         return lif_step_numpy(
             current,
             state,
-            self._cast(self.threshold, "thr"),
-            self._cast(self.leak, "leak"),
+            self.threshold,
+            self.leak,
             self.refractory_steps,
             self.mode,
             self.params.reset_mode,
@@ -189,12 +159,11 @@ class SpikingModule(Module):
         return lif_scan_numpy(
             currents,
             state,
-            self._cast(self.threshold, "thr"),
-            self._cast(self.leak, "leak"),
+            self.threshold,
+            self.leak,
             self.refractory_steps,
             self.mode,
             self.params.reset_mode,
-            margin=self._margin,
         )
 
     def sequence_currents(self, seq: np.ndarray) -> np.ndarray:
@@ -385,7 +354,7 @@ class DenseLIF(SpikingModule):
     def sequence_currents(self, seq: np.ndarray) -> np.ndarray:
         # One batched matmul for all T steps: (T, B, in) @ (in, out) runs
         # per-slice GEMMs identical to the per-step 2-D products.
-        weight = self._cast(self.weight.data, "w")
+        weight = self.weight.data
         if self._events is not None:
             return self._events.dense_block(seq, weight, self.name or "dense")
         return seq @ weight
@@ -546,28 +515,21 @@ class RecurrentLIF(SpikingModule):
         steps, batch = seq.shape[:2]
         if state is None:
             state = self._state_numpy(batch)
-        w_rec = self._cast(self.recurrent_weight.data, "w_rec")
+        w_rec = self.recurrent_weight.data
         # Feedforward currents for all T steps in one stacked matmul; the
         # state-dependent spike feedback stays a per-step GEMM, added in
         # the same order as the per-step path (ff first, feedback second).
-        w_in = self._cast(self.weight.data, "w")
+        w_in = self.weight.data
         if self._events is not None:
             ff = self._events.dense_block(seq, w_in, self.name or "recurrent")
         else:
             ff = seq @ w_in
-        thr = self._cast(self.threshold, "thr")
-        leak = self._cast(self.leak, "leak")
         out = np.empty_like(ff)
         previous = np.asarray(state.last_spike)
         for t in range(steps):
             current = ff[t] + previous @ w_rec
-            previous = lif_step_numpy(
-                current, state, thr, leak, self.refractory_steps,
-                self.mode, self.params.reset_mode,
-            )
+            previous = self._lif_numpy(current, state)
             out[t] = previous
-            if self._margin is not None:
-                self._margin.observe(state.potential, thr)
         return out
 
     def run_sequence_kbatched_fused(
@@ -589,19 +551,11 @@ class RecurrentLIF(SpikingModule):
             ).reshape(steps, k, s, self.out_features)
         else:
             ff = np.matmul(seq.reshape(steps, k, s, self.in_features), w_in)
-        thr = self._cast(self.threshold, "thr")
-        leak = self._cast(self.leak, "leak")
         out = np.empty((steps, batch, self.out_features), dtype=seq.dtype)
         previous = np.asarray(state.last_spike).reshape(k, s, self.out_features)
         for t in range(steps):
             current = ff[t] + np.matmul(previous, w_rec)
-            spikes = lif_step_numpy(
-                current.reshape(batch, self.out_features), state,
-                thr, leak, self.refractory_steps, self.mode,
-                self.params.reset_mode,
-            )
-            if self._margin is not None:
-                self._margin.observe(state.potential, thr)
+            spikes = self._lif_numpy(current.reshape(batch, self.out_features), state)
             previous = spikes.reshape(k, s, self.out_features)
             out[t] = spikes
         return out
@@ -744,7 +698,7 @@ class ConvLIF(SpikingModule):
         # slice multiplies the same operands as the per-step _conv_numpy
         # call, so the currents are bit-identical.
         steps, batch = seq.shape[:2]
-        w_mat = self._cast(self.weight.data, "w").reshape(self.out_channels, -1)
+        w_mat = self.weight.data.reshape(self.out_channels, -1)
 
         def compute(rows: np.ndarray) -> np.ndarray:
             currents = np.matmul(w_mat, self._im2col(rows))
@@ -752,9 +706,9 @@ class ConvLIF(SpikingModule):
 
         flat = seq.reshape((steps * batch,) + seq.shape[2:])
         if self._events is not None:
-            # Conv currents have no gather kernel, but the folded GEMM is
-            # per-(t, b)-row independent: dispatch skips all-zero blocks
-            # and all-zero rows exactly, at row granularity.
+            # The folded GEMM is per-(t, b)-row independent: dispatch
+            # skips all-zero blocks and all-zero rows exactly, at row
+            # granularity.
             currents = self._events.stacked_block(
                 flat,
                 compute,
@@ -955,35 +909,6 @@ class Flatten(Module):
         return seq.reshape(seq.shape[0], seq.shape[1], -1)
 
 
-@contextmanager
-def compute_dtype_context(
-    modules: Sequence[Module],
-    dtype,
-    margin: Optional[SpikeMargin] = None,
-):
-    """Temporarily run the given modules' fast paths in ``dtype``.
-
-    Used by the float32 campaign mode: fused runs inside the context
-    allocate states, cast parameters, and emit spike arrays in ``dtype``;
-    an optional :class:`SpikeMargin` is attached to every spiking module so
-    the exactness gate can observe how close each firing decision came to
-    the threshold.  On exit the previous dtype/margin are restored, so the
-    fault-free (golden) path outside the context is untouched.
-    """
-    spiking = [m for m in modules if isinstance(m, SpikingModule)]
-    saved = [(m.compute_dtype, m._margin) for m in spiking]
-    target = np.dtype(dtype)
-    for module in spiking:
-        module.compute_dtype = target
-        module._margin = margin
-    try:
-        yield
-    finally:
-        for module, (prev_dtype, prev_margin) in zip(spiking, saved):
-            module.compute_dtype = prev_dtype
-            module._margin = prev_margin
-
-
 def dispatch_layer_names(modules: Sequence[Module]) -> List[str]:
     """Deterministic per-layer key order for dispatch-counter vectors.
 
@@ -1002,33 +927,21 @@ def dispatch_layer_names(modules: Sequence[Module]) -> List[str]:
 
 @contextmanager
 def event_dispatch_context(
-    modules: Sequence[Module],
-    dispatch: Optional[EventDispatch],
-    margin=None,
+    modules: Sequence[Module], dispatch: Optional[EventDispatch]
 ):
-    """Attach an event-driven dispatcher to the given modules' fast paths.
-
-    Fused current computations inside the context route through
-    ``dispatch`` (density-adaptive zero/event/dense selection); ``margin``
-    optionally attaches a spike-decision guard — typically a
-    :class:`~repro.snn.events.LazyMargin` that only starts observing once
-    a guarded gather kernel has actually run, or nothing when a float32
-    :func:`compute_dtype_context` margin is already attached (its 1e-4
-    guard band dominates the event gate's).  ``dispatch=None`` makes the
+    """Attach a zero-skip dispatcher to the given modules' fused current
+    kernels for the duration of the context.  ``dispatch=None`` makes the
     context a no-op so call sites can wrap unconditionally.
     """
     if dispatch is None:
         yield
         return
     spiking = [m for m in modules if isinstance(m, SpikingModule)]
-    saved = [(m._events, m._margin) for m in spiking]
+    saved = [m._events for m in spiking]
     for module in spiking:
         module._events = dispatch
-        if margin is not None:
-            module._margin = margin
     try:
         yield
     finally:
-        for module, (prev_events, prev_margin) in zip(spiking, saved):
+        for module, prev_events in zip(spiking, saved):
             module._events = prev_events
-            module._margin = prev_margin

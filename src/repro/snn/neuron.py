@@ -207,31 +207,6 @@ def lif_step_numpy(
     return spikes
 
 
-class SpikeMargin:
-    """Tracks how close membrane potentials come to the firing threshold.
-
-    The float32 campaign mode runs a fault group in single precision and
-    only keeps the result if no firing decision was a near-miss: when the
-    smallest observed ``|potential - threshold|`` falls below the guard
-    margin, a float32 rounding error could have flipped a spike relative
-    to the float64 reference, so the group is re-run in float64.  The
-    margin is a sound over-approximation — tripping when no flip would
-    have occurred merely costs a fallback re-run, never correctness.
-    """
-
-    __slots__ = ("min",)
-
-    def __init__(self) -> None:
-        self.min = np.inf
-
-    def observe(self, potential: np.ndarray, threshold: np.ndarray) -> None:
-        gap = np.abs(potential - threshold)
-        if gap.size:
-            low = float(gap.min())
-            if low < self.min:
-                self.min = low
-
-
 def lif_scan_numpy(
     currents: np.ndarray,
     state: LIFState,
@@ -240,7 +215,6 @@ def lif_scan_numpy(
     refractory_steps: np.ndarray,
     mode: Optional[np.ndarray] = None,
     reset_mode: str = "zero",
-    margin: Optional[SpikeMargin] = None,
 ) -> np.ndarray:
     """Scan :func:`lif_step_numpy` over pre-computed synaptic currents.
 
@@ -286,8 +260,6 @@ def lif_scan_numpy(
             out[t] = spikes
             last = spikes
             active = one - spikes
-            if margin is not None:
-                margin.observe(potential, threshold)
         refractory = (last > 0.0).astype(refractory.dtype)
     else:
         for t in range(currents.shape[0]):
@@ -306,8 +278,6 @@ def lif_scan_numpy(
             refractory = np.where(
                 spikes > 0.0, refractory_steps, np.maximum(refractory - 1, 0)
             )
-            if margin is not None:
-                margin.observe(potential, threshold)
     state.potential = potential
     state.last_spike = last
     state.refractory = refractory

@@ -9,16 +9,19 @@ must replay the golden reference up to the checkpointed segment and pick
 up the surviving group state, never re-detecting or losing a fault.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import CampaignCheckpoint
+from repro.core.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.core.testset import TestStimulus
 from repro.errors import ChaosError, CheckpointError
 from repro.faults.catalog import build_catalog
 from repro.faults.model import FaultModelConfig
-from repro.faults.parallel import parallel_detect_segmented
+from repro.faults.parallel import parallel_detect, parallel_detect_segmented
 from repro.faults.simulator import FaultSimulator
+from repro.faults.store import chain_to_array, stimulus_chain
 from repro.snn.builder import DenseSpec, NetworkSpec, build_network
 from repro.snn.neuron import LIFParameters
 from repro.utils import chaos
@@ -158,3 +161,49 @@ def test_partial_checkpoint_roundtrip(tmp_path):
     loaded.save(str(path))
     again = CampaignCheckpoint.load(str(path))
     assert again.partial_lo is None and not again.partial_arrays
+
+
+@pytest.mark.parametrize(
+    "kind, old_extra",
+    [
+        ("detect", "dtype=float64,v=2"),
+        ("detect-seg", "segmented:drop=1,div=1,comp=1,v=3"),
+    ],
+)
+def test_checkpoint_with_older_fingerprint_is_rejected(
+    segment_campaign, tmp_path, kind, old_extra
+):
+    """A checkpoint written before the dispatch counters dropped their
+    event/fallback/sleep fields holds counter vectors of the old length
+    (8 global + 4 per-layer fields).  Its fingerprint option string is
+    older too, so resuming it fails with a typed ``CheckpointError``
+    instead of merging a vector of the wrong length."""
+    simulator = segment_campaign["simulator"]
+    stimulus = segment_campaign["stimulus"]
+    faults = segment_campaign["faults"]
+    data = (stimulus.assembled(),) if kind == "detect" else tuple(stimulus.chunks)
+    base = campaign_fingerprint(simulator.network, faults, *data)
+    fingerprint = hashlib.sha256(f"{base}|{old_extra}".encode("ascii")).hexdigest()
+    n = len(faults)
+    half = n // 2
+    checkpoint = CampaignCheckpoint(
+        kind=kind, fingerprint=fingerprint, n_faults=n, bounds=[(0, half), (half, n)]
+    )
+    old_vector = np.zeros(8 + 4 * 2, dtype=np.int64)  # two spiking layers
+    shard = (np.zeros(half, bool), np.zeros(half), np.zeros((half, 4)))
+    if kind == "detect-seg":
+        shard += (chain_to_array(stimulus_chain(stimulus)),)
+    checkpoint.add(0, shard + (old_vector,))
+    path = tmp_path / f"{kind}.ckpt"
+    checkpoint.save(str(path))
+    with pytest.raises(CheckpointError, match="different campaign"):
+        if kind == "detect":
+            parallel_detect(
+                simulator, stimulus.assembled(), faults, workers=1,
+                checkpoint_path=str(path), resume=True,
+            )
+        else:
+            parallel_detect_segmented(
+                simulator, stimulus, faults, workers=1,
+                checkpoint_path=str(path), resume=True,
+            )

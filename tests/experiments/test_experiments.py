@@ -98,6 +98,32 @@ class TestPipeline:
         assert 0.0 <= coverage.fc_overall <= 1.0
         assert not np.isnan(coverage.max_drop_undetected_neuron)
 
+    def test_cached_detection_with_old_dispatch_layout_loads(self, pipeline):
+        """A ``detection.npz`` whose dispatch vector has the older counter
+        layout (8 global + 4 per-layer fields) still loads: the detection
+        arrays come back and the dispatch stats read as ``None``."""
+        detection = pipeline.detection()
+        path = pipeline.cache_dir / "detection.npz"
+        with np.load(path) as data:
+            current = dict(data)
+
+        def reload():
+            return ExperimentPipeline(
+                pipeline.definition, results_dir=pipeline.results_dir, seed=0
+            ).detection()
+
+        assert reload().dispatch == detection.dispatch
+        old = dict(current)
+        old["dispatch"] = np.ones(8 + 4 * len(current["dispatch_layers"]), np.int64)
+        try:
+            np.savez(path, **old)
+            cached = reload()
+        finally:
+            np.savez(path, **current)
+        assert cached.dispatch is None
+        assert np.array_equal(cached.detected, detection.detected)
+        assert np.array_equal(cached.output_l1, detection.output_l1)
+
     def test_different_seed_different_cache(self, pipeline):
         other = ExperimentPipeline(
             pipeline.definition, results_dir=pipeline.results_dir, seed=1

@@ -1,23 +1,22 @@
-"""Differential suite for the event-driven sparse spike kernels.
+"""Differential suite for the zero-skip current dispatch.
 
-The event path (:mod:`repro.snn.events`) gathers active spike columns per
-time block and runs index-gathered panel GEMMs instead of the full dense
-matmul.  Per-column gather + GEMM over the *same* float64 values is
-algebraically a sub-matrix of the dense product, but BLAS is free to
-reassociate, so the engine guards every event-using attempt with a spike
-margin and re-runs the group bit-exactly on a trip.  This suite pins the
-externally visible contract:
+Every campaign engine attaches :class:`repro.snn.events.EventDispatch` to
+its fused current kernels: all-zero blocks and all-zero time slices skip
+their GEMMs and read exact zeros.  This suite pins the externally visible
+contract against the per-step reference oracle (``fused=False``,
+``synapse_batch=1``, ``neuron_splice=False``), which never skips a GEMM:
 
 - ``detected`` masks, ``output_l1`` and ``class_count_diff`` are
-  bit-identical to the dense engine (``REPRO_EVENT_DRIVEN=off``) across
-  density extremes — all-zero, all-ones, single-spike-per-step and
-  alternating bursts — for dense, conv and recurrent topologies, in the
-  flat, segmented, parallel and store-warmed engines;
+  bit-identical to the oracle across density extremes — all-zero,
+  all-ones, single-spike-per-step, alternating bursts and sparse noise —
+  for dense, conv and recurrent topologies, in the flat, segmented,
+  4-worker and store-warmed engines;
 - a transient fault window straddling a fused time-block boundary stays
-  exact under event dispatch;
-- a tripped guard provably falls back to the dense path (``fallbacks``
-  counter increments, zero event blocks survive in the final counters,
-  result unchanged);
+  exact;
+- every scenario runs under both ways of selecting the dispatching fused
+  engine (``MODES``): ``on`` forces it with ``fused=True``; ``auto``
+  leaves ``fused=None`` so the simulator resolves its default from
+  ``$REPRO_FUSED``, as the CLI and the experiment pipeline do;
 - dispatch counters are stable under crash/resume: a campaign killed
   mid-segment and resumed from its checkpoint reports the *same*
   dispatch statistics as an uninterrupted checkpointed run.
@@ -91,6 +90,8 @@ _NETS = {
     ),
 }
 PATTERNS = ("zeros", "ones", "single", "bursts", "sparse")
+#: How each scenario selects the fused engine the dispatcher lives in.
+MODES = {"on": True, "auto": None}
 _CACHE = {}
 
 
@@ -128,11 +129,23 @@ def _pattern_stimulus(pattern, input_shape, chunk_durations, seed=0):
     return TestStimulus(chunks=chunks, input_shape=tuple(input_shape))
 
 
+def _oracle(net, config):
+    """The per-step reference engine: no fused kernels, no batching, no
+    splicing, so no current block ever goes through the dispatcher."""
+    return FaultSimulator(
+        net, config, fused=False, synapse_batch=1, neuron_splice=False
+    )
+
+
+def _engine(net, config, mode, **kwargs):
+    return FaultSimulator(net, config, fused=MODES[mode], **kwargs)
+
+
 def _reference(kind, pattern, chunk_durations=(4, 3, 5)):
     net, config, faults = _cached(kind)
     stimulus = _pattern_stimulus(pattern, net.input_shape, chunk_durations)
-    off = FaultSimulator(net, config, event_driven="off")
-    return net, config, faults, stimulus, off.detect(stimulus.assembled(), faults)
+    oracle = _oracle(net, config)
+    return net, config, faults, stimulus, oracle.detect(stimulus.assembled(), faults)
 
 
 def _assert_exact(result, reference):
@@ -142,29 +155,28 @@ def _assert_exact(result, reference):
 
 
 # ----------------------------------------------------------------------
-# Density extremes: flat and segmented engines, forced on and auto
+# Density extremes: flat and segmented engines
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", sorted(_NETS))
 @pytest.mark.parametrize("pattern", PATTERNS)
-@pytest.mark.parametrize("mode", ["on", "auto"])
+@pytest.mark.parametrize("mode", list(MODES))
 def test_flat_event_matches_dense(kind, pattern, mode):
     net, config, faults, stimulus, reference = _reference(kind, pattern)
-    simulator = FaultSimulator(net, config, event_driven=mode)
-    result = simulator.detect(stimulus.assembled(), faults)
+    result = _engine(net, config, mode).detect(stimulus.assembled(), faults)
     _assert_exact(result, reference)
-    assert result.dispatch is not None
-    assert reference.dispatch is None  # off-mode runs carry no counters
+    assert result.dispatch["cells"] > 0
 
 
 @pytest.mark.parametrize("kind", sorted(_NETS))
 @pytest.mark.parametrize("pattern", PATTERNS)
-@pytest.mark.parametrize("mode", ["on", "auto"])
+@pytest.mark.parametrize("mode", list(MODES))
 def test_segmented_event_matches_dense(kind, pattern, mode):
     net, config, faults, stimulus, reference = _reference(kind, pattern)
-    simulator = FaultSimulator(net, config, event_driven=mode)
-    result = simulator.detect_segmented(stimulus, faults, drop_detected=False)
+    result = _engine(net, config, mode).detect_segmented(
+        stimulus, faults, drop_detected=False
+    )
     _assert_exact(result, reference)
-    assert result.dispatch is not None
+    assert result.dispatch["cells"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -183,21 +195,19 @@ def _straddling_faults(net):
     ]
 
 
-@pytest.mark.parametrize("mode", ["on", "auto"])
+@pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("time_block", [3, 7])
 def test_transient_straddles_time_block_boundary(mode, time_block):
     """A transient active across [5, 16) cuts through fused time blocks;
-    the event path gathers active columns *within* each block, so the
-    parameter swap mid-block must stay exact under event dispatch."""
+    the dispatcher skips zero slices *within* each block, so the
+    parameter swap mid-block must stay exact."""
     net, config, _, stimulus, _ = _reference("dense", "sparse")
     faults = _straddling_faults(net)
     assembled = stimulus.assembled()
-    reference = FaultSimulator(
-        net, config, fused=True, time_block=time_block, event_driven="off"
-    ).detect(assembled, faults)
-    result = FaultSimulator(
-        net, config, fused=True, time_block=time_block, event_driven=mode
-    ).detect(assembled, faults)
+    reference = _oracle(net, config).detect(assembled, faults)
+    result = _engine(net, config, mode, time_block=time_block).detect(
+        assembled, faults
+    )
     _assert_exact(result, reference)
 
 
@@ -205,10 +215,10 @@ def test_transient_straddles_time_block_boundary(mode, time_block):
 # Parallel and store-warmed engines
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-@pytest.mark.parametrize("mode", ["on", "auto"])
+@pytest.mark.parametrize("mode", list(MODES))
 def test_parallel_event_matches_dense(mode):
     net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    simulator = FaultSimulator(net, config, event_driven=mode)
+    simulator = _engine(net, config, mode)
     flat = parallel_detect(simulator, stimulus.assembled(), faults, workers=4)
     _assert_exact(flat, reference)
     assert flat.dispatch is not None
@@ -219,10 +229,10 @@ def test_parallel_event_matches_dense(mode):
     assert seg.dispatch is not None
 
 
-@pytest.mark.parametrize("mode", ["on", "auto"])
+@pytest.mark.parametrize("mode", list(MODES))
 def test_store_warm_event_matches_dense(tmp_path, mode):
     net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    simulator = FaultSimulator(net, config, event_driven=mode)
+    simulator = _engine(net, config, mode)
     store = CoverageStore(tmp_path / f"ev-{mode}")
     cold = simulator.detect_segmented(
         stimulus, faults, drop_detected=False, store=store
@@ -232,6 +242,7 @@ def test_store_warm_event_matches_dense(tmp_path, mode):
     )
     _assert_exact(cold, reference)
     _assert_exact(warm, reference)
+    assert store.hits > 0, "the warm run must splice stored records"
 
 
 # ----------------------------------------------------------------------
@@ -239,73 +250,19 @@ def test_store_warm_event_matches_dense(tmp_path, mode):
 # ----------------------------------------------------------------------
 def test_counters_pick_expected_tiers():
     net, config, faults, stimulus, _ = _reference("dense", "sparse")
-    forced = FaultSimulator(net, config, event_driven="on").detect(
-        stimulus.assembled(), faults
-    )
-    assert forced.dispatch["event_blocks"] > 0, "mode=on must take the event path"
-    # These layers are far below MIN_EVENT_WORK, so auto always picks the
-    # dense tier — the crossover floor is load-bearing on tiny panels.
-    auto = FaultSimulator(net, config, event_driven="auto").detect(
-        stimulus.assembled(), faults
-    )
-    assert auto.dispatch["event_blocks"] == 0
-    assert auto.dispatch["dense_blocks"] > 0
-    assert 0.0 < auto.dispatch["density"] < 1.0
-    assert set(auto.dispatch["layers"]), "per-layer counters must be populated"
+    result = FaultSimulator(net, config).detect(stimulus.assembled(), faults)
+    dispatch = result.dispatch
+    assert dispatch["dense_blocks"] > 0
+    # The assembled stimulus carries sleep gaps: all-zero time slices.
+    assert dispatch["zero_slices"] > 0
+    assert 0.0 < dispatch["density"] < 1.0
+    assert set(dispatch["layers"]), "per-layer counters must be populated"
 
 
 def test_counters_zero_input_takes_zero_tier():
     net, config, faults, stimulus, _ = _reference("dense", "zeros")
-    result = FaultSimulator(net, config, event_driven="on").detect(
-        stimulus.assembled(), faults
-    )
+    result = FaultSimulator(net, config).detect(stimulus.assembled(), faults)
     assert result.dispatch["zero_blocks"] > 0
-
-
-def test_counters_sleep_census_matches_stimulus():
-    net, config, faults, _, _ = _reference("dense", "sparse")
-    stimulus = _pattern_stimulus("sparse", net.input_shape, (4, 3, 5))
-    expected = sum(
-        1
-        for index in range(stimulus.num_segments)
-        if stimulus.segment(index).shape[0]
-        and not stimulus.segment(index)[-1].any()
-    )
-    assert expected > 0, "layout must contain sleep segments"
-    simulator = FaultSimulator(net, config, event_driven="auto")
-    serial = simulator.detect_segmented(stimulus, faults)
-    assert serial.dispatch["sleep_segments"] == expected
-    if fork_available():
-        shard = parallel_detect_segmented(simulator, stimulus, faults, workers=4)
-        assert shard.dispatch["sleep_segments"] == expected
-
-
-# ----------------------------------------------------------------------
-# Guard trip: provable dense fallback, result unchanged
-# ----------------------------------------------------------------------
-def test_flat_guard_trip_falls_back_to_dense(monkeypatch):
-    """With the guard margin forced to +inf every event attempt trips:
-    the counters must roll back (no surviving event blocks), ``fallbacks``
-    must record the re-runs, and the result must still equal dense."""
-    net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    monkeypatch.setattr("repro.faults.simulator.EVENT_GUARD_MARGIN", float("inf"))
-    result = FaultSimulator(net, config, event_driven="on").detect(
-        stimulus.assembled(), faults
-    )
-    _assert_exact(result, reference)
-    assert result.dispatch["fallbacks"] > 0
-    assert result.dispatch["event_blocks"] == 0
-
-
-def test_segmented_guard_trip_falls_back_to_dense(monkeypatch):
-    net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    monkeypatch.setattr("repro.faults.segmented.EVENT_GUARD_MARGIN", float("inf"))
-    result = FaultSimulator(net, config, event_driven="on").detect_segmented(
-        stimulus, faults, drop_detected=False
-    )
-    _assert_exact(result, reference)
-    assert result.dispatch["fallbacks"] > 0
-    assert result.dispatch["event_blocks"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -315,14 +272,14 @@ class _Boom(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("mode", ["on", "auto"])
+@pytest.mark.parametrize("mode", list(MODES))
 def test_resumed_campaign_reports_identical_dispatch_stats(mode):
     """Satellite regression: dispatch counters count each (fault, segment)
     once.  A campaign killed mid-segment and resumed from the checkpoint
     must report the *same* dispatch dict as an uninterrupted checkpointed
     run — re-verified golden replays and resume seeks add nothing."""
     net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    simulator = FaultSimulator(net, config, event_driven=mode)
+    simulator = _engine(net, config, mode)
 
     states = []
 
@@ -364,16 +321,16 @@ def test_resumed_campaign_reports_identical_dispatch_stats(mode):
     assert resumed.dispatch == uninterrupted.dispatch
 
 
-@pytest.mark.parametrize("mode", ["on", "auto"])
+@pytest.mark.parametrize("mode", list(MODES))
 def test_chaos_crash_mid_segment_resumes_bit_identical(tmp_path, mode):
-    """Kill the checkpointed frontend right after a partial save with
-    event dispatch enabled; the resumed run must match dense bit-for-bit
-    and still carry a dispatch dict."""
+    """Kill the checkpointed frontend right after a partial save; the
+    resumed run must match the oracle bit-for-bit and still carry a
+    dispatch dict."""
     from repro.errors import ChaosError
     from repro.utils import chaos
 
     net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    simulator = FaultSimulator(net, config, event_driven=mode)
+    simulator = _engine(net, config, mode)
     path = tmp_path / f"ev-{mode}.ckpt"
     with chaos.installed(chaos.ChaosPolicy.parse("raise@segment:3")):
         with pytest.raises(ChaosError):
@@ -410,7 +367,7 @@ def test_chaos_crash_mid_segment_resumes_bit_identical(tmp_path, mode):
     chunk_durations=st.lists(st.integers(1, 5), min_size=1, max_size=3),
     seed=st.integers(0, 2**16),
     n_faults=st.integers(1, 12),
-    mode=st.sampled_from(["on", "auto"]),
+    mode=st.sampled_from(list(MODES)),
     segmented=st.booleans(),
 )
 def test_property_event_matches_dense(
@@ -423,10 +380,8 @@ def test_property_event_matches_dense(
     )
     faults = [catalog_faults[i] for i in sorted(picks)]
     stimulus = _pattern_stimulus(pattern, net.input_shape, chunk_durations, seed=seed)
-    reference = FaultSimulator(net, config, event_driven="off").detect(
-        stimulus.assembled(), faults
-    )
-    simulator = FaultSimulator(net, config, event_driven=mode)
+    reference = _oracle(net, config).detect(stimulus.assembled(), faults)
+    simulator = _engine(net, config, mode)
     if segmented:
         result = simulator.detect_segmented(stimulus, faults, drop_detected=False)
     else:

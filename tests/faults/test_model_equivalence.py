@@ -23,7 +23,6 @@ while carrying LIF membrane state (and, for DELAY faults, the golden
 trace history) across the boundary.
 """
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -339,11 +338,8 @@ def test_straddling_window_parallel_segmented(mixed_campaign):
 
 # ----------------------------------------------------------------------
 # Fused one-BLAS-call path vs legacy per-step path (all-T stacked
-# matmuls + optional float32 behind the exactness gate)
+# matmuls)
 # ----------------------------------------------------------------------
-EXTENDED_F32 = dataclasses.replace(EXTENDED, dtype="float32")
-
-
 def _assert_detect_fields_equal(result, reference):
     assert np.array_equal(result.detected, reference.detected)
     assert np.array_equal(result.output_l1, reference.output_l1)
@@ -360,36 +356,25 @@ def legacy_reference(mixed_campaign):
     )
 
 
-@pytest.mark.parametrize("config", [EXTENDED, EXTENDED_F32],
-                         ids=["float64", "float32-gated"])
-def test_fused_serial_matches_legacy(mixed_campaign, legacy_reference, config):
-    fused = FaultSimulator(mixed_campaign["net"], config, fused=True)
+def test_fused_serial_matches_legacy(mixed_campaign, legacy_reference):
+    fused = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=True)
     result = fused.detect(
         mixed_campaign["stimulus"].assembled(), mixed_campaign["faults"]
     )
     _assert_detect_fields_equal(result, legacy_reference)
-    assert result.dtype == config.dtype
 
 
-@pytest.mark.parametrize("config", [EXTENDED, EXTENDED_F32],
-                         ids=["float64", "float32-gated"])
-def test_fused_segmented_matches_legacy(mixed_campaign, legacy_reference, config):
-    fused = FaultSimulator(mixed_campaign["net"], config, fused=True)
+def test_fused_segmented_matches_legacy(mixed_campaign, legacy_reference):
+    fused = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=True)
     result = fused.detect_segmented(
         mixed_campaign["stimulus"], mixed_campaign["faults"], drop_detected=False
     )
     _assert_detect_fields_equal(result, legacy_reference)
-    assert result.dtype == config.dtype
-    if config.dtype == "float32":
-        # The gate must account for every group one way or the other.
-        assert result.f32_groups + result.f32_fallbacks > 0
 
 
 @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-@pytest.mark.parametrize("config", [EXTENDED, EXTENDED_F32],
-                         ids=["float64", "float32-gated"])
-def test_fused_parallel_matches_legacy(mixed_campaign, legacy_reference, config):
-    fused = FaultSimulator(mixed_campaign["net"], config, fused=True)
+def test_fused_parallel_matches_legacy(mixed_campaign, legacy_reference):
+    fused = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=True)
     result = parallel_detect(
         fused, mixed_campaign["stimulus"].assembled(),
         mixed_campaign["faults"], workers=4,
@@ -400,17 +385,16 @@ def test_fused_parallel_matches_legacy(mixed_campaign, legacy_reference, config)
 def test_fused_recurrent_matches_legacy(recurrent_campaign):
     """Recurrent layers cannot fuse the full matmul (the recurrent term
     feeds back per step) but still use the fused input-current stack —
-    must stay bit-identical, including under the f32 gate."""
+    must stay bit-identical."""
     legacy = FaultSimulator(recurrent_campaign["net"], EXTENDED, fused=False)
     reference = legacy.detect(
         recurrent_campaign["stimulus"].assembled(), recurrent_campaign["faults"]
     )
-    for config in (EXTENDED, EXTENDED_F32):
-        fused = FaultSimulator(recurrent_campaign["net"], config, fused=True)
-        result = fused.detect(
-            recurrent_campaign["stimulus"].assembled(), recurrent_campaign["faults"]
-        )
-        _assert_detect_fields_equal(result, reference)
+    fused = FaultSimulator(recurrent_campaign["net"], EXTENDED, fused=True)
+    result = fused.detect(
+        recurrent_campaign["stimulus"].assembled(), recurrent_campaign["faults"]
+    )
+    _assert_detect_fields_equal(result, reference)
 
 
 @pytest.mark.parametrize("time_block", [1, 3, 4, 7, 19])
@@ -422,12 +406,11 @@ def test_transient_straddles_time_block_boundary(mixed_campaign, time_block):
     assembled = mixed_campaign["stimulus"].assembled()
     legacy = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=False)
     reference = legacy.detect(assembled, faults)
-    for config in (EXTENDED, EXTENDED_F32):
-        fused = FaultSimulator(
-            mixed_campaign["net"], config, fused=True, time_block=time_block
-        )
-        result = fused.detect(assembled, faults)
-        _assert_detect_fields_equal(result, reference)
+    fused = FaultSimulator(
+        mixed_campaign["net"], EXTENDED, fused=True, time_block=time_block
+    )
+    result = fused.detect(assembled, faults)
+    _assert_detect_fields_equal(result, reference)
 
 
 def test_synapse_splice_group_routing(mixed_campaign):
@@ -479,29 +462,6 @@ def test_synapse_splice_matches_kbatched(mixed_campaign, legacy_reference):
             drop_detected=False,
         )
         _assert_detect_fields_equal(result, legacy_reference)
-
-
-def test_float32_fallback_preserves_exactness(mixed_campaign):
-    """Force the spike-margin guard to trip on every group (impossible
-    margin): every group must transparently rerun in float64 and the
-    result must not change."""
-    import repro.faults.simulator as simulator_mod
-
-    legacy = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=False)
-    reference = legacy.detect(
-        mixed_campaign["stimulus"].assembled(), mixed_campaign["faults"]
-    )
-    fused = FaultSimulator(mixed_campaign["net"], EXTENDED_F32, fused=True)
-    original = simulator_mod.FLOAT32_GUARD_MARGIN
-    simulator_mod.FLOAT32_GUARD_MARGIN = 1e9
-    try:
-        result = fused.detect(
-            mixed_campaign["stimulus"].assembled(), mixed_campaign["faults"]
-        )
-    finally:
-        simulator_mod.FLOAT32_GUARD_MARGIN = original
-    _assert_detect_fields_equal(result, reference)
-    assert result.f32_fallbacks > 0
 
 
 # ----------------------------------------------------------------------
@@ -601,14 +561,10 @@ def test_property_extended_engines_agree(
     n_faults=st.integers(1, 16),
     duration=st.integers(2, 14),
     time_block=st.sampled_from([None, 1, 3, 5]),
-    f32=st.booleans(),
 )
-def test_property_fused_matches_legacy(
-    kind, seed, n_faults, duration, time_block, f32
-):
+def test_property_fused_matches_legacy(kind, seed, n_faults, duration, time_block):
     """Fused one-BLAS-call batches equal the per-step engine bit-for-bit
-    on random dense/conv/recurrent catalogs, any time-block size, with
-    and without the gated float32 mode."""
+    on random dense/conv/recurrent catalogs, any time-block size."""
     net, catalog = _cached(kind)
     rng = np.random.default_rng(seed)
     all_faults = catalog.faults
@@ -619,8 +575,7 @@ def test_property_fused_matches_legacy(
     stimulus = (rng.random((duration, 1) + net.input_shape) < 0.5).astype(float)
     legacy = FaultSimulator(net, EXTENDED, fused=False)
     reference = legacy.detect(stimulus, faults)
-    config = EXTENDED_F32 if f32 else EXTENDED
-    fused = FaultSimulator(net, config, fused=True, time_block=time_block)
+    fused = FaultSimulator(net, EXTENDED, fused=True, time_block=time_block)
     result = fused.detect(stimulus, faults)
     assert np.array_equal(result.detected, reference.detected)
     assert np.array_equal(result.output_l1, reference.output_l1)

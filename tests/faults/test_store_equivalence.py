@@ -9,7 +9,7 @@ be **bit-identical** to a cold full run of the same engine configuration
 options, on ``output_l1`` / ``class_count_diff`` too.
 
 Three edit scenarios are pinned, each across serial, 4-worker, fused,
-legacy (non-fused), float64, and gated-float32 engines:
+and legacy (non-fused) engines:
 
 - **append** — a new iteration chunk is appended to the test.  The chain
   digest of the previously-final segment changes (its sleep flag flips),
@@ -21,7 +21,6 @@ legacy (non-fused), float64, and gated-float32 engines:
   cross-run (they are keyed by network + stimulus alone).
 """
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -108,21 +107,19 @@ def campaign():
 
 
 ENGINES = [
-    pytest.param("serial-fused", 1, True, "float64", id="serial-fused-f64"),
-    pytest.param("serial-legacy", 1, False, "float64", id="serial-legacy-f64"),
+    pytest.param("serial-fused", 1, True, id="serial-fused-f64"),
+    pytest.param("serial-legacy", 1, False, id="serial-legacy-f64"),
     pytest.param(
-        "pool4-fused", 4, True, "float64", id="pool4-fused-f64",
+        "pool4-fused", 4, True, id="pool4-fused-f64",
         marks=pytest.mark.skipif(
             not fork_available(), reason="fork start method unavailable"
         ),
     ),
-    pytest.param("serial-f32", 1, True, "float32", id="serial-fused-f32-gated"),
 ]
 
 
-def _run(campaign, stimulus, faults, *, workers, fused, dtype, store, drop=True):
-    config = dataclasses.replace(campaign["config"], dtype=dtype)
-    simulator = FaultSimulator(campaign["net"], config, fused=fused)
+def _run(campaign, stimulus, faults, *, workers, fused, store, drop=True):
+    simulator = FaultSimulator(campaign["net"], campaign["config"], fused=fused)
     if workers == 1:
         return simulator.detect_segmented(
             stimulus, faults, drop_detected=drop, store=store
@@ -133,12 +130,12 @@ def _run(campaign, stimulus, faults, *, workers, fused, dtype, store, drop=True)
     )
 
 
-@pytest.mark.parametrize("name, workers, fused, dtype", ENGINES)
+@pytest.mark.parametrize("name, workers, fused", ENGINES)
 def test_incremental_rerun_is_bit_identical_to_cold(
-    campaign, tmp_path, name, workers, fused, dtype
+    campaign, tmp_path, name, workers, fused
 ):
     store = CoverageStore(tmp_path / name)
-    engine = dict(workers=workers, fused=fused, dtype=dtype)
+    engine = dict(workers=workers, fused=fused)
     faults = campaign["faults"]
     # Populate: the base test set's campaign runs once against the store.
     seeded = _run(campaign, campaign["base"], faults, store=store, **engine)
@@ -179,12 +176,12 @@ def test_warm_rerun_of_unchanged_test_writes_nothing(campaign, tmp_path):
     faults = campaign["faults"]
     first = _run(
         campaign, campaign["base"], faults,
-        workers=1, fused=True, dtype="float64", store=store,
+        workers=1, fused=True, store=store,
     )
     writes = store.writes
     again = _run(
         campaign, campaign["base"], faults,
-        workers=1, fused=True, dtype="float64", store=store,
+        workers=1, fused=True, store=store,
     )
     assert store.writes == writes, "identical re-run must be fully cached"
     assert np.array_equal(first.detected, again.detected)
@@ -200,13 +197,13 @@ def test_store_matches_assembled_reference(campaign, tmp_path):
     simulator = FaultSimulator(campaign["net"], campaign["config"])
     _run(
         campaign, campaign["base"], faults,
-        workers=1, fused=True, dtype="float64", store=store,
+        workers=1, fused=True, store=store,
     )
     stimulus = campaign["stimuli"]["append"]
     reference = simulator.detect(stimulus.assembled(), faults)
     warm = _run(
         campaign, stimulus, faults,
-        workers=1, fused=True, dtype="float64", store=store,
+        workers=1, fused=True, store=store,
     )
     assert np.array_equal(warm.detected, reference.detected)
 
@@ -216,7 +213,7 @@ def test_exact_metrics_mode_is_differential_too(campaign, tmp_path):
     records separately and stays bit-identical warm-vs-cold."""
     store = CoverageStore(tmp_path / "exact")
     faults = campaign["faults"]
-    engine = dict(workers=1, fused=True, dtype="float64")
+    engine = dict(workers=1, fused=True)
     _run(campaign, campaign["base"], faults, store=store, drop=False, **engine)
     stimulus = campaign["stimuli"]["append"]
     cold = _run(campaign, stimulus, faults, store=None, drop=False, **engine)
@@ -232,7 +229,7 @@ def test_option_change_never_reuses_records(campaign, tmp_path):
     scratch rather than splicing incompatible accumulators."""
     store = CoverageStore(tmp_path / "options")
     faults = campaign["faults"]
-    engine = dict(workers=1, fused=True, dtype="float64")
+    engine = dict(workers=1, fused=True)
     _run(campaign, campaign["base"], faults, store=store, drop=True, **engine)
     writes = store.writes
     cold = _run(campaign, campaign["base"], faults, store=None, drop=False, **engine)
