@@ -15,6 +15,7 @@ Contents
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -199,6 +200,62 @@ def im2col(
         for j in range(kw):
             cols[:, :, i, j] = x_pad[:, :, i:i + h_span:stride, j:j + w_span:stride]
     return cols.reshape(batch, channels * kh * kw, out_h * out_w)
+
+
+#: Patch-matrix bytes one block of :func:`im2col_matmul` builds, so the
+#: GEMMs read patches that are still in cache.  On a Xeon with 2 MiB of
+#: L2 per core, 0.5-1 MiB blocks ran fastest; one-shot patch matrices of
+#: campaign batches run to ~100 MB, spill to memory, and past glibc's
+#: 32 MiB mmap threshold are mapped afresh on every call
+#: (docs/PERFORMANCE.md, "Campaign patch matrices").
+PATCH_BLOCK_BYTES = 1 << 20
+
+
+def im2col_matmul(
+    weights: np.ndarray,
+    x: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int = 1,
+    padding: int = 0,
+) -> np.ndarray:
+    """``np.matmul(weights, im2col(x))`` for ``x`` of shape
+    ``(N, *lead, C, H, W)``, built one cache-sized block at a time.
+
+    The patch matrices of consecutive ``x[a:b]`` blocks, at most
+    :data:`PATCH_BLOCK_BYTES` but never less than one ``x[n]``, are built
+    and multiplied in turn, each product written into one preallocated
+    output.  ``weights`` is ``(F, C*kh*kw)`` or a stack that broadcasts
+    against ``lead`` without spanning ``N``, e.g. ``(K, 1, F, C*kh*kw)``.
+    Every GEMM slice keeps its ``(F, C*kh*kw) @ (C*kh*kw, L)`` shape and
+    operands, and stacked matmuls evaluate slices independently, so the
+    result equals the one-shot product bit for bit.
+    """
+    channels, height, width = x.shape[-3:]
+    out_h, out_w = _conv_out_hw(height, width, kh, kw, stride, padding)
+    taps, positions = channels * kh * kw, out_h * out_w
+    batch = np.broadcast_shapes(weights.shape[:-2], x.shape[:-3])
+    out = np.empty(
+        batch + (weights.shape[-2], positions),
+        dtype=np.result_type(weights.dtype, x.dtype),
+    )
+    # The output axis that x's first axis maps to.
+    head = (slice(None),) * (len(batch) - (x.ndim - 3))
+    slice_bytes = math.prod(x.shape[1:-3]) * taps * positions * x.itemsize
+    step = max(1, PATCH_BLOCK_BYTES // slice_bytes)
+    for a in range(0, x.shape[0], step):
+        block = x[a:a + step]
+        # One expression, so each block's patches are freed before the
+        # next block's are allocated and the allocator hands back the
+        # same, still cached, memory.
+        np.matmul(
+            weights,
+            im2col(
+                block.reshape((-1, channels, height, width)), kh, kw, stride, padding
+            ).reshape(block.shape[:-3] + (taps, positions)),
+            out=out[head + (slice(a, a + step),)],
+        )
+    return out
 
 
 def _tap_span(size: int, out_size: int, tap: int, stride: int, padding: int):

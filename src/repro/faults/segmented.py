@@ -43,9 +43,13 @@ equals the whole-test sum bit for bit.
 
 Memory
 ------
-Peak memory is one segment's tensors (longest chunk, not ``T_test``) plus
-per-fault carry state: one LIF state per fault for the faulty module and,
-only after divergence, one per downstream spiking module.
+Peak memory is one segment's currents and spikes for one K-batch (the
+longest chunk and its sleep gap, not ``T_test``) plus per-fault carry
+state: one LIF state per fault for the faulty module and, only after
+divergence, one per downstream spiking module.  Segments bound the time
+axis but not the rows: the conv patch matrices of a segment are built in
+cache-sized blocks (:func:`repro.autograd.functional.im2col_matmul`),
+and a K-batched synapse run reads the segment input untiled.
 """
 
 from __future__ import annotations
@@ -525,21 +529,21 @@ class _FaultGroup:
         for j, row in enumerate(rows):
             pidx, widx, value = self.syn[row]
             stacks[pidx][j].reshape(-1)[widx] = value
-        tiled = np.tile(seg_input, (1, len(rows)) + (1,) * (seg_input.ndim - 2))
         state = self._module_state(rows)
         run = (
             module.run_sequence_kbatched_fused
             if self.campaign.simulator.fused and _supports_kbatched_fused(module)
             else module.run_sequence_kbatched
         )
+        # The K-batched kernels broadcast the shared input over the rows.
         if self.window is None:
-            out = run(tiled, stacks, state=state)
+            out = run(seg_input, stacks, state=state)
         else:
             nominal = [
                 np.broadcast_to(p.data, (len(rows),) + p.data.shape) for p in params
             ]
             pieces = [
-                run(tiled[a:b], stacks if in_window else nominal, state=state)
+                run(seg_input[a:b], stacks if in_window else nominal, state=state)
                 for a, b, in_window in _window_pieces(
                     self.window, seg_input.shape[0], offset
                 )

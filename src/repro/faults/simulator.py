@@ -434,7 +434,9 @@ class FaultSimulator:
     time_block:
         Split fused runs into time blocks of at most this many steps with
         LIF state carried across block boundaries, bounding the size of
-        the stacked current tensors (most relevant for conv im2col).
+        the stacked current and spike tensors.  Conv patch matrices are
+        built in cache-sized blocks whatever the time block
+        (:func:`repro.autograd.functional.im2col_matmul`).
         ``None`` reads ``$REPRO_TIME_BLOCK`` (default: whole sequence).
 
     Every campaign attaches a zero-skip dispatcher to the fused current
@@ -817,10 +819,10 @@ class FaultSimulator:
             _synapse_entries(module, group, self.config)
         ):
             stacks[pidx][row].reshape(-1)[widx] = value
-        tiled = np.tile(base_seq, (1, k) + (1,) * (base_seq.ndim - 2))
+        # The K-batched kernels broadcast the shared base input over K.
         fused = self.fused and _supports_kbatched_fused(module)
         if window is None and not fused:
-            out = module.run_sequence_kbatched(tiled, stacks)
+            out = module.run_sequence_kbatched(base_seq, stacks)
         else:
             nominal = [
                 np.broadcast_to(p.data, (k,) + p.data.shape) for p in params
@@ -833,13 +835,13 @@ class FaultSimulator:
                     for c, d in self._time_blocks(b - a):
                         outs.append(
                             module.run_sequence_kbatched_fused(
-                                tiled[a + c : a + d], piece_stacks, state=state
+                                base_seq[a + c : a + d], piece_stacks, state=state
                             )
                         )
                 else:
                     outs.append(
                         module.run_sequence_kbatched(
-                            tiled[a:b], piece_stacks, state=state
+                            base_seq[a:b], piece_stacks, state=state
                         )
                     )
             out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)

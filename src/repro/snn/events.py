@@ -164,19 +164,22 @@ class EventDispatch:
         feature_shape: Tuple[int, ...],
         dtype,
         name: str,
+        copies: int = 1,
     ) -> np.ndarray:
         """``compute(seq)`` with its all-zero leading-axis slices skipped.
 
         ``compute`` must evaluate each leading-axis slice independently,
         so running it on the active subset and scattering into zeros is
-        bit-identical to the full call.
+        bit-identical to the full call.  A K-batched block serves
+        ``copies`` = K fault rows per input row and counts the cells and
+        spikes of all of them.
         """
         steps = seq.shape[0]
         step_nnz = np.count_nonzero(seq.reshape(steps, -1), axis=1)
-        nnz = int(step_nnz.sum())
+        nnz = int(step_nnz.sum()) * copies
         stats = self.stats
         layer = stats.layer(name)
-        stats.g[_CELLS] += seq.size
+        stats.g[_CELLS] += seq.size * copies
         stats.g[_SPIKES] += nnz
         layer[_L_SPIKES] += nnz
         if nnz == 0:
@@ -205,19 +208,19 @@ class EventDispatch:
             name,
         )
 
-    # -- K weight variants (K, in, out) over a tiled (T, K*S, in) seq --
+    # -- K weight variants (K, in, out) over a shared (T, S, in) seq --
 
     def kbatched_block(
         self, seq: np.ndarray, weights: np.ndarray, name: str
     ) -> np.ndarray:
-        """Currents for the K-batched fused dense path: per (t, k) the
-        ``(S, in) @ weights[k]`` product, as one stacked matmul."""
-        k, in_features, out_features = weights.shape
-        batch = seq.shape[1]
-        s = batch // k
+        """Currents ``(T, K*S, out)`` for the K-batched fused dense path:
+        per (t, k) the ``(S, in) @ weights[k]`` product, as one stacked
+        matmul that broadcasts the shared input over K."""
+        k, _, out_features = weights.shape
+        batch = k * seq.shape[1]
 
         def compute(sub: np.ndarray) -> np.ndarray:
-            panel = np.matmul(sub.reshape(sub.shape[0], k, s, in_features), weights)
+            panel = np.matmul(sub[:, None], weights)  # (T', K, S, out)
             return panel.reshape(sub.shape[0], batch, out_features)
 
         return self._skip_zero_slices(
@@ -226,6 +229,7 @@ class EventDispatch:
             (batch, out_features),
             np.result_type(seq.dtype, weights.dtype),
             name,
+            copies=k,
         )
 
     # -- generic stacked computations (conv im2col, patch gathers) -----
@@ -237,7 +241,11 @@ class EventDispatch:
         feature_shape: Tuple[int, ...],
         dtype,
         name: str,
+        copies: int = 1,
     ) -> np.ndarray:
         """Zero-skip dispatch for per-time-slice independent computations
-        (the conv im2col GEMMs and receptive-field gathers)."""
-        return self._skip_zero_slices(seq, compute, feature_shape, dtype, name)
+        (the conv im2col GEMMs and receptive-field gathers); ``copies``
+        as in :meth:`_skip_zero_slices`."""
+        return self._skip_zero_slices(
+            seq, compute, feature_shape, dtype, name, copies=copies
+        )

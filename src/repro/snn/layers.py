@@ -215,14 +215,16 @@ class SpikingModule(Module):
     ) -> np.ndarray:
         """Fast path over K weight variants at once.
 
-        ``seq`` is a fault-major tiled sequence ``(T, K*S, *in_shape)`` and
-        ``param_stacks[p]`` holds K variants of parameter ``p`` stacked on a
-        leading axis.  Row ``k*S + s`` of the output is the response of
-        sample ``s`` under weight variant ``k``.  Used by the batched
-        synapse-fault campaign; LIF state advances for the whole K*S batch
-        in one elementwise step, so per-row dynamics match the unbatched
-        path exactly.  ``state`` optionally carries the K*S-batched state
-        across calls (see :meth:`Module.init_state`).
+        ``seq`` is the module input ``(T, S, *in_shape)``, shared by all
+        variants, and ``param_stacks[p]`` holds K variants of parameter
+        ``p`` stacked on a leading axis.  The matmuls broadcast the input
+        over K, so it is never tiled, and a conv builds one patch matrix
+        for all K.  Row ``k*S + s`` of the ``(T, K*S, ...)`` output is the
+        response of sample ``s`` under weight variant ``k``.  Used by the
+        batched synapse-fault campaign; LIF state advances for the whole
+        K*S batch in one elementwise step, so per-row dynamics match the
+        unbatched path exactly.  ``state`` optionally carries the
+        K*S-batched state across calls (see :meth:`Module.init_state`).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support K-batched execution"
@@ -340,14 +342,13 @@ class DenseLIF(SpikingModule):
         state: Optional[LIFState] = None,
     ) -> np.ndarray:
         (weight,) = param_stacks  # (K, in, out)
-        k = weight.shape[0]
-        steps, batch = seq.shape[:2]
-        s = batch // k
+        steps, s = seq.shape[:2]
+        batch = weight.shape[0] * s
         if state is None:
             state = self._state_numpy(batch)
         out = np.empty((steps, batch, self.out_features))
         for t in range(steps):
-            current = np.matmul(seq[t].reshape(k, s, self.in_features), weight)
+            current = np.matmul(seq[t], weight)  # (K, S, out)
             out[t] = self._lif_numpy(current.reshape(batch, self.out_features), state)
         return out
 
@@ -366,9 +367,8 @@ class DenseLIF(SpikingModule):
         state: Optional[LIFState] = None,
     ) -> np.ndarray:
         (weight,) = param_stacks  # (K, in, out)
-        k = weight.shape[0]
-        steps, batch = seq.shape[:2]
-        s = batch // k
+        steps, s = seq.shape[:2]
+        batch = weight.shape[0] * s
         if state is None:
             state = self._state_numpy(batch)
         if self._events is not None:
@@ -376,11 +376,9 @@ class DenseLIF(SpikingModule):
                 seq, weight, self.name or "dense"
             )
         else:
-            # (T, K, S, in) @ (K, in, out): one stacked call, per-(t, k)
+            # (T, 1, S, in) @ (K, in, out): one stacked call, per-(t, k)
             # slices identical to the per-step broadcast GEMM.
-            currents = np.matmul(
-                seq.reshape(steps, k, s, self.in_features), weight
-            )
+            currents = np.matmul(seq[:, None], weight)
         return self._lif_scan(
             currents.reshape(steps, batch, self.out_features), state
         )
@@ -495,14 +493,14 @@ class RecurrentLIF(SpikingModule):
     ) -> np.ndarray:
         w_in, w_rec = param_stacks  # (K, in, out), (K, out, out)
         k = w_in.shape[0]
-        steps, batch = seq.shape[:2]
-        s = batch // k
+        steps, s = seq.shape[:2]
+        batch = k * s
         if state is None:
             state = self._state_numpy(batch)
         out = np.empty((steps, batch, self.out_features))
         previous = np.asarray(state.last_spike).reshape(k, s, self.out_features)
         for t in range(steps):
-            current = np.matmul(seq[t].reshape(k, s, self.in_features), w_in)
+            current = np.matmul(seq[t], w_in)  # (K, S, out)
             current += np.matmul(previous, w_rec)
             spikes = self._lif_numpy(current.reshape(batch, self.out_features), state)
             previous = spikes.reshape(k, s, self.out_features)
@@ -540,8 +538,8 @@ class RecurrentLIF(SpikingModule):
     ) -> np.ndarray:
         w_in, w_rec = param_stacks  # (K, in, out), (K, out, out)
         k = w_in.shape[0]
-        steps, batch = seq.shape[:2]
-        s = batch // k
+        steps, s = seq.shape[:2]
+        batch = k * s
         if state is None:
             state = self._state_numpy(batch)
         # All T x K feedforward currents in one stacked GEMM.
@@ -550,7 +548,7 @@ class RecurrentLIF(SpikingModule):
                 seq, w_in, self.name or "recurrent"
             ).reshape(steps, k, s, self.out_features)
         else:
-            ff = np.matmul(seq.reshape(steps, k, s, self.in_features), w_in)
+            ff = np.matmul(seq[:, None], w_in)  # (T, K, S, out)
         out = np.empty((steps, batch, self.out_features), dtype=seq.dtype)
         previous = np.asarray(state.last_spike).reshape(k, s, self.out_features)
         for t in range(steps):
@@ -675,33 +673,33 @@ class ConvLIF(SpikingModule):
     ) -> np.ndarray:
         (weight,) = param_stacks  # (K, F, C, k, k)
         k = weight.shape[0]
-        steps, batch = seq.shape[:2]
-        s = batch // k
-        w_mats = weight.reshape(k, self.out_channels, -1)
+        steps, s = seq.shape[:2]
+        batch = k * s
+        w_mats = weight.reshape(k, 1, self.out_channels, -1)
         if state is None:
             state = self._state_numpy(batch)
         out = np.empty((steps, batch) + self.neuron_shape)
         for t in range(steps):
-            cols = self._im2col(seq[t])  # (K*S, C*k*k, L)
+            cols = self._im2col(seq[t])  # (S, C*k*k, L)
             # Broadcast GEMM per (instance, sample) slice — bit-identical
             # to the serial per-instance matmul in _conv_numpy.
-            current = np.matmul(
-                w_mats[:, None], cols.reshape((k, s) + cols.shape[1:])
-            )
+            current = np.matmul(w_mats, cols)  # (K, S, F, L)
             out[t] = self._lif_numpy(
                 current.reshape((batch,) + self.neuron_shape), state
             )
         return out
 
     def sequence_currents(self, seq: np.ndarray) -> np.ndarray:
-        # One im2col + one GEMM over the folded (T*B) batch; each batch
-        # slice multiplies the same operands as the per-step _conv_numpy
-        # call, so the currents are bit-identical.
+        # Cache-sized im2col GEMM blocks over the folded (T*B) batch; each
+        # batch slice multiplies the same operands as the per-step
+        # _conv_numpy call, so the currents are bit-identical.
         steps, batch = seq.shape[:2]
         w_mat = self.weight.data.reshape(self.out_channels, -1)
 
         def compute(rows: np.ndarray) -> np.ndarray:
-            currents = np.matmul(w_mat, self._im2col(rows))
+            currents = F.im2col_matmul(
+                w_mat, rows, self.kernel, self.kernel, self.stride, self.padding
+            )
             return currents.reshape((rows.shape[0],) + self.neuron_shape)
 
         flat = seq.reshape((steps * batch,) + seq.shape[2:])
@@ -728,19 +726,19 @@ class ConvLIF(SpikingModule):
     ) -> np.ndarray:
         (weight,) = param_stacks  # (K, F, C, k, k)
         k = weight.shape[0]
-        steps, batch = seq.shape[:2]
-        s = batch // k
-        w_mats = weight.reshape(k, self.out_channels, -1)
+        steps, s = seq.shape[:2]
+        batch = k * s
+        w_mats = weight.reshape(k, 1, self.out_channels, -1)
         if state is None:
             state = self._state_numpy(batch)
 
         def compute(sub: np.ndarray) -> np.ndarray:
-            flat = sub.reshape((-1,) + sub.shape[2:])
-            cols = self._im2col(flat)  # (T'*K*S, C*k*k, L)
-            cols = cols.reshape((sub.shape[0], k, s) + cols.shape[1:])
-            # Broadcast GEMM per (t, instance, sample) slice — the same
-            # (F, C*k*k) @ (C*k*k, L) products as the per-step path.
-            currents = np.matmul(w_mats[None, :, None], cols)
+            # (T', 1, S) patch matrices, built once and shared by all K
+            # variants, against (K, 1) weight stacks: per (t, k, s) the
+            # same (F, C*k*k) @ (C*k*k, L) product as the per-step path.
+            currents = F.im2col_matmul(
+                w_mats, sub[:, None], self.kernel, self.kernel, self.stride, self.padding
+            )
             return currents.reshape((sub.shape[0], batch) + self.neuron_shape)
 
         if self._events is not None:
@@ -750,6 +748,7 @@ class ConvLIF(SpikingModule):
                 (batch,) + self.neuron_shape,
                 np.result_type(seq.dtype, w_mats.dtype),
                 self.name or "conv",
+                copies=k,
             )
         else:
             currents = compute(seq)

@@ -6,14 +6,35 @@ back with ``kh*kw`` strided slice-adds.  Both replace an index-array
 formulation (one fancy-index gather forward, one ``np.bincount``
 scatter-add backward) that is kept below as the reference.  Every
 comparison is ``np.array_equal`` plus a dtype check — no tolerances.
+
+:func:`repro.autograd.functional.im2col_matmul`, which the campaign conv
+kernels use, builds and multiplies the patches one cache-sized block at
+a time; it must equal the one-shot product byte for byte, and no patch
+matrix a campaign builds may exceed its budget.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
+from repro.core.testset import TestStimulus
+from repro.faults.catalog import build_catalog
+from repro.faults.model import FaultModelConfig
+from repro.faults.simulator import FaultSimulator
+from repro.snn.builder import (
+    ConvSpec,
+    DenseSpec,
+    FlattenSpec,
+    NetworkSpec,
+    PoolSpec,
+    build_network,
+)
+from repro.snn.neuron import LIFParameters
 
 
 def _gather_indices(channels, kh, kw, out_h, out_w, stride):
@@ -143,3 +164,120 @@ def test_conv2d_gradients_equal_reference(case):
     assert reference.dtype == np.float64
     assert np.array_equal(F._col2im(grad_cols, x.shape, kh, kw, stride, padding), reference)
     assert np.array_equal(xt.grad, reference.astype(xt.grad.dtype))
+
+
+# ----------------------------------------------------------------------
+# Blocked patch GEMMs
+# ----------------------------------------------------------------------
+def _rows_per_block(channels, kh, kw, out_hw, dtype):
+    """Rows (``x[n]`` slices) per block of :func:`F.im2col_matmul`."""
+    row_bytes = channels * kh * kw * out_hw[0] * out_hw[1] * np.dtype(dtype).itemsize
+    return max(1, F.PATCH_BLOCK_BYTES // row_bytes)
+
+
+@st.composite
+def blocked_cases(draw):
+    case = draw(conv_cases())
+    case["stack"] = draw(st.sampled_from([None, 1, 3]))  # K of a (K, 1, F, C*kh*kw) stack
+    case["rows"] = draw(st.integers(1, 6))  # rows per block the scaled budget allows
+    case["batch_of"] = draw(st.sampled_from(["1", "b-1", "b", "b+1", "3b+1"]))
+    case["slack"] = draw(st.floats(0.0, 0.99))  # budget remainder below one more row
+    return case
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=blocked_cases())
+def test_im2col_matmul_equals_one_shot_product(case):
+    """The helper equals the one-shot ``np.matmul(w, F.im2col(x))`` byte
+    for byte.  The budget is scaled down so that block edges fall at
+    small batch sizes: ``b`` rows per block, batches 1, b-1, b, b+1 and
+    3b+1."""
+    rng = np.random.default_rng(case["seed"])
+    kh, kw = case["kernel"]
+    stride, padding, dtype = case["stride"], case["padding"], case["dtype"]
+    b = case["rows"]
+    batch = {"1": 1, "b-1": max(1, b - 1), "b": b, "b+1": b + 1, "3b+1": 3 * b + 1}[
+        case["batch_of"]
+    ]
+    x = rng.standard_normal((batch, case["channels"]) + case["hw"]).astype(dtype)
+    w = rng.standard_normal(
+        (case["filters"], case["channels"] * kh * kw)
+    ).astype(dtype)
+    if case["stack"] is not None:
+        w = rng.standard_normal((case["stack"], 1) + w.shape).astype(dtype)
+    cols = F.im2col(x, kh, kw, stride, padding)
+    reference = np.matmul(w, cols)
+    row_bytes = cols[0].nbytes
+    budget = b * row_bytes + int(case["slack"] * row_bytes)
+    with mock.patch.object(F, "PATCH_BLOCK_BYTES", budget):
+        out = F.im2col_matmul(w, x, kh, kw, stride, padding)
+    assert out.dtype == reference.dtype == np.dtype(dtype)
+    assert out.shape == reference.shape
+    assert out.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("stack", [None, 4])
+def test_im2col_matmul_at_the_shipped_budget(dtype, stack):
+    """The shipped budget on the nmnist-small conv2 geometry: 6 input
+    channels at 8x8, 3x3 kernel, padding 1, batches around its block
+    size, with a ``(K, 1, F, C*kh*kw)`` stack over a ``(T, 1, S)`` lead as
+    the K-batched kernels pass it."""
+    rng = np.random.default_rng(7)
+    b = _rows_per_block(6, 3, 3, (8, 8), dtype)
+    for batch in (1, b - 1, b, b + 1, 3 * b + 1):
+        x = (rng.random((batch, 6, 8, 8)) < 0.3).astype(dtype)
+        w = rng.standard_normal((8, 54)).astype(dtype)
+        if stack is not None:
+            x = x[:, None, None]  # (T, 1, S=1, C, H, W)
+            w = rng.standard_normal((stack, 1, 8, 54)).astype(dtype)
+        cols = F.im2col(x.reshape((-1, 6, 8, 8)), 3, 3, 1, 1)
+        reference = np.matmul(w, cols.reshape(x.shape[:-3] + cols.shape[1:]))
+        out = F.im2col_matmul(w, x, 3, 3, 1, 1)
+        assert out.dtype == reference.dtype
+        assert out.tobytes() == reference.tobytes()
+
+
+def test_campaign_patch_matrices_stay_within_budget(monkeypatch):
+    """Every patch matrix a conv splice campaign builds fits the block
+    budget.  Unblocked, conv2's downstream propagation of one conv1
+    splice batch over a 48-step segment builds 56 MB of patches in one
+    call, and the golden conv1 pass 1.8 MB."""
+    net = build_network(
+        NetworkSpec(
+            name="patch-budget",
+            input_shape=(2, 16, 16),
+            layers=(
+                ConvSpec(out_channels=4, kernel=3, padding=1, weight_scale=4.0),
+                PoolSpec(2),
+                ConvSpec(out_channels=4, kernel=3, padding=1, weight_scale=4.0),
+                PoolSpec(2),
+                FlattenSpec(),
+                DenseSpec(out_features=10),
+            ),
+            lif=LIFParameters(leak=0.9, refractory_steps=1),
+        ),
+        np.random.default_rng(0),
+    )
+    config = FaultModelConfig()
+    catalog = build_catalog(net, config, np.random.default_rng(1))
+    conv1 = [f for f in catalog.faults if f.module_index == 0]
+    conv2 = [f for f in catalog.faults if f.module_index == 2]
+    faults = conv1[::4] + conv2[::8]
+    rng = np.random.default_rng(2)
+    stimulus = TestStimulus(
+        chunks=[(rng.random((24, 1, 2, 16, 16)) < 0.2).astype(float) for _ in range(2)],
+        input_shape=(2, 16, 16),
+    )
+    sizes = []
+    real = F.im2col
+
+    def recording(x, *args, **kwargs):
+        cols = real(x, *args, **kwargs)
+        sizes.append(cols.nbytes)
+        return cols
+
+    monkeypatch.setattr(F, "im2col", recording)
+    FaultSimulator(net, config).detect_segmented(stimulus, faults, drop_detected=False)
+    assert len(sizes) > 10
+    assert max(sizes) <= F.PATCH_BLOCK_BYTES
