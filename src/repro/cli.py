@@ -71,9 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="log per-iteration wall-clock breakdown "
                        "(stage forward/backward/optimizer split)")
         p.add_argument("--resume", action="store_true",
-                       help="continue interrupted campaigns/generation from "
-                       "their progress checkpoints (bit-identical results; "
-                       "see docs/RESILIENCE.md)")
+                       help="continue interrupted labelling and generation "
+                       "from their progress checkpoints (bit-identical "
+                       "results; see docs/RESILIENCE.md).  Verification "
+                       "needs no flag: any re-run resumes from the "
+                       "coverage store")
         # Fault-model overrides.  Any override gets its own cache namespace
         # (results/cache/<key>-faults<digest>), so benchmark artifacts built
         # under the definition's default model are never contaminated.
@@ -103,9 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="fault-simulate the generated test and print coverage")
     add_pipeline_args(verify)
-    verify.add_argument("--assembled", action="store_true",
-                        help="run the legacy assembled campaign instead of the "
-                        "segment-wise engine (same results, more memory)")
     verify.add_argument("--fast-metrics", action="store_true",
                         help="enable fault dropping in the segmented campaign: "
                         "detection is still exact but output_l1/class_count_diff "
@@ -116,10 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         "re-verification (default: <results>/cache/"
                         "coverage_store); cached per-(fault-group, segment) "
                         "outcomes make re-runs after test or catalog edits pay "
-                        "only for the affected suffix, bit-identically")
+                        "only for the affected suffix, bit-identically, and "
+                        "let a killed campaign resume")
     verify.add_argument("--no-store", action="store_true",
                         help="disable the persistent coverage store and "
-                        "recompute every (fault, segment) pair")
+                        "recompute every (fault, segment) pair (a killed "
+                        "campaign then restarts from scratch)")
 
     pack = sub.add_parser("pack", help="build the on-chip StoredTest artifact")
     add_pipeline_args(pack)
@@ -161,9 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_endpoint_args(serve)
     serve.add_argument("--state", type=Path, required=True,
-                       help="service state directory (job records, progress "
-                       "checkpoints, results); restarting on the same state "
-                       "resumes every in-flight job")
+                       help="service state directory (job records, "
+                       "generation checkpoints, results, default coverage "
+                       "store); restarting on the same state resumes every "
+                       "in-flight job")
     serve.add_argument("--workers", type=int, default=None,
                        help="shared worker-pool budget leased across jobs "
                        "(default: $REPRO_WORKERS or 1)")
@@ -178,7 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="default per-job deadline in seconds "
                        "(default: $REPRO_JOB_TIMEOUT or none)")
     serve.add_argument("--store", type=Path, default=None, metavar="DIR",
-                       help="coverage-store directory shared by verify jobs")
+                       help="coverage-store directory shared by verify jobs, "
+                       "which resume from it after a kill (default: "
+                       "<state>/coverage_store)")
 
     bundle = sub.add_parser(
         "bundle", help="build a campaign bundle for `repro submit`"
@@ -292,7 +296,6 @@ def _pipeline(args, name: Optional[str] = None) -> ExperimentPipeline:
         workers=getattr(args, "workers", None),
         verbose=getattr(args, "verbose", False),
         resume=getattr(args, "resume", False),
-        detect_assembled=getattr(args, "assembled", False),
         fast_metrics=getattr(args, "fast_metrics", False),
         fault_config=_fault_config_override(args, definition.fault_config),
         store_dir=(

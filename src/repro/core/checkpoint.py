@@ -17,8 +17,10 @@ persistence layer behind ``--resume``:
   :class:`~repro.core.generator.TestGenerator` state (RNG state, adopted
   chunks, activation sets, iteration reports, elapsed budget), enough to
   resume a killed generation bit-identically;
-- :class:`CampaignCheckpoint` — per-completed-shard campaign results for
-  the parallel detect/classify engines (:mod:`repro.faults.parallel`).
+- :class:`CampaignCheckpoint` — per-completed-shard results of the
+  labelling campaign (:func:`repro.faults.parallel.parallel_classify`).
+  Verification campaigns need none: they resume by re-running against
+  their coverage store (:mod:`repro.faults.store`).
 
 Checkpoints embed a fingerprint of the network/config/fault-list they
 belong to; resuming against mismatched state raises
@@ -362,46 +364,30 @@ class GeneratorCheckpoint:
 # ----------------------------------------------------------------------
 @dataclass
 class CampaignCheckpoint:
-    """Per-completed-shard results of one detect/classify campaign.
+    """Per-completed-shard results of one labelling campaign.
 
     ``shards`` maps each completed shard's starting fault index to its
     result arrays (in the worker payload's array order).  The shard
-    partition is stored so a resume only runs the missing shards — and
-    refuses to resume if the partition changed (different worker count).
+    partition is stored so a resume only runs the missing shards, under
+    the checkpoint's own partition whatever the worker count.
 
-    Segment-wise detection campaigns (kind ``"detect-seg"``) additionally
-    carry at most one *partial* shard: the in-process engine exports its
-    state after every (fault-group, segment) step, so a crash mid-shard
-    resumes from the last finished segment instead of the shard's start.
-    The partial blob is cleared when its shard completes.
+    Only labelling (kind ``"classify"``) checkpoints: verification
+    resumes by re-running against its coverage store
+    (:mod:`repro.faults.store`), whose records already carry every
+    finished (fault group, segment).
     """
 
-    kind: str  # "detect" | "classify" | "detect-seg"
+    kind: str  # "classify"
     fingerprint: str
     n_faults: int
     bounds: List[Tuple[int, int]]
     shards: Dict[int, Tuple[np.ndarray, ...]] = field(default_factory=dict)
-    partial_lo: Optional[int] = None
-    partial_arrays: Dict[str, np.ndarray] = field(default_factory=dict)
-    partial_meta: Dict[str, Any] = field(default_factory=dict)
 
     def add(self, lo: int, payload_arrays: Tuple[np.ndarray, ...]) -> None:
         self.shards[int(lo)] = tuple(np.asarray(a) for a in payload_arrays)
 
     def pending(self) -> List[Tuple[int, int]]:
         return [b for b in self.bounds if b[0] not in self.shards]
-
-    def set_partial(
-        self, lo: int, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]
-    ) -> None:
-        self.partial_lo = int(lo)
-        self.partial_arrays = dict(arrays)
-        self.partial_meta = dict(meta)
-
-    def clear_partial(self) -> None:
-        self.partial_lo = None
-        self.partial_arrays = {}
-        self.partial_meta = {}
 
     def save(self, path: str) -> None:
         arrays: Dict[str, np.ndarray] = {}
@@ -410,30 +396,19 @@ class CampaignCheckpoint:
             counts[str(lo)] = len(payload)
             for j, arr in enumerate(payload):
                 arrays[f"s{lo:09d}a{j}"] = arr
-        partial = None
-        if self.partial_lo is not None:
-            # "p." cannot collide with the "s<lo>a<j>" shard names.
-            for name, arr in self.partial_arrays.items():
-                arrays[f"p.{name}"] = np.asarray(arr)
-            partial = {
-                "lo": int(self.partial_lo),
-                "meta": self.partial_meta,
-                "names": sorted(self.partial_arrays),
-            }
         meta = {
             "kind": self.kind,
             "fingerprint": self.fingerprint,
             "n_faults": int(self.n_faults),
             "bounds": [[int(lo), int(hi)] for lo, hi in self.bounds],
             "shard_counts": counts,
-            "partial": partial,
         }
         save_checkpoint(path, arrays, meta, chaos_key=len(self.shards))
 
     @classmethod
     def load(cls, path: str) -> "CampaignCheckpoint":
         arrays, meta = load_checkpoint(path)
-        if meta.get("kind") not in ("detect", "classify", "detect-seg"):
+        if meta.get("kind") != "classify":
             raise CheckpointError(
                 f"{path}: expected a campaign checkpoint, got {meta.get('kind')!r}"
             )
@@ -445,25 +420,12 @@ class CampaignCheckpoint:
                 )
                 for lo, count in meta["shard_counts"].items()
             }
-            partial = meta.get("partial")
-            partial_lo = None
-            partial_arrays: Dict[str, np.ndarray] = {}
-            partial_meta: Dict[str, Any] = {}
-            if partial is not None:
-                partial_lo = int(partial["lo"])
-                partial_meta = dict(partial["meta"])
-                partial_arrays = {
-                    name: arrays[f"p.{name}"] for name in partial["names"]
-                }
             return cls(
                 kind=meta["kind"],
                 fingerprint=meta["fingerprint"],
                 n_faults=int(meta["n_faults"]),
                 bounds=bounds,
                 shards=shards,
-                partial_lo=partial_lo,
-                partial_arrays=partial_arrays,
-                partial_meta=partial_meta,
             )
         except KeyError as exc:
             raise CheckpointError(f"{path}: incomplete campaign checkpoint: {exc}") from exc

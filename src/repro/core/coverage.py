@@ -12,7 +12,7 @@ import numpy as np
 from repro.core.testset import TestStimulus
 from repro.faults.catalog import validate_faults
 from repro.faults.model import FaultModelConfig
-from repro.faults.parallel import parallel_detect, parallel_detect_segmented
+from repro.faults.parallel import parallel_detect_segmented
 from repro.faults.simulator import (
     ClassificationResult,
     CoverageBreakdown,
@@ -30,15 +30,12 @@ def verify_coverage(
     classification: Optional[ClassificationResult] = None,
     progress=None,
     workers: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    segmented: bool = True,
     exact_metrics: bool = False,
     store=None,
 ):
     """Fault-simulate the test stimulus and report detection / coverage.
 
-    By default the campaign runs segment-wise
+    The campaign runs segment-wise
     (:func:`~repro.faults.parallel.parallel_detect_segmented`): the test's
     chunk+sleep segments are simulated one at a time with fault dropping
     and divergence-bounded propagation, so ``assembled()`` is never
@@ -46,25 +43,23 @@ def verify_coverage(
     ``detected`` mask — and therefore every coverage figure — is
     bit-identical to the assembled campaign.  Pass ``exact_metrics=True``
     to disable fault dropping so ``output_l1`` / ``class_count_diff`` are
-    also bit-identical (the Fig. 9 path needs them), or ``segmented=False``
-    to run the legacy assembled campaign.
+    also bit-identical (the Fig. 9 path needs them).
 
     ``workers`` shards the campaign across supervised processes (``None``
-    defers to ``$REPRO_WORKERS``; 1 runs serially in-process).  With
-    ``checkpoint_path`` set, completed shards are persisted — the
-    segmented serial path additionally checkpoints per (fault-group,
-    segment) — and ``resume=True`` continues a killed campaign from them
-    (results stay bit-identical; see ``docs/RESILIENCE.md``).  Returns the
-    :class:`DetectionResult`; if ``classification`` labels are provided,
-    also the Table-III-style :class:`CoverageBreakdown`.
+    defers to ``$REPRO_WORKERS``; 1 runs serially in-process).  Returns
+    the :class:`DetectionResult`; if ``classification`` labels are
+    provided, also the Table-III-style :class:`CoverageBreakdown`.
 
     ``store`` (a :class:`~repro.faults.store.CoverageStore` or a directory
-    path) makes the segmented campaign *differential*: per-(fault-group,
-    segment) outcomes and golden segment end-states from earlier runs are
-    spliced in instead of recomputed, so re-verifying after appending an
+    path) makes the campaign *differential*: per-(fault-group, segment)
+    outcomes and golden segment end-states from earlier runs are spliced
+    in instead of recomputed, so re-verifying after appending an
     iteration, editing a chunk, or growing the catalog only pays for the
     affected suffix — with a bit-identical detection mask (see
-    ``docs/COVERAGE_STORE.md``).  Ignored by the assembled path.
+    ``docs/COVERAGE_STORE.md``).  The store is also the resume path: a
+    killed campaign re-run against the same store skips every (fault
+    group, segment) it finished, and its ``dispatch`` counters then count
+    only the work the re-run computed (see ``docs/RESILIENCE.md``).
     """
     validate_faults(
         network, faults, config=fault_config,
@@ -75,28 +70,15 @@ def verify_coverage(
         from repro.faults.store import CoverageStore
 
         store = CoverageStore(store)
-    if segmented:
-        detection = parallel_detect_segmented(
-            simulator,
-            stimulus,
-            faults,
-            workers=workers,
-            progress=progress,
-            drop_detected=not exact_metrics,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            store=store,
-        )
-    else:
-        detection = parallel_detect(
-            simulator,
-            stimulus.assembled(),
-            faults,
-            workers=workers,
-            progress=progress,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-        )
+    detection = parallel_detect_segmented(
+        simulator,
+        stimulus,
+        faults,
+        workers=workers,
+        progress=progress,
+        drop_detected=not exact_metrics,
+        store=store,
+    )
     if classification is None:
         return detection, None
     breakdown = FaultSimulator.coverage(detection, classification)

@@ -15,6 +15,7 @@ module provides the storage model:
 from __future__ import annotations
 
 import hashlib
+import zipfile
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -161,7 +162,7 @@ class StoredTest:
                 )
         except FileNotFoundError:
             raise CheckpointError(f"stored test {path} does not exist") from None
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
             raise CheckpointError(
                 f"stored test {path} unreadable or corrupt: {exc}"
             ) from exc

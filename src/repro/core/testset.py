@@ -11,6 +11,7 @@ chunks behave as they did during optimisation:
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -159,7 +160,7 @@ class TestStimulus:
                 ]
         except FileNotFoundError:
             raise CheckpointError(f"stimulus archive {path} does not exist") from None
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
             raise CheckpointError(
                 f"stimulus archive {path} unreadable or corrupt: {exc}"
             ) from exc

@@ -16,9 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from repro.core.generator import IterationReport, TestGenerationResult, TestGene
 from repro.core.guard import GenerationHealth
 from repro.core.testset import TestStimulus
 from repro.datasets.base import SpikingDataset
+from repro.errors import ArtifactError
 from repro.experiments.benchmarks import BenchmarkDefinition
 from repro.faults.catalog import FaultCatalog, build_catalog
 from repro.faults.parallel import parallel_classify, resolve_workers
@@ -51,15 +53,27 @@ def default_results_dir() -> Path:
     return Path(os.environ.get("REPRO_RESULTS", "results"))
 
 
+def _load_npz(path: Path) -> Dict[str, np.ndarray]:
+    """Every array of a cached ``.npz`` artifact.  A torn or unreadable
+    archive raises :class:`~repro.errors.ArtifactError` naming the file."""
+    try:
+        with np.load(path) as data:
+            return {name: data[name] for name in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ArtifactError(f"cached artifact {path} is unreadable: {exc}") from exc
+
+
 class ExperimentPipeline:
     """Runs and caches the pipeline stages for one benchmark definition.
 
-    With ``resume=True``, the long-running stages (classification campaign,
-    test generation, detection campaign) continue from their progress
-    checkpoints (``*.progress.ckpt`` in the cache directory) instead of
-    restarting; results are bit-identical to an uninterrupted run.  The
-    progress checkpoint is removed once a stage's final artifact is
-    written (the artifact itself then serves as the cache).
+    With ``resume=True``, labelling and test generation continue from
+    their progress checkpoints (``*.progress.ckpt`` in the cache
+    directory) instead of restarting; results are bit-identical to an
+    uninterrupted run.  The progress checkpoint is removed once a stage's
+    final artifact is written (the artifact itself then serves as the
+    cache).  The detection campaign keeps no checkpoint: any re-run skips
+    the (fault group, segment) work already in its coverage store, with or
+    without ``resume``, and restarts from scratch when the store is off.
     """
 
     def __init__(
@@ -71,7 +85,6 @@ class ExperimentPipeline:
         workers: Optional[int] = None,
         verbose: bool = False,
         resume: bool = False,
-        detect_assembled: bool = False,
         fast_metrics: bool = False,
         fault_config=None,
         store_dir=None,
@@ -91,12 +104,10 @@ class ExperimentPipeline:
         if repr(self.fault_config) != repr(definition.fault_config):
             digest = hashlib.sha256(repr(self.fault_config).encode()).hexdigest()[:8]
             self._fault_suffix = f"-faults{digest}"
-        # Detection-campaign mode: segmented by default; the pipeline keeps
-        # exact metrics (no fault dropping) because detection.npz feeds the
-        # Fig. 9 class_count_diff / output_l1 reproduction.  ``fast_metrics``
-        # opts into dropping (exact ``detected``, partial metrics);
-        # ``detect_assembled`` falls back to the legacy assembled campaign.
-        self.detect_assembled = detect_assembled
+        # The detection campaign keeps exact metrics (no fault dropping)
+        # because detection.npz feeds the Fig. 9 class_count_diff /
+        # output_l1 reproduction.  ``fast_metrics`` opts into dropping
+        # (exact ``detected``, partial metrics).
         self.fast_metrics = fast_metrics
         self.workers = resolve_workers(workers)
         self.seeds = SeedSequenceFactory(seed)
@@ -112,11 +123,12 @@ class ExperimentPipeline:
         )
         self._train_cache_dir.mkdir(parents=True, exist_ok=True)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        # Persistent coverage store for differential re-verification.
-        # ``None`` picks the shared per-results-dir default, ``False``
-        # disables the store, anything else is a directory path.  The store
-        # needs no per-benchmark namespace: every record key already folds
-        # in the network weights, fault-model options, and stimulus chain.
+        # Persistent coverage store for differential re-verification, and
+        # the detection campaign's resume path.  ``None`` picks the shared
+        # per-results-dir default, ``False`` disables the store, anything
+        # else is a directory path.  The store needs no per-benchmark
+        # namespace: every record key already folds in the network
+        # weights, fault-model options, and stimulus chain.
         if store_dir is None:
             store_dir = self.results_dir / "cache" / "coverage_store"
         self.store_dir = None if store_dir is False else Path(store_dir)
@@ -219,15 +231,15 @@ class ExperimentPipeline:
         catalog = self.catalog()
         path = self.cache_dir / "classification.npz"
         if path.exists():
-            with np.load(path) as data:
-                if data["critical"].shape[0] == len(catalog):
-                    return ClassificationResult(
-                        faults=catalog.faults,
-                        critical=data["critical"].astype(bool),
-                        accuracy_drop=data["accuracy_drop"],
-                        nominal_accuracy=float(data["nominal_accuracy"]),
-                        wall_time=float(data["wall_time"]),
-                    )
+            data = _load_npz(path)
+            if data["critical"].shape[0] == len(catalog):
+                return ClassificationResult(
+                    faults=catalog.faults,
+                    critical=data["critical"].astype(bool),
+                    accuracy_drop=data["accuracy_drop"],
+                    nominal_accuracy=float(data["nominal_accuracy"]),
+                    wall_time=float(data["wall_time"]),
+                )
         self.log(f"[{self.definition.cache_key}] labelling {len(catalog)} faults ...")
         inputs, labels = self.classify_data()
         simulator = FaultSimulator(self.network(), self.fault_config)
@@ -267,8 +279,8 @@ class ExperimentPipeline:
             stimulus = TestStimulus.load(str(stim_path), network.input_shape)
             with open(meta_path) as fh:
                 meta = json.load(fh)
-            with np.load(acts_path) as data:
-                activated = [data[k].astype(bool) for k in sorted(data.files)]
+            layers = _load_npz(acts_path)
+            activated = [layers[k].astype(bool) for k in sorted(layers)]
             return TestGenerationResult(
                 stimulus=stimulus,
                 t_in_min=meta["t_in_min"],
@@ -325,40 +337,37 @@ class ExperimentPipeline:
     # ------------------------------------------------------------------
     def detection(self) -> DetectionResult:
         """Final fault-simulation campaign on the generated stimulus
-        (segment-wise with exact metrics by default; see ``__init__``)."""
+        (segment-wise with exact metrics by default; see ``__init__``).
+        A re-run after a kill resumes through the coverage store."""
         catalog = self.catalog()
         path = self.cache_dir / "detection.npz"
         if path.exists():
-            with np.load(path) as data:
-                if data["detected"].shape[0] == len(catalog):
-                    dispatch = None
-                    if "dispatch" in data:
-                        names = [str(name) for name in data["dispatch_layers"]]
-                        vector = data["dispatch"]
-                        # A vector in an older counter layout is dropped:
-                        # the detection arrays are still valid.
-                        if vector.size == DispatchStats.vector_size(len(names)):
-                            dispatch = DispatchStats.from_vector(vector, names).as_dict()
-                    return DetectionResult(
-                        faults=catalog.faults,
-                        detected=data["detected"].astype(bool),
-                        output_l1=data["output_l1"],
-                        class_count_diff=data["class_count_diff"],
-                        wall_time=float(data["wall_time"]),
-                        dispatch=dispatch,
-                    )
+            data = _load_npz(path)
+            if data["detected"].shape[0] == len(catalog):
+                dispatch = None
+                if "dispatch" in data:
+                    names = [str(name) for name in data["dispatch_layers"]]
+                    vector = data["dispatch"]
+                    # A vector in an older counter layout is dropped: the
+                    # detection arrays are still valid.
+                    if vector.size == DispatchStats.vector_size(len(names)):
+                        dispatch = DispatchStats.from_vector(vector, names).as_dict()
+                return DetectionResult(
+                    faults=catalog.faults,
+                    detected=data["detected"].astype(bool),
+                    output_l1=data["output_l1"],
+                    class_count_diff=data["class_count_diff"],
+                    wall_time=float(data["wall_time"]),
+                    dispatch=dispatch,
+                )
         generation = self.generation()
         self.log(f"[{self.definition.cache_key}] verifying coverage ...")
-        progress_ckpt = self.cache_dir / "detection.progress.ckpt"
         detection, _ = verify_coverage(
             self.network(),
             generation.stimulus,
             catalog.faults,
             self.fault_config,
             workers=self.workers,
-            checkpoint_path=str(progress_ckpt),
-            resume=self.resume,
-            segmented=not self.detect_assembled,
             exact_metrics=not self.fast_metrics,
             store=None if self.store_dir is None else str(self.store_dir),
         )
@@ -374,7 +383,6 @@ class ExperimentPipeline:
             dispatch=DispatchStats.from_dict(detection.dispatch).to_vector(names),
             dispatch_layers=np.array(names),
         )
-        self._drop_progress(progress_ckpt)
         self.log(
             f"[{self.definition.cache_key}] detection rate "
             f"{detection.detection_rate():.2%} in {detection.wall_time:.0f}s"
@@ -405,10 +413,7 @@ class ExperimentPipeline:
                 "stimulus": self.generation().stimulus,
                 "faults": self.catalog().faults,
                 "fault_config": self.fault_config,
-                "options": {
-                    "segmented": not self.detect_assembled,
-                    "exact_metrics": not self.fast_metrics,
-                },
+                "options": {"exact_metrics": not self.fast_metrics},
             }
         elif kind == "generate":
             payload = {

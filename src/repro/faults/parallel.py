@@ -29,11 +29,13 @@ Design notes
   of its bounds, so none of this changes a single result byte.  What
   happened is reported in :class:`~repro.faults.simulator.CampaignHealth`
   on the returned result.
-- **Durability**: with ``checkpoint_path`` set, each completed shard's
-  result arrays are persisted (atomically, digest-protected — see
-  :mod:`repro.core.checkpoint`) so a killed campaign can be resumed with
-  ``resume=True``: finished shards are restored from the checkpoint and
-  only the missing ones run.  Resumed results are bit-identical to an
+- **Durability**: a labelling campaign (:func:`parallel_classify`) with
+  ``checkpoint_path`` set persists each completed shard's result arrays
+  (atomically, digest-protected — see :mod:`repro.core.checkpoint`), so a
+  killed campaign resumes with ``resume=True``: finished shards are
+  restored and only the missing ones run.  Detection campaigns keep no
+  checkpoint; a segment-wise one resumes by re-running against its
+  coverage store.  Either way, resumed results are bit-identical to an
   uninterrupted campaign.
 - Results travel from worker to parent as a spool file (written
   atomically) plus a single signal byte on a pipe, so a worker killed
@@ -41,16 +43,16 @@ Design notes
 - **Segment-wise detection** (:func:`parallel_detect_segmented`) shards
   the same way but never ships a golden cache: each worker advances its
   own fault-free network one test segment at a time, so peak memory is
-  bounded by the longest chunk on both sides of the fork.  Its serial
-  in-process path checkpoints at (fault-group, segment) granularity — a
-  kill mid-shard resumes from the last finished segment.
+  bounded by the longest chunk on both sides of the fork.  With a
+  coverage store, every worker writes a record after each (fault group,
+  segment), so a kill mid-shard loses at most one segment of one group.
 - Worker count comes from ``workers=`` or the ``REPRO_WORKERS`` environment
   variable (default 1).  With ``workers <= 1``, or on platforms without
   ``fork`` (Windows, macOS spawn-default interpreters), campaigns run
   serially in-process through the same :class:`FaultSimulator` — the
-  fallback is the reference, not an approximation.  (A serial campaign
-  with ``checkpoint_path`` set still runs shard-by-shard in-process so its
-  progress is durable.)
+  fallback is the reference, not an approximation.  (A serial labelling
+  campaign with ``checkpoint_path`` set still runs shard-by-shard
+  in-process so its progress is durable.)
 
 See ``docs/PARALLELISM.md`` for the worker model and
 ``docs/RESILIENCE.md`` for supervision, checkpoint, and resume semantics.
@@ -60,7 +62,6 @@ from __future__ import annotations
 
 import atexit
 import ctypes
-import hashlib
 import heapq
 import itertools
 import multiprocessing
@@ -76,12 +77,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    ChaosError,
-    CheckpointError,
-    FaultModelError,
-    WorkerFailureError,
-)
+from repro.errors import ChaosError, FaultModelError, WorkerFailureError
 from repro.faults import shm
 from repro.faults.simulator import (
     CampaignHealth,
@@ -249,8 +245,8 @@ class SupervisionConfig:
 # running concurrently in one process (the campaign service) can never
 # see each other's state.
 def _dispatch_vector(simulator: FaultSimulator, result: DetectionResult) -> np.ndarray:
-    """Flattened dispatch counters of a shard result for payload /
-    checkpoint transport."""
+    """Flattened dispatch counters of a shard result for payload
+    transport."""
     names = dispatch_layer_names(simulator.network.modules)
     return DispatchStats.from_dict(result.dispatch).to_vector(names)
 
@@ -610,6 +606,7 @@ def _run_sharded(
     checkpoint=None,
     checkpoint_path: Optional[str] = None,
     shm_views=None,
+    units: int = 1,
 ):
     """Yield merged shard payloads: checkpointed shards first, then live
     execution (supervised pool or in-process), persisting each completed
@@ -619,6 +616,10 @@ def _run_sharded(
     arrays), pooled workers deliver a sentinel instead of arrays;
     ``complete`` re-materializes the shard's slice from the views so the
     checkpoint blobs and the yielded payloads are identical either way.
+
+    Progress ticks ``units`` per fault of a finished shard: 1 for flat
+    campaigns, the segment count for segment-wise ones, whose progress
+    is counted in (fault, segment) pairs.
 
     ``shared`` (the campaign's state dict) travels to workers through
     Process args — inherited by memory under fork, never pickled — so
@@ -639,7 +640,7 @@ def _run_sharded(
             done = {lo for lo in checkpoint.shards}
             for lo, hi in bounds:
                 if lo in done:
-                    tracker.tick(hi - lo)
+                    tracker.tick((hi - lo) * units)
 
         def complete(shard_bounds_, payload):
             lo, hi = shard_bounds_
@@ -656,7 +657,7 @@ def _run_sharded(
             if checkpoint is not None:
                 checkpoint.add(lo, payload[1:])
                 checkpoint.save(checkpoint_path)
-            tracker.tick(hi - lo)
+            tracker.tick((hi - lo) * units)
             return payload
 
         if use_pool and pending:
@@ -679,39 +680,30 @@ def _run_sharded(
 
 
 def _prepare_checkpoint(
-    kind: str,
     checkpoint_path: Optional[str],
     resume: bool,
     simulator: FaultSimulator,
     faults: Sequence[Fault],
     data: Sequence[np.ndarray],
     bounds: List[Tuple[int, int]],
-    extra: str = "",
 ):
-    """Load-or-create the campaign checkpoint; returns (checkpoint, bounds)
-    where ``bounds`` may be adopted from the checkpoint on resume.
-
-    ``extra`` folds additional campaign options into the fingerprint (the
-    segment-wise engine's drop/divergence/compaction flags change which
-    metrics are exact, so a checkpoint written under different options must
-    not be resumed).
-    """
+    """Load-or-create the labelling checkpoint; returns (checkpoint, bounds)
+    where ``bounds`` may be adopted from the checkpoint on resume."""
     if checkpoint_path is None:
         return None, bounds
     from repro.core.checkpoint import CampaignCheckpoint, campaign_fingerprint
 
     fingerprint = campaign_fingerprint(simulator.network, faults, *data)
-    if extra:
-        fingerprint = hashlib.sha256(
-            f"{fingerprint}|{extra}".encode("ascii")
-        ).hexdigest()
     if resume and os.path.exists(checkpoint_path):
         checkpoint = CampaignCheckpoint.load(checkpoint_path)
-        checkpoint.validate(kind, fingerprint, checkpoint_path)
+        checkpoint.validate("classify", fingerprint, checkpoint_path)
         return checkpoint, checkpoint.bounds
     return (
         CampaignCheckpoint(
-            kind=kind, fingerprint=fingerprint, n_faults=bounds[-1][1], bounds=bounds
+            kind="classify",
+            fingerprint=fingerprint,
+            n_faults=bounds[-1][1],
+            bounds=bounds,
         ),
         bounds,
     )
@@ -724,24 +716,20 @@ def parallel_detect(
     workers: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
     *,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
     supervision: Optional[SupervisionConfig] = None,
 ) -> DetectionResult:
     """:meth:`FaultSimulator.detect` sharded across supervised processes.
 
     Results are merged in fault order and are exactly equal to the serial
-    campaign — under worker crashes, hangs, retries, fallback, and
-    checkpoint resume alike.  Falls back to the in-process simulator when
-    the effective worker count is 1 or fork is unavailable (still sharded
-    and durable when ``checkpoint_path`` is set).
+    campaign — under worker crashes, hangs, retries and fallback alike.
+    Runs the in-process simulator when the effective worker count is 1 or
+    fork is unavailable.
     """
     workers = resolve_workers(workers)
-    use_pool = workers > 1 and fork_available()
-    if len(faults) == 0 or (not use_pool and checkpoint_path is None):
+    if len(faults) == 0 or workers <= 1 or not fork_available():
         return simulator.detect(stimulus, faults, progress=progress)
     supervision = supervision or SupervisionConfig.from_env()
-    health = CampaignHealth(workers=workers if use_pool else 1)
+    health = CampaignHealth(workers=workers)
     start = time.perf_counter()
     # Mirror the serial engine's accounting: the parent computes the
     # shared golden reference once under zero-skip dispatch, and the
@@ -758,14 +746,10 @@ def parallel_detect(
 
     n_faults = len(faults)
     bounds = shard_bounds(n_faults, workers)
-    checkpoint, bounds = _prepare_checkpoint(
-        "detect", checkpoint_path, resume, simulator, faults, (stimulus,), bounds,
-        extra="v=3",
-    )
     detected = np.zeros(n_faults, dtype=bool)
     output_l1 = np.zeros(n_faults)
     class_diff = np.zeros((n_faults, classes))
-    arena = shm.open_arena("detect") if use_pool else None
+    arena = shm.open_arena("detect")
     shm_views = None
     try:
         if arena is not None:
@@ -788,8 +772,7 @@ def parallel_detect(
         tracker = _ProgressTracker(progress, n_faults)
         gen = _run_sharded(
             _detect_shard, shared, bounds, workers, tracker,
-            use_pool=use_pool, supervision=supervision, health=health,
-            checkpoint=checkpoint, checkpoint_path=checkpoint_path,
+            use_pool=True, supervision=supervision, health=health,
             shm_views=shm_views,
         )
         try:
@@ -819,143 +802,6 @@ def parallel_detect(
     )
 
 
-def _run_segmented_shards(
-    shared: dict,
-    bounds: Sequence[Tuple[int, int]],
-    workers: int,
-    tracker: _ProgressTracker,
-    n_segments: int,
-    *,
-    use_pool: bool,
-    supervision: SupervisionConfig,
-    health: CampaignHealth,
-    checkpoint=None,
-    checkpoint_path: Optional[str] = None,
-    shm_views=None,
-):
-    """Sharded execution for segment-wise detection.
-
-    Differs from :func:`_run_sharded` in two ways.  Progress is counted in
-    (fault, segment) units: pooled shards tick ``(hi - lo) * n_segments``
-    on completion, while the in-process path passes the shared tracker
-    into the engine for true per-(fault, segment) ticks.  And with a
-    checkpoint attached, the in-process path persists a *partial* blob
-    after every (fault-group, segment) step — the ``segment`` chaos site
-    fires right after each partial save — so a kill mid-shard resumes from
-    the last finished segment, not the shard boundary.  Pooled workers
-    stay shard-granular (their memory is private until the shard payload
-    arrives).
-    """
-    from repro.faults.store import chain_to_array  # deferred; see _detect_seg_shard
-
-    spool_dir = None
-    drop_detected, divergence_exit, compact_batches = shared["seg_options"]
-    try:
-        pending = list(bounds)
-        partial_lo = None
-        partial_state = None
-        if checkpoint is not None:
-            if checkpoint.shards:
-                health.resumed_shards = len(checkpoint.shards)
-                health.events.append(
-                    f"resumed {len(checkpoint.shards)} completed shards from checkpoint"
-                )
-                for lo in sorted(checkpoint.shards):
-                    yield (lo,) + tuple(checkpoint.shards[lo])
-                pending = checkpoint.pending()
-                done = set(checkpoint.shards)
-                for lo, hi in bounds:
-                    if lo in done:
-                        tracker.tick((hi - lo) * n_segments)
-            if checkpoint.partial_lo is not None:
-                partial_lo = checkpoint.partial_lo
-                partial_state = (checkpoint.partial_arrays, checkpoint.partial_meta)
-                health.events.append(
-                    f"shard {partial_lo} resuming mid-shard from a segment checkpoint"
-                )
-
-        def complete(shard_bounds_, payload, ticked: bool):
-            lo, hi = shard_bounds_
-            if shm_views is not None and payload[-1] == _SHM_DELIVERED:
-                # The detect-seg shm payload carries the shard's segment
-                # chain array and dispatch-counter vector just before the
-                # sentinel; re-attach them after the result slices so spool
-                # and shm payloads line up.
-                payload = (
-                    (lo,)
-                    + tuple(np.array(view[lo:hi]) for view in shm_views)
-                    + tuple(payload[1:-1])
-                )
-            if checkpoint is not None:
-                checkpoint.add(lo, payload[1:])
-                checkpoint.clear_partial()
-                checkpoint.save(checkpoint_path)
-            if not ticked:
-                tracker.tick((hi - lo) * n_segments)
-            return payload
-
-        if use_pool and pending:
-            spool_dir = tempfile.mkdtemp(prefix="repro-shards-")
-            _SPOOL_DIRS.add(spool_dir)
-            for shard, payload in _supervised_run(
-                _detect_seg_shard, shared, pending, workers, supervision, health,
-                spool_dir,
-            ):
-                yield complete(shard, payload, ticked=False)
-        else:
-            simulator: FaultSimulator = shared["simulator"]
-            hook_count = itertools.count()
-            for shard in pending:
-                lo, hi = shard
-                if chaos.strike("shard", key=lo, attempt=0) == "raise":
-                    raise ChaosError(f"chaos raise in in-process shard {lo}")
-                resume_state = None
-                if partial_lo == lo and partial_state is not None:
-                    resume_state = partial_state
-                    partial_state = None
-                segment_hook = None
-                if checkpoint is not None:
-                    def segment_hook(campaign, group_index, segment_index, _lo=lo):
-                        arrays, meta = campaign.export_state(group_index, segment_index)
-                        checkpoint.set_partial(_lo, arrays, meta)
-                        checkpoint.save(checkpoint_path)
-                        action = chaos.strike("segment", key=next(hook_count))
-                        if action in ("crash", "raise"):
-                            raise ChaosError(
-                                f"chaos {action} after segment {segment_index} "
-                                f"of shard {_lo}"
-                            )
-
-                result = simulator.detect_segmented(
-                    shared["stimulus"],
-                    shared["faults"][lo:hi],
-                    drop_detected=drop_detected,
-                    divergence_exit=divergence_exit,
-                    compact_batches=compact_batches,
-                    tracker=tracker,
-                    segment_hook=segment_hook,
-                    resume_state=resume_state,
-                    store=shared.get("store"),
-                )
-                yield complete(
-                    shard,
-                    (
-                        lo,
-                        result.detected,
-                        result.output_l1,
-                        result.class_count_diff,
-                        chain_to_array(result.segment_digests),
-                        _dispatch_vector(simulator, result),
-                    ),
-                    ticked=True,
-                )
-    finally:
-        if spool_dir is not None:
-            shutil.rmtree(spool_dir, ignore_errors=True)
-            _SPOOL_DIRS.discard(spool_dir)
-    tracker.finish()
-
-
 def parallel_detect_segmented(
     simulator: FaultSimulator,
     stimulus,
@@ -966,8 +812,6 @@ def parallel_detect_segmented(
     drop_detected: bool = True,
     divergence_exit: bool = True,
     compact_batches: bool = True,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
     supervision: Optional[SupervisionConfig] = None,
     store=None,
 ) -> DetectionResult:
@@ -980,17 +824,17 @@ def parallel_detect_segmented(
     chunk, not the total test duration.  The ``detected`` mask is exactly
     equal to :func:`parallel_detect` on the assembled stimulus; with
     ``drop_detected=False`` every metric array is (pinned by
-    ``tests/faults/test_segmented_equivalence.py``).  Checkpoints use kind
-    ``"detect-seg"`` with the engine options folded into the fingerprint;
-    the serial in-process path additionally checkpoints at (fault-group,
-    segment) granularity.
+    ``tests/faults/test_segmented_equivalence.py``).
 
     With ``store`` set (a :class:`repro.faults.store.CoverageStore`), every
     worker records and reuses per-(fault-group, segment) outcomes and
     golden segment end-states through the shared on-disk store; the parent
     verifies each shard's stimulus chain digests against its own before
     merging, so a worker keyed against a different stimulus can never
-    splice results silently.
+    splice results silently.  The store is also how a killed campaign
+    resumes: re-running it against the same store skips every finished
+    (fault group, segment), so ``dispatch`` then counts only the work the
+    re-run computed.
     """
     from repro.faults.store import (  # deferred; see _detect_seg_shard
         chain_from_array,
@@ -999,8 +843,7 @@ def parallel_detect_segmented(
     )
 
     workers = resolve_workers(workers)
-    use_pool = workers > 1 and fork_available()
-    if len(faults) == 0 or (not use_pool and checkpoint_path is None):
+    if len(faults) == 0 or workers <= 1 or not fork_available():
         return simulator.detect_segmented(
             stimulus,
             faults,
@@ -1011,21 +854,13 @@ def parallel_detect_segmented(
             store=store,
         )
     supervision = supervision or SupervisionConfig.from_env()
-    health = CampaignHealth(workers=workers if use_pool else 1)
+    health = CampaignHealth(workers=workers)
     start = time.perf_counter()
     n_faults = len(faults)
     n_segments = stimulus.num_segments
     classes = simulator.network.num_classes
     options = (bool(drop_detected), bool(divergence_exit), bool(compact_batches))
     bounds = shard_bounds(n_faults, workers)
-    checkpoint, bounds = _prepare_checkpoint(
-        "detect-seg", checkpoint_path, resume, simulator, faults,
-        tuple(stimulus.chunks), bounds,
-        extra=(
-            f"segmented:drop={int(options[0])},div={int(options[1])},"
-            f"comp={int(options[2])},v=4"
-        ),
-    )
     # The chain the parent expects every shard to report.  Computed before
     # any shm re-wrap of the stimulus: sharing the chunks moves their
     # storage, never their bytes, so both stimuli hash identically.
@@ -1035,7 +870,7 @@ def parallel_detect_segmented(
     detected = np.zeros(n_faults, dtype=bool)
     output_l1 = np.zeros(n_faults)
     class_diff = np.zeros((n_faults, classes))
-    arena = shm.open_arena("detect-seg") if use_pool else None
+    arena = shm.open_arena("segmented")
     shm_views = None
     try:
         if arena is not None:
@@ -1063,20 +898,18 @@ def parallel_detect_segmented(
             store=store,
         )
         tracker = _ProgressTracker(progress, n_faults * n_segments)
-        gen = _run_segmented_shards(
-            shared, bounds, workers, tracker, n_segments,
-            use_pool=use_pool, supervision=supervision, health=health,
-            checkpoint=checkpoint, checkpoint_path=checkpoint_path,
-            shm_views=shm_views,
+        gen = _run_sharded(
+            _detect_seg_shard, shared, bounds, workers, tracker,
+            use_pool=True, supervision=supervision, health=health,
+            shm_views=shm_views, units=n_segments,
         )
         try:
             for payload in gen:
                 lo, shard_detected, shard_l1, shard_diff, shard_chain = payload[:5]
                 if not np.array_equal(np.asarray(shard_chain), expected_chain):
-                    raise CheckpointError(
+                    raise WorkerFailureError(
                         f"shard {lo} reported segment chain digests that do "
-                        "not match the parent's stimulus — mixed stimuli or "
-                        "a stale checkpoint"
+                        "not match the parent's stimulus"
                     )
                 hi = lo + shard_detected.shape[0]
                 detected[lo:hi] = shard_detected
@@ -1146,7 +979,7 @@ def parallel_classify(
     n_faults = len(faults)
     bounds = shard_bounds(n_faults, workers)
     checkpoint, bounds = _prepare_checkpoint(
-        "classify", checkpoint_path, resume, simulator, faults, (inputs, labels), bounds
+        checkpoint_path, resume, simulator, faults, (inputs, labels), bounds
     )
     critical = np.zeros(n_faults, dtype=bool)
     accuracy_drop = np.zeros(n_faults)
@@ -1235,13 +1068,10 @@ class ParallelFaultSimulator:
         stimulus: np.ndarray,
         faults: Sequence[Fault],
         progress: Optional[ProgressFn] = None,
-        checkpoint_path: Optional[str] = None,
-        resume: bool = False,
     ) -> DetectionResult:
         return parallel_detect(
             self.simulator, stimulus, faults, workers=self.workers,
-            progress=progress, checkpoint_path=checkpoint_path, resume=resume,
-            supervision=self.supervision,
+            progress=progress, supervision=self.supervision,
         )
 
     def detect_segmented(
@@ -1249,14 +1079,11 @@ class ParallelFaultSimulator:
         stimulus,
         faults: Sequence[Fault],
         progress: Optional[ProgressFn] = None,
-        checkpoint_path: Optional[str] = None,
-        resume: bool = False,
         **options,
     ) -> DetectionResult:
         return parallel_detect_segmented(
             self.simulator, stimulus, faults, workers=self.workers,
-            progress=progress, checkpoint_path=checkpoint_path, resume=resume,
-            supervision=self.supervision, **options,
+            progress=progress, supervision=self.supervision, **options,
         )
 
     def classify(

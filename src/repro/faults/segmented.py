@@ -55,11 +55,11 @@ and a K-batched synapse run reads the segment input untiled.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CheckpointError, FaultModelError, StoreError
+from repro.errors import FaultModelError, StoreError
 from repro.faults.injector import inject, synapse_fault_value
 from repro.faults.store import StoreSession, stimulus_chain
 from repro.faults.model import NeuronFaultKind
@@ -76,7 +76,7 @@ from repro.faults.simulator import (
     _window_pieces,
 )
 from repro.snn.events import DispatchStats, EventDispatch
-from repro.snn.layers import SumPool, dispatch_layer_names, event_dispatch_context
+from repro.snn.layers import SumPool, event_dispatch_context
 from repro.snn.neuron import LIFState, lif_step_numpy
 
 
@@ -125,12 +125,11 @@ class GoldenSegmentRunner:
 
     def skip_segments(self, stimulus, count: int) -> None:
         """Replay ``count`` segments without keeping outputs (deterministic
-        golden-state reconstruction on checkpoint resume).
+        golden-state reconstruction when a store record resumes a group
+        mid-test and the golden end-state record is missing).
 
         The replay still skips zero blocks, but on a throwaway counter
-        set: the skipped segments were already accounted before the
-        checkpoint, so re-counting them here would make resumed stats
-        diverge from an uninterrupted run's."""
+        set: golden work never counts into a campaign's dispatch stats."""
         events = EventDispatch() if self.events is not None else None
         with event_dispatch_context(self.network.modules, events):
             for index in range(count):
@@ -140,14 +139,11 @@ class GoldenSegmentRunner:
 
 
 class _PlainGoldenRunner:
-    """Golden-runner adapter with the seek/run interface the campaign
-    loop drives (the store-backed runner below shares it)."""
+    """Golden-runner adapter with the ``run_segment(index, seg)`` interface
+    the campaign loop drives (the store-backed runner below shares it)."""
 
     def __init__(self, network, fused: bool, events=None) -> None:
         self.inner = GoldenSegmentRunner(network, fused=fused, events=events)
-
-    def seek(self, stimulus, count: int) -> None:
-        self.inner.skip_segments(stimulus, count)
 
     def run_segment(self, segment_index: int, seg: np.ndarray) -> _GoldenSegment:
         return self.inner.run_segment(seg)
@@ -758,7 +754,7 @@ class _FaultGroup:
                             campaign.tracker.tick(remaining)
 
     # ------------------------------------------------------------------
-    # Checkpoint support (mid-campaign partial state)
+    # Carried state of coverage-store records
     # ------------------------------------------------------------------
     def export_arrays(self) -> Dict[str, np.ndarray]:
         self._ensure_state()
@@ -809,8 +805,8 @@ class _FaultGroup:
                             })
                     self.dstates[int(row)] = slots
         except (KeyError, ValueError, IndexError) as exc:
-            raise CheckpointError(
-                f"segment checkpoint does not match this campaign: {exc}"
+            raise StoreError(
+                f"coverage record does not match this group: {exc}"
             ) from exc
 
 
@@ -819,8 +815,8 @@ class SegmentedDetectionCampaign:
 
     Groups are processed one at a time (group-outer loop); each group gets
     its own :class:`GoldenSegmentRunner`, so at most one group's segment
-    tensors and golden cache are live at once and a mid-campaign
-    checkpoint only carries one group's state.  The golden re-runs this
+    tensors and golden cache are live at once and a coverage-store record
+    only carries one group's state.  The golden re-runs this
     costs (one fault-free pass per group per segment) are negligible next
     to the thousands of faulty rows each group simulates.
     """
@@ -835,9 +831,6 @@ class SegmentedDetectionCampaign:
         divergence_exit: bool = True,
         compact_batches: bool = True,
         progress=None,
-        tracker: Optional[_ProgressTracker] = None,
-        segment_hook=None,
-        resume_state=None,
         store=None,
     ) -> None:
         self.simulator = simulator
@@ -847,7 +840,6 @@ class SegmentedDetectionCampaign:
         self.drop_detected = drop_detected
         self.divergence_exit = divergence_exit
         self.compact_batches = compact_batches
-        self.segment_hook = segment_hook
         self.n_segments = stimulus.num_segments
         # Prefix digests of the stimulus segments: the store keys hang off
         # them, the parallel frontend cross-checks them against worker
@@ -878,21 +870,14 @@ class SegmentedDetectionCampaign:
         # Signed per-class count deltas accumulate across segments; the
         # reported metric is their absolute value at the end.
         self.counts_delta = np.zeros((n, classes))
-        self.tracker = tracker if tracker is not None else _ProgressTracker(
-            progress, n * self.n_segments
-        )
-        # Dispatch counters.  The shared set only accumulates faulty-row
-        # work — exactly once per (fault, segment); the per-group golden
-        # re-runs use throwaway counters so stats stay identical whether a
-        # group's golden pass ran, was seeked over on resume, or was
-        # answered from the coverage store.
+        self.tracker = _ProgressTracker(progress, n * self.n_segments)
+        # Dispatch counters.  The shared set only accumulates the faulty-row
+        # work this run computes — once per (fault, segment); the per-group
+        # golden re-runs use throwaway counters so stats stay identical
+        # whether a group's golden pass ran or was answered from the
+        # coverage store.
         self.stats = DispatchStats()
-        self.layer_names = dispatch_layer_names(simulator.network.modules)
         self.groups = self._build_groups()
-        self._start_group = 0
-        self._start_segment = 0
-        if resume_state is not None:
-            self._restore(resume_state)
 
     # ------------------------------------------------------------------
     def _build_groups(self) -> List[_FaultGroup]:
@@ -1003,10 +988,7 @@ class SegmentedDetectionCampaign:
             group.active[:] = False
             self.tracker.tick(k * n)
             return n
-        try:
-            group.restore_arrays(arrays)
-        except CheckpointError as exc:
-            raise StoreError(str(exc)) from exc
+        group.restore_arrays(arrays)
         live = int(group.active.sum())
         s = int(meta["segment"])
         # Live rows owe the remaining n-(s+1) segments; dropped/diverged
@@ -1022,28 +1004,23 @@ class SegmentedDetectionCampaign:
         modules = network.modules
         session = self.session
         events = EventDispatch(self.stats)
-        for group_index in range(self._start_group, len(self.groups)):
-            group = self.groups[group_index]
+        for group in self.groups:
             first_segment = 0
-            if group_index == self._start_group:
-                first_segment = self._start_segment
             gdigest = None
-            if session is not None:
-                gdigest = session.group_digest(self, group)
-                if first_segment == 0:
-                    hit = session.lookup_group(self, group, gdigest)
-                    if hit is not None:
-                        first_segment = self._apply_hit(group, hit)
             # The golden re-run is per group, so it counts into a
             # throwaway set (see the ``stats`` note in ``__init__``).
             if session is not None:
+                gdigest = session.group_digest(self, group)
+                hit = session.lookup_group(self, group, gdigest)
+                if hit is not None:
+                    first_segment = self._apply_hit(group, hit)
                 golden = _SessionGoldenRunner(
                     session, network, simulator.fused, EventDispatch()
                 )
+                if 0 < first_segment < self.n_segments and not group.done:
+                    golden.seek(self.stimulus, first_segment)
             else:
                 golden = _PlainGoldenRunner(network, simulator.fused, EventDispatch())
-            if first_segment and first_segment < self.n_segments and not group.done:
-                golden.seek(self.stimulus, first_segment)
             for segment_index in range(first_segment, self.n_segments):
                 if group.done:
                     break
@@ -1054,8 +1031,6 @@ class SegmentedDetectionCampaign:
                     group.step(segment_index, gseg)
                 if session is not None:
                     session.stage_group(self, group, gdigest, segment_index)
-                if self.segment_hook is not None:
-                    self.segment_hook(self, group_index, segment_index)
             group.release()
         self.tracker.finish()
         return DetectionResult(
@@ -1067,64 +1042,3 @@ class SegmentedDetectionCampaign:
             segment_digests=list(self.segment_digests),
             dispatch=self.stats.as_dict(),
         )
-
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def export_state(
-        self, group_index: int, segment_index: int
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-        """Snapshot after (group, segment) finished, for a mid-campaign
-        checkpoint.  Golden runner state is never serialized — it is
-        reconstructed deterministically on resume by replaying the golden
-        segments up to the restart point."""
-        arrays: Dict[str, np.ndarray] = {
-            "res.detected": self.detected,
-            "res.l1": self.output_l1,
-            "res.counts": self.counts_delta,
-            "res.dispatch": self.stats.to_vector(self.layer_names),
-        }
-        meta: Dict[str, Any] = {
-            "group": group_index,
-            "segment": segment_index,
-            "n_groups": len(self.groups),
-            "n_segments": self.n_segments,
-            "ticks": self.tracker.done,
-        }
-        if segment_index + 1 < self.n_segments:
-            arrays.update(self.groups[group_index].export_arrays())
-        return arrays, meta
-
-    def _restore(self, state) -> None:
-        arrays, meta = state
-        if (
-            int(meta.get("n_groups", -1)) != len(self.groups)
-            or int(meta.get("n_segments", -1)) != self.n_segments
-        ):
-            raise CheckpointError(
-                "segment checkpoint does not match this campaign "
-                f"(groups {meta.get('n_groups')} vs {len(self.groups)}, "
-                f"segments {meta.get('n_segments')} vs {self.n_segments})"
-            )
-        try:
-            self.detected[...] = arrays["res.detected"]
-            self.output_l1[...] = arrays["res.l1"]
-            self.counts_delta[...] = arrays["res.counts"]
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(
-                f"segment checkpoint does not match this campaign: {exc}"
-            ) from exc
-        self.tracker.done = int(meta["ticks"])
-        if "res.dispatch" in arrays:
-            self.stats = DispatchStats.from_vector(
-                arrays["res.dispatch"], self.layer_names
-            )
-        group_index = int(meta["group"])
-        segment_index = int(meta["segment"])
-        if segment_index + 1 >= self.n_segments:
-            self._start_group = group_index + 1
-            self._start_segment = 0
-        else:
-            self._start_group = group_index
-            self._start_segment = segment_index + 1
-            self.groups[group_index].restore_arrays(arrays)

@@ -1045,9 +1045,6 @@ class FaultSimulator:
         drop_detected: bool = True,
         divergence_exit: bool = True,
         compact_batches: bool = True,
-        tracker=None,
-        segment_hook=None,
-        resume_state=None,
         store=None,
     ) -> DetectionResult:
         """Segment-wise detection campaign over a :class:`TestStimulus`.
@@ -1058,7 +1055,7 @@ class FaultSimulator:
         flags are bit-identical to :meth:`detect` on the assembled
         stimulus.  See :mod:`repro.faults.segmented` for the engine and the
         exactness argument, and :func:`repro.faults.parallel.parallel_detect_segmented`
-        for the multi-process / checkpointed frontend.
+        for the multi-process frontend.
 
         Parameters
         ----------
@@ -1076,14 +1073,13 @@ class FaultSimulator:
             Re-pack surviving faults into full K-batches each segment as
             dropped rows free slots (otherwise the initial batch grouping
             is kept and merely filtered).
-        tracker / segment_hook / resume_state:
-            Internal hooks used by the parallel frontend for shared
-            progress accounting and mid-campaign checkpointing.
         store:
             Optional :class:`repro.faults.store.CoverageStore` for
             differential re-verification: cached (fault-group, segment)
             outcomes and golden segment end-states are spliced in instead
             of recomputed, and fresh ones are persisted for later runs.
+            Re-running a killed campaign against its store is how it
+            resumes.
         """
         from repro.faults.segmented import SegmentedDetectionCampaign
 
@@ -1095,9 +1091,6 @@ class FaultSimulator:
             divergence_exit=divergence_exit,
             compact_batches=compact_batches,
             progress=progress,
-            tracker=tracker,
-            segment_hook=segment_hook,
-            resume_state=resume_state,
             store=store,
         )
         return campaign.run()

@@ -25,9 +25,7 @@ Everything is content-addressed through three fingerprints:
   re-verify resumes from the deepest surviving prefix record.
 - the **base fingerprint**: network parameter digest + fault model config
   + the campaign options that change what the engine records
-  (drop/divergence/compaction flags, fused path) —
-  extending the option-fingerprint scheme of the "detect-seg"
-  checkpoints.
+  (drop/divergence/compaction flags, fused path).
 - the **group digest**: a fault group's execution kind, module, transient
   window, and the ``describe()`` string of every member fault.
 
@@ -45,6 +43,11 @@ byte-identical records no matter which engine or worker wrote them, and
 concurrent writers racing on one key are benign.  A corrupt or torn
 record raises :class:`~repro.errors.StoreError` — it is never silently
 treated as a hit.  Missing records are always just misses.
+
+Because a group record is written as soon as its segment finishes, the
+store is also how a killed verification resumes: re-running the same
+campaign against the same store splices every finished (fault group,
+segment) back in and recomputes only the rest.
 
 See ``docs/COVERAGE_STORE.md`` for the invalidation rules and GC policy.
 """

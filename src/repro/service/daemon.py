@@ -19,8 +19,9 @@ Architecture — one process, three layers:
 
 Durability: job records transition on disk (atomic writes) *before*
 side effects, so a daemon killed at any instant restarts into a
-consistent table — ``RUNNING`` records are re-queued and resume from
-their campaign checkpoints bit-identically.
+consistent table — ``RUNNING`` records are re-queued and resume
+bit-identically: verify jobs from the coverage store, generate jobs from
+their generator checkpoints.
 
 Chaos sites (``REPRO_CHAOS``): ``service-accept`` fires per accepted
 connection (``raise`` → connection refused/closed), ``service-dispatch``
@@ -144,11 +145,13 @@ class ServiceConfig:
     queue_depth: Optional[int] = None
     client_cap: int = DEFAULT_CLIENT_CAP
     job_timeout_s: Optional[float] = None
-    #: Coverage-store directory passed through to verify jobs
-    #: (``None`` = no coverage store).
+    #: Coverage-store directory verify jobs run against and resume from
+    #: after a kill or requeue (``None`` = ``<state_dir>/coverage_store``).
     store_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.store_dir is None:
+            self.store_dir = os.path.join(self.state_dir, "coverage_store")
         if self.queue_depth is None:
             self.queue_depth = default_queue_depth()
         if self.job_timeout_s is None:
@@ -199,9 +202,9 @@ class CampaignService:
     # ------------------------------------------------------------------
     def _recover(self) -> None:
         """Re-queue every non-terminal job found on disk.  ``RUNNING``
-        records mean the previous daemon died mid-job; their campaign
-        checkpoints are intact, so they go back to ``QUEUED`` and resume
-        where they left off."""
+        records mean the previous daemon died mid-job; their store records
+        and generator checkpoints are intact, so they go back to
+        ``QUEUED`` and resume where they left off."""
         self.records = self.store.load_all()
         for record in self.records.values():
             if record.state.terminal:
@@ -247,8 +250,8 @@ class CampaignService:
     def _progress(self, job_id: str, done: int, total: int) -> None:
         # Called on the loop (via call_soon_threadsafe from the runner
         # thread).  Progress is ephemeral — kept in memory and streamed,
-        # persisted only at state transitions; the campaign's own
-        # checkpoint is the durable progress.
+        # persisted only at state transitions; the coverage store or the
+        # generator checkpoint is the durable progress.
         record = self.records.get(job_id)
         if record is not None:
             record.done, record.total = int(done), int(total)
@@ -398,8 +401,8 @@ class CampaignService:
             self._transition(record, JobState.DONE)
         except JobCancelledError as exc:
             if handle.token.requeue:
-                # Graceful shutdown: back to QUEUED with the campaign
-                # checkpoint intact — the next daemon resumes it.
+                # Graceful shutdown: back to QUEUED with its store records
+                # or checkpoint intact — the next daemon resumes it.
                 self._transition(record, JobState.QUEUED)
             else:
                 self._transition(record, JobState.CANCELLED, error=exc)

@@ -8,11 +8,12 @@ service state directory:
 - ``jobs/<id>.json`` — the :class:`JobSpec` plus current
   :class:`JobState`, written atomically on every transition.  On restart
   the daemon re-queues every job that was ``QUEUED`` or ``RUNNING``.
-- ``jobs/<id>.progress.ckpt`` — the campaign's own durable progress
-  (the :class:`~repro.core.checkpoint.CampaignCheckpoint` /
-  ``GeneratorCheckpoint`` container written by the engines).  A re-queued
-  job resumes from it, so the restarted run recomputes only the missing
-  shards and its result arrays are bit-identical to an uninterrupted run.
+- ``jobs/<id>.progress.ckpt`` — a generate job's durable progress (the
+  :class:`~repro.core.checkpoint.GeneratorCheckpoint` the generator
+  writes).  Verify jobs write none: their progress is the records they
+  leave in the daemon's coverage store.  A re-queued job resumes from
+  either, so the restarted run recomputes only the missing work and its
+  result arrays are bit-identical to an uninterrupted run.
 
 Results land in ``jobs/<id>.result.ckpt`` (the deterministic checkpoint
 container), so two daemons that ran the same job — or one daemon killed
@@ -275,30 +276,3 @@ def load_campaign_bundle(path) -> Dict[str, Any]:
             code="bad-bundle",
         )
     return payload
-
-
-def bundle_workdir(state_dir, job_id: str) -> Path:
-    """Scratch directory for one job's artifacts (created on demand)."""
-    path = Path(state_dir) / "jobs" / f"{job_id}.work"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def remove_job_files(store: JobStore, job_id: str, keep_record: bool = True) -> None:
-    """Delete a job's checkpoint/result/scratch files (record optionally
-    kept for status queries on terminal jobs)."""
-    paths = [store.progress_path(job_id), store.result_path(job_id)]
-    if not keep_record:
-        paths.append(store.record_path(job_id))
-    for path in paths:
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            pass
-        except OSError:
-            pass
-    work = Path(store.jobs_dir) / f"{job_id}.work"
-    if work.is_dir():
-        import shutil
-
-        shutil.rmtree(work, ignore_errors=True)

@@ -12,10 +12,12 @@ semantics:
   directories, and shm arenas (the exact paths pinned by
   ``tests/chaos/test_shm_lifecycle.py``, including the service's
   cancel-mid-shard scenario).
-- **Durability** — every job runs with ``checkpoint_path`` set to its
-  durable progress file and ``resume=True``, so a re-dispatched job (after
-  a daemon kill, or a retried dispatch) continues from the last completed
-  shard / (fault-group, segment) / generator iteration bit-identically.
+- **Durability** — a verify job runs against the daemon's coverage store,
+  which holds a record for every finished (fault group, segment), and a
+  generate job checkpoints to its durable progress file with
+  ``resume=True``; so a re-dispatched job (after a daemon kill, or a
+  retried dispatch) continues from its last finished (fault group,
+  segment) or generator iteration bit-identically.
 - **Determinism** — results are persisted in the deterministic checkpoint
   container with a content digest, so "the restarted daemon produced the
   same answer" is a byte comparison.
@@ -72,8 +74,9 @@ class CancelToken:
 
     _event: threading.Event = field(default_factory=threading.Event)
     reason: str = ""
-    #: Graceful-shutdown cancellations requeue the job (its campaign
-    #: checkpoint resumes it under the next daemon) instead of ending it.
+    #: Graceful-shutdown cancellations requeue the job (its coverage store
+    #: or generator checkpoint resumes it under the next daemon) instead
+    #: of ending it.
     requeue: bool = False
 
     def cancel(self, reason: str = "cancelled", requeue: bool = False) -> None:
@@ -92,8 +95,8 @@ class CancelToken:
 
 class _Deadline:
     """Running-wall-clock deadline, folded into the same cancel token so
-    expiry takes the exact cancellation path (resources released, campaign
-    checkpoint kept for a later resubmit)."""
+    expiry takes the exact cancellation path (resources released, store
+    records and generator checkpoint kept for a later resubmit)."""
 
     def __init__(self, token: CancelToken, timeout_s: Optional[float]) -> None:
         self.token = token
@@ -115,7 +118,8 @@ def _tick(token: CancelToken, deadline: _Deadline) -> None:
     action = chaos.strike("service-kill", key=next(_KILL_TICKS))
     if action == "crash":
         # The daemon dies abruptly mid-job — exactly what the resume
-        # scenario needs.  Progress checkpoints already on disk survive.
+        # scenario needs.  Store records and checkpoints already on disk
+        # survive.
         os._exit(21)
     if action in ("raise", "hang"):
         from repro.errors import ChaosError
@@ -164,7 +168,8 @@ def run_job(
 
     ``workers`` is the scheduler's lease for this attempt.  ``emit`` (if
     given) receives every (done, total) progress tick — the daemon
-    forwards them to watchers.  Raises :class:`JobCancelledError` on
+    forwards them to watchers.  ``store_dir`` is the coverage store verify
+    jobs run against and resume from.  Raises :class:`JobCancelledError` on
     cancellation/deadline, :class:`ServiceError` for unusable bundles, or
     whatever the engine raised.
     """
@@ -213,6 +218,8 @@ def _run_verify(
         raise ServiceError(
             f"verify bundle for job {spec.id} is missing {exc}", code="bad-bundle"
         ) from None
+    # A ``segmented`` key from older bundles is ignored: verification has
+    # one engine.
     options = dict(bundle.get("options") or {})
 
     def progress(done: int, total: int) -> None:
@@ -228,9 +235,6 @@ def _run_verify(
         bundle.get("fault_config"),
         progress=progress,
         workers=workers,
-        checkpoint_path=str(store.progress_path(spec.id)),
-        resume=True,
-        segmented=bool(options.get("segmented", True)),
         exact_metrics=bool(options.get("exact_metrics", True)),
         store=store_dir,
     )

@@ -11,13 +11,14 @@ the fault site.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor, stack
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ArtifactError, ConfigurationError, ShapeError
 from repro.snn.layers import Module, SpikingModule
 
 
@@ -317,9 +318,16 @@ class SNN:
         np.savez(path, **self.state_dict())
 
     def load(self, path: str) -> None:
-        """Load weights from an ``.npz`` file produced by :meth:`save`."""
-        with np.load(path) as data:
-            self.load_state_dict({k: data[k] for k in data.files})
+        """Load weights from an ``.npz`` file produced by :meth:`save`.
+
+        A torn or unreadable archive raises
+        :class:`~repro.errors.ArtifactError` naming the file."""
+        try:
+            with np.load(path) as data:
+                state = {k: data[k] for k in data.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ArtifactError(f"weights file {path} is unreadable: {exc}") from exc
+        self.load_state_dict(state)
 
     # ------------------------------------------------------------------
     def _check_feature_shape(self, shape: Tuple[int, ...]) -> None:

@@ -27,16 +27,15 @@ Sites currently instrumented:
   checkpoint intact); ``raise``/``crash`` fail before writing.
 - ``generator-iteration`` — after the generation loop checkpoints an
   iteration, keyed by iteration index.  ``crash``/``raise`` raise.
-- ``segment`` — in the in-process segment-wise detection path, right
-  after each (fault-group, segment) partial checkpoint is saved, keyed by
-  a running hook counter across the campaign.  ``crash``/``raise`` raise,
-  so the next run can prove it resumes mid-shard from the last finished
-  segment (``tests/chaos/test_segment_resume.py``).
 - ``store-write`` — inside :meth:`repro.faults.store.CoverageStore.put_bytes`,
-  keyed by a per-store running write counter.  ``kill-write`` tears the
-  temp file and raises (the atomic replace keeps any previous record
-  intact); re-running the campaign against the same store must rebuild a
-  bit-identical store tree (``tests/chaos/test_store_resume.py``).
+  keyed by a per-store running write counter (each forked worker counts
+  from its parent's value).  ``kill-write`` tears the temp file and
+  raises (the atomic replace keeps any previous record intact);
+  ``raise``/``crash`` fail before writing.  Re-running the campaign
+  against the same store must rebuild a bit-identical store tree
+  (``tests/chaos/test_store_resume.py``) and resume to results identical
+  to an uninterrupted run (``tests/chaos/test_segment_resume.py``,
+  ``tests/chaos/test_transient_resume.py``).
 - ``service-accept`` — in the campaign daemon, once per accepted client
   connection, keyed by a running accept counter.  ``raise``/``crash``
   close the connection before any frame is read (clients retry with

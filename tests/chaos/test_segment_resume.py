@@ -1,30 +1,38 @@
-"""Chaos scenario: a segment-wise campaign killed mid-shard must resume
-from its per-(fault-group, segment) partial checkpoint with results
+"""Chaos scenario: a segment-wise campaign killed at a coverage-store
+write resumes by re-running against the same store, with results
 bit-identical to an uninterrupted run.
 
-The ``segment`` chaos site fires right after each partial checkpoint is
-written, so a ``raise`` there models a crash at the worst possible moment
-— state on disk, campaign torn down, fault groups half-finished.  Resume
-must replay the golden reference up to the checkpointed segment and pick
-up the surviving group state, never re-detecting or losing a fault.
+The ``store-write`` chaos site fires inside
+:meth:`repro.faults.store.CoverageStore.put_bytes`, keyed by the store's
+running write counter (every forked worker counts from its parent's
+value).  A ``raise`` there fails the campaign before the record lands —
+some groups finished, one group half-way through the test, later records
+missing.  The re-run must splice every finished (fault group, segment)
+back in, resume the half-finished group from its carried state, and
+never re-detect or lose a fault.  Strikes are spread over all of the
+campaign's writes, serial and pooled, with fault dropping on and off.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.core.testset import TestStimulus
-from repro.errors import ChaosError, CheckpointError
+from repro.errors import ChaosError
 from repro.faults.catalog import build_catalog
 from repro.faults.model import FaultModelConfig
-from repro.faults.parallel import parallel_detect, parallel_detect_segmented
+from repro.faults.parallel import (
+    fork_available,
+    parallel_detect_segmented,
+    shard_bounds,
+)
 from repro.faults.simulator import FaultSimulator
-from repro.faults.store import chain_to_array, stimulus_chain
+from repro.faults.store import GOLDEN_MAX_ENV, CoverageStore
 from repro.snn.builder import DenseSpec, NetworkSpec, build_network
 from repro.snn.neuron import LIFParameters
 from repro.utils import chaos
+
+#: Strike positions, as fractions of the writes a run makes.
+SPREAD = (0.0, 0.35, 0.7, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -44,166 +52,107 @@ def segment_campaign():
         (rng.random((d, 1, 12)) > 0.6).astype(float) for d in (4, 3, 5)
     ]
     stimulus = TestStimulus(chunks=chunks, input_shape=(12,))
-    simulator = FaultSimulator(net, config)
+    oracle = FaultSimulator(
+        net, config, fused=False, synapse_batch=1, neuron_splice=False
+    ).detect(stimulus.assembled(), faults)
     return {
-        "simulator": simulator,
+        "simulator": FaultSimulator(net, config),
         "faults": faults,
         "stimulus": stimulus,
-        "reference": simulator.detect(stimulus.assembled(), faults),
+        "oracle": oracle,
     }
+
+
+def _run(campaign, workers, drop, store):
+    return parallel_detect_segmented(
+        campaign["simulator"],
+        campaign["stimulus"],
+        campaign["faults"],
+        workers=workers,
+        drop_detected=drop,
+        store=store,
+    )
+
+
+def _strike_keys(campaign, workers, drop, root, monkeypatch):
+    """Write keys spread over a worker's writes.  Serial: over every
+    write of one uninterrupted run.  Pooled: each worker counts from 0,
+    and races its siblings for the shared golden records, so the keys
+    spread over the group-record writes of the busiest shard — a strike
+    below that count always fires."""
+    if workers == 1:
+        store = CoverageStore(root)
+        _run(campaign, 1, drop, store)
+        writes = store.writes
+    else:
+        monkeypatch.setenv(GOLDEN_MAX_ENV, "0")  # count group records only
+        writes = 0
+        for lo, hi in shard_bounds(len(campaign["faults"]), workers):
+            store = CoverageStore(root / f"shard{lo}")
+            campaign["simulator"].detect_segmented(
+                campaign["stimulus"], campaign["faults"][lo:hi],
+                drop_detected=drop, store=store,
+            )
+            writes = max(writes, store.writes)
+        monkeypatch.delenv(GOLDEN_MAX_ENV)
+    assert writes >= 4, "campaign too small to crash mid-way"
+    return sorted({round(f * (writes - 1)) for f in SPREAD})
+
+
+def _assert_resumed(campaign, drop, result):
+    oracle = campaign["oracle"]
+    assert np.array_equal(result.detected, oracle.detected)
+    if drop:
+        # Dropping ends each fault's metrics at its first detection, so
+        # they are pinned against an uninterrupted dropping run instead.
+        oracle = _run(campaign, 1, True, None)
+    assert np.array_equal(result.output_l1, oracle.output_l1)
+    assert np.array_equal(result.class_count_diff, oracle.class_count_diff)
+
+
+def _crash_then_rerun(campaign, workers, drop, key, root):
+    with chaos.installed(chaos.ChaosPolicy.parse(f"raise@store-write:{key}")):
+        with pytest.raises(ChaosError):
+            _run(campaign, workers, drop, CoverageStore(root))
+    # A fresh store object models a fresh process: the re-run sees only
+    # what the killed run left on disk.
+    store = CoverageStore(root)
+    result = _run(campaign, workers, drop, store)
+    _assert_resumed(campaign, drop, result)
+    return store
 
 
 @pytest.mark.parametrize("strike_at", [2, 5])
 def test_mid_segment_crash_then_resume_is_bit_identical(
     segment_campaign, tmp_path, strike_at
 ):
-    path = tmp_path / f"campaign-{strike_at}.ckpt"
-    with chaos.installed(chaos.ChaosPolicy.parse(f"raise@segment:{strike_at}")):
-        with pytest.raises(ChaosError):
-            parallel_detect_segmented(
-                segment_campaign["simulator"],
-                segment_campaign["stimulus"],
-                segment_campaign["faults"],
-                workers=1,
-                drop_detected=False,
-                checkpoint_path=str(path),
-                resume=False,
-            )
-    assert path.exists(), "partial checkpoint must survive the crash"
-    result = parallel_detect_segmented(
-        segment_campaign["simulator"],
-        segment_campaign["stimulus"],
-        segment_campaign["faults"],
-        workers=1,
-        drop_detected=False,
-        checkpoint_path=str(path),
-        resume=True,
+    """A serial campaign with exact metrics, killed part-way through its
+    first groups, re-runs to the oracle's arrays by splicing what the
+    killed run stored."""
+    store = _crash_then_rerun(
+        segment_campaign, 1, False, strike_at, tmp_path / "store"
     )
-    reference = segment_campaign["reference"]
-    assert np.array_equal(result.detected, reference.detected)
-    assert np.array_equal(result.output_l1, reference.output_l1)
-    assert np.array_equal(result.class_count_diff, reference.class_count_diff)
-    assert result.health is not None
-    resumed = result.health.resumed_shards >= 1 or any(
-        "resuming mid-shard" in event for event in result.health.events
-    )
-    assert resumed, "health must report the mid-shard resume"
+    assert store.hits > 0, "the re-run must splice stored records"
 
 
-def test_resume_with_dropping_still_exact_on_detection(segment_campaign, tmp_path):
-    path = tmp_path / "campaign-drop.ckpt"
-    with chaos.installed(chaos.ChaosPolicy.parse("raise@segment:3")):
-        with pytest.raises(ChaosError):
-            parallel_detect_segmented(
-                segment_campaign["simulator"],
-                segment_campaign["stimulus"],
-                segment_campaign["faults"],
-                workers=1,
-                checkpoint_path=str(path),
-            )
-    result = parallel_detect_segmented(
-        segment_campaign["simulator"],
-        segment_campaign["stimulus"],
-        segment_campaign["faults"],
-        workers=1,
-        checkpoint_path=str(path),
-        resume=True,
-    )
-    assert np.array_equal(result.detected, segment_campaign["reference"].detected)
-
-
-def test_option_change_invalidates_checkpoint(segment_campaign, tmp_path):
-    """The drop/divergence/compaction options are folded into the
-    checkpoint fingerprint — resuming under different options must be
-    rejected, not silently mix partial results from two engines."""
-    path = tmp_path / "campaign-mismatch.ckpt"
-    with chaos.installed(chaos.ChaosPolicy.parse("raise@segment:3")):
-        with pytest.raises(ChaosError):
-            parallel_detect_segmented(
-                segment_campaign["simulator"],
-                segment_campaign["stimulus"],
-                segment_campaign["faults"],
-                workers=1,
-                drop_detected=False,
-                checkpoint_path=str(path),
-            )
-    with pytest.raises(CheckpointError):
-        parallel_detect_segmented(
-            segment_campaign["simulator"],
-            segment_campaign["stimulus"],
-            segment_campaign["faults"],
-            workers=1,
-            drop_detected=True,
-            checkpoint_path=str(path),
-            resume=True,
-        )
-
-
-def test_partial_checkpoint_roundtrip(tmp_path):
-    """The partial blob (arrays + meta) survives a save/load cycle with
-    its ``p.``-prefixed arrays intact."""
-    ckpt = CampaignCheckpoint(
-        kind="detect-seg",
-        fingerprint="abc",
-        n_faults=4,
-        bounds=[(0, 4)],
-    )
-    arrays = {"grp.active": np.array([True, False]), "res.l1": np.arange(3.0)}
-    ckpt.set_partial(0, arrays, {"group": 0, "segment": 1, "ticks": 7})
-    path = tmp_path / "partial.ckpt"
-    ckpt.save(str(path))
-    loaded = CampaignCheckpoint.load(str(path))
-    assert loaded.partial_lo == 0
-    assert loaded.partial_meta["segment"] == 1
-    for name, array in arrays.items():
-        assert np.array_equal(loaded.partial_arrays[name], array)
-    loaded.clear_partial()
-    loaded.save(str(path))
-    again = CampaignCheckpoint.load(str(path))
-    assert again.partial_lo is None and not again.partial_arrays
+def test_resume_with_dropping_still_exact_on_detection(
+    segment_campaign, tmp_path, monkeypatch
+):
+    for key in _strike_keys(segment_campaign, 1, True, tmp_path / "count",
+                            monkeypatch):
+        _crash_then_rerun(segment_campaign, 1, True, key, tmp_path / f"s{key}")
 
 
 @pytest.mark.parametrize(
-    "kind, old_extra",
-    [
-        ("detect", "dtype=float64,v=2"),
-        ("detect-seg", "segmented:drop=1,div=1,comp=1,v=3"),
-    ],
+    "workers, drop", [(1, False), (2, False), (2, True)]
 )
-def test_checkpoint_with_older_fingerprint_is_rejected(
-    segment_campaign, tmp_path, kind, old_extra
+def test_crash_anywhere_then_rerun_is_bit_identical(
+    segment_campaign, tmp_path, monkeypatch, workers, drop
 ):
-    """A checkpoint written before the dispatch counters dropped their
-    event/fallback/sleep fields holds counter vectors of the old length
-    (8 global + 4 per-layer fields).  Its fingerprint option string is
-    older too, so resuming it fails with a typed ``CheckpointError``
-    instead of merging a vector of the wrong length."""
-    simulator = segment_campaign["simulator"]
-    stimulus = segment_campaign["stimulus"]
-    faults = segment_campaign["faults"]
-    data = (stimulus.assembled(),) if kind == "detect" else tuple(stimulus.chunks)
-    base = campaign_fingerprint(simulator.network, faults, *data)
-    fingerprint = hashlib.sha256(f"{base}|{old_extra}".encode("ascii")).hexdigest()
-    n = len(faults)
-    half = n // 2
-    checkpoint = CampaignCheckpoint(
-        kind=kind, fingerprint=fingerprint, n_faults=n, bounds=[(0, half), (half, n)]
-    )
-    old_vector = np.zeros(8 + 4 * 2, dtype=np.int64)  # two spiking layers
-    shard = (np.zeros(half, bool), np.zeros(half), np.zeros((half, 4)))
-    if kind == "detect-seg":
-        shard += (chain_to_array(stimulus_chain(stimulus)),)
-    checkpoint.add(0, shard + (old_vector,))
-    path = tmp_path / f"{kind}.ckpt"
-    checkpoint.save(str(path))
-    with pytest.raises(CheckpointError, match="different campaign"):
-        if kind == "detect":
-            parallel_detect(
-                simulator, stimulus.assembled(), faults, workers=1,
-                checkpoint_path=str(path), resume=True,
-            )
-        else:
-            parallel_detect_segmented(
-                simulator, stimulus, faults, workers=1,
-                checkpoint_path=str(path), resume=True,
-            )
+    if workers > 1 and not fork_available():
+        pytest.skip("fork start method unavailable")
+    for key in _strike_keys(segment_campaign, workers, drop,
+                            tmp_path / "count", monkeypatch):
+        _crash_then_rerun(
+            segment_campaign, workers, drop, key, tmp_path / f"s{key}"
+        )

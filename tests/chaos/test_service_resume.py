@@ -4,9 +4,11 @@ every in-flight job resumes to a bit-identical result.
 The daemon runs as a real subprocess (``python -m repro.cli serve``) so
 ``os._exit`` at the ``service-kill`` chaos site takes down the actual
 process — sockets, executor threads, forked workers and all — exactly
-like a crash or OOM kill would.  The restarted daemon finds the job
-records (``RUNNING`` → re-queued) and the campaign progress checkpoints,
-and finishes the jobs without recomputing completed work.
+like a crash or OOM kill would.  The daemons run without ``--store``, so
+verify jobs use ``<state>/coverage_store``.  The restarted daemon finds
+the job records (``RUNNING`` → re-queued) and the store records the
+killed jobs wrote, and finishes the jobs without recomputing completed
+(fault group, segment) work.
 """
 
 import os
@@ -42,7 +44,7 @@ def service_state(tmp_path, service_campaign_data):
             "stimulus": service_campaign_data["stimulus"],
             "faults": service_campaign_data["faults"],
             "fault_config": service_campaign_data["config"],
-            "options": {"segmented": True, "exact_metrics": True},
+            "options": {"exact_metrics": True},
         },
     )
     return {
@@ -141,7 +143,7 @@ class TestKillRestartResume:
         progress tick, a clean daemon restarts on the same state: both
         jobs finish with results bit-identical to the serial run."""
         # Kill at the 5th progress tick across the daemon's jobs —
-        # mid-campaign, after some shards already checkpointed.
+        # mid-campaign, after some store records were already written.
         proc = _spawn_daemon(
             service_state, extra_env={"REPRO_CHAOS": "crash@service-kill:5"}
         )

@@ -37,6 +37,20 @@ def _policy(spec):
     return chaos.installed(chaos.ChaosPolicy.parse(spec, hang_seconds=30.0))
 
 
+def _classify(campaign, workers, path, resume=False, supervision=None):
+    """The labelling campaign with a shard checkpoint at ``path``."""
+    return parallel_classify(
+        campaign["simulator"],
+        campaign["inputs"],
+        campaign["labels"],
+        campaign["faults"],
+        workers=workers,
+        checkpoint_path=str(path),
+        resume=resume,
+        supervision=supervision,
+    )
+
+
 class TestCrashRecovery:
     def test_crash_mid_shard_is_retried(self, chaos_campaign, tight_supervision):
         """Every shard's first attempt dies; retries must restore the
@@ -163,21 +177,18 @@ class TestWorkerErrors:
         assert not parallel_mod._SPOOL_DIRS
 
     def test_in_process_raise_cleans_up_too(self, chaos_campaign, tmp_path):
-        """The sharded in-process path (serial + checkpoint) also aborts
-        cleanly when a shard raises."""
+        """The sharded in-process path (serial labelling + checkpoint)
+        also aborts cleanly when a shard raises."""
         with _policy("raise@shard:0#0"):
             with pytest.raises(ChaosError):
-                parallel_detect(
-                    chaos_campaign["simulator"],
-                    chaos_campaign["stimulus"],
-                    chaos_campaign["faults"],
-                    workers=1,
-                    checkpoint_path=str(tmp_path / "campaign.ckpt"),
-                )
+                _classify(chaos_campaign, 1, tmp_path / "campaign.ckpt")
         assert not parallel_mod._SPOOL_DIRS
 
 
 class TestCheckpointedCampaigns:
+    """Labelling campaigns checkpoint per shard (verification resumes
+    through its coverage store instead; see test_segment_resume.py)."""
+
     def test_crash_during_checkpoint_write_keeps_previous(
         self, chaos_campaign, tmp_path
     ):
@@ -189,13 +200,7 @@ class TestCheckpointedCampaigns:
                 # Serial sharded execution checkpoints after every shard
                 # (chaos key = shards completed); the write of the third
                 # shard's checkpoint tears mid-file.
-                parallel_detect(
-                    chaos_campaign["simulator"],
-                    chaos_campaign["stimulus"],
-                    chaos_campaign["faults"],
-                    workers=1,
-                    checkpoint_path=str(path),
-                )
+                _classify(chaos_campaign, 1, path)
         # The checkpoint from the 2nd shard survived and is valid.
         checkpoint = CampaignCheckpoint.load(str(path))
         assert len(checkpoint.shards) == 2
@@ -208,22 +213,9 @@ class TestCheckpointedCampaigns:
         path = tmp_path / "campaign.ckpt"
         with _policy("kill-write@checkpoint-write:3"):
             with pytest.raises(ChaosError):
-                parallel_detect(
-                    chaos_campaign["simulator"],
-                    chaos_campaign["stimulus"],
-                    chaos_campaign["faults"],
-                    workers=1,
-                    checkpoint_path=str(path),
-                )
-        result = parallel_detect(
-            chaos_campaign["simulator"],
-            chaos_campaign["stimulus"],
-            chaos_campaign["faults"],
-            workers=1,
-            checkpoint_path=str(path),
-            resume=True,
-        )
-        assert_detect_equal(chaos_campaign["detect"], result)
+                _classify(chaos_campaign, 1, path)
+        result = _classify(chaos_campaign, 1, path, resume=True)
+        assert_classify_equal(chaos_campaign["classify"], result)
         assert result.health.resumed_shards == 2
 
     def test_parallel_resume_with_different_worker_count(
@@ -233,46 +225,29 @@ class TestCheckpointedCampaigns:
         another: the shard partition comes from the checkpoint, results
         stay exact."""
         path = tmp_path / "campaign.ckpt"
-        full = parallel_detect(
-            chaos_campaign["simulator"],
-            chaos_campaign["stimulus"],
-            chaos_campaign["faults"],
-            workers=WORKERS,
-            supervision=tight_supervision,
-            checkpoint_path=str(path),
+        full = _classify(
+            chaos_campaign, WORKERS, path, supervision=tight_supervision
         )
-        assert_detect_equal(chaos_campaign["detect"], full)
+        assert_classify_equal(chaos_campaign["classify"], full)
         checkpoint = CampaignCheckpoint.load(str(path))
         for lo in list(checkpoint.shards)[::2]:
             del checkpoint.shards[lo]
         checkpoint.save(str(path))
-        resumed = parallel_detect(
-            chaos_campaign["simulator"],
-            chaos_campaign["stimulus"],
-            chaos_campaign["faults"],
-            workers=2,
-            supervision=tight_supervision,
-            checkpoint_path=str(path),
-            resume=True,
+        resumed = _classify(
+            chaos_campaign, 2, path, resume=True, supervision=tight_supervision
         )
-        assert_detect_equal(chaos_campaign["detect"], resumed)
+        assert_classify_equal(chaos_campaign["classify"], resumed)
         assert resumed.health.resumed_shards > 0
 
     def test_resume_refuses_foreign_campaign(self, chaos_campaign, tmp_path):
         """A checkpoint from different data must be rejected, not merged."""
         path = tmp_path / "campaign.ckpt"
-        parallel_detect(
-            chaos_campaign["simulator"],
-            chaos_campaign["stimulus"],
-            chaos_campaign["faults"],
-            workers=1,
-            checkpoint_path=str(path),
-        )
-        other_stimulus = 1.0 - chaos_campaign["stimulus"]
+        _classify(chaos_campaign, 1, path)
         with pytest.raises(CheckpointError):
-            parallel_detect(
+            parallel_classify(
                 chaos_campaign["simulator"],
-                other_stimulus,
+                1.0 - chaos_campaign["inputs"],
+                chaos_campaign["labels"],
                 chaos_campaign["faults"],
                 workers=1,
                 checkpoint_path=str(path),
@@ -281,29 +256,14 @@ class TestCheckpointedCampaigns:
 
     def test_classify_checkpoint_resume(self, chaos_campaign, tmp_path):
         path = tmp_path / "classify.ckpt"
-        full = parallel_classify(
-            chaos_campaign["simulator"],
-            chaos_campaign["inputs"],
-            chaos_campaign["labels"],
-            chaos_campaign["faults"],
-            workers=1,
-            checkpoint_path=str(path),
-        )
+        full = _classify(chaos_campaign, 1, path)
         assert_classify_equal(chaos_campaign["classify"], full)
         checkpoint = CampaignCheckpoint.load(str(path))
         assert checkpoint.kind == "classify"
         for lo in list(checkpoint.shards)[1::2]:
             del checkpoint.shards[lo]
         checkpoint.save(str(path))
-        resumed = parallel_classify(
-            chaos_campaign["simulator"],
-            chaos_campaign["inputs"],
-            chaos_campaign["labels"],
-            chaos_campaign["faults"],
-            workers=1,
-            checkpoint_path=str(path),
-            resume=True,
-        )
+        resumed = _classify(chaos_campaign, 1, path, resume=True)
         assert_classify_equal(chaos_campaign["classify"], resumed)
 
 

@@ -6,7 +6,13 @@ import pytest
 
 from repro.core.storage import StoredTest, pack_stimulus, unpack_stimulus
 from repro.core.testset import TestStimulus, validate_stimulus_chunks
-from repro.errors import ArtifactError, FaultModelError, ReproError, TestGenerationError
+from repro.errors import (
+    ArtifactError,
+    CheckpointError,
+    FaultModelError,
+    ReproError,
+    TestGenerationError,
+)
 from repro.faults.catalog import build_catalog, validate_faults
 from repro.faults.injector import inject
 from repro.faults.model import (
@@ -106,6 +112,13 @@ class TestStoredTest:
         with pytest.raises(TestGenerationError):
             StoredTest.load(path)
 
+    def test_truncated_archive_raises_checkpoint_error(self, stored, tmp_path):
+        path = tmp_path / "stored.npz"
+        stored.save(str(path))
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(CheckpointError, match="stored.npz"):
+            StoredTest.load(str(path))
+
 
 class TestArtifactValidation:
     """Loaded artifacts are validated before use; every violation is a
@@ -140,6 +153,13 @@ class TestArtifactValidation:
         loaded = TestStimulus.load(path, stim.input_shape)
         for a, b in zip(stim.chunks, loaded.chunks):
             assert np.array_equal(a, b)
+
+    def test_truncated_stimulus_archive_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "stim.npz"
+        _stimulus().save(str(path))
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(CheckpointError, match="stim.npz"):
+            TestStimulus.load(str(path), (6,))
 
     def test_torn_payload_rejected(self):
         stim = _stimulus()

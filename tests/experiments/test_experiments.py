@@ -5,11 +5,12 @@ behaviour is validated by re-instantiating pipelines.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ArtifactError, CheckpointError, ConfigurationError
 from repro.experiments import (
     BENCHMARK_NAMES,
     ExperimentPipeline,
@@ -123,6 +124,66 @@ class TestPipeline:
         assert cached.dispatch is None
         assert np.array_equal(cached.detected, detection.detected)
         assert np.array_equal(cached.output_l1, detection.output_l1)
+
+    def test_detection_killed_at_store_write_resumes_from_the_store(
+        self, pipeline, tmp_path
+    ):
+        """``detection()`` keeps no checkpoint: a run killed at a
+        coverage-store write and re-run against the same store writes the
+        same ``detection.npz`` arrays as an uninterrupted run."""
+        from repro.errors import ChaosError
+        from repro.faults.store import CoverageStore
+        from repro.utils import chaos
+
+        path = pipeline.cache_dir / "detection.npz"
+
+        def detect(store_dir):
+            if path.exists():
+                path.unlink()
+            ExperimentPipeline(
+                pipeline.definition, results_dir=pipeline.results_dir, seed=0,
+                workers=1, store_dir=store_dir,
+            ).detection()
+            with np.load(path) as data:
+                return dict(data)
+
+        reference = detect(tmp_path / "clean")
+        writes = CoverageStore(tmp_path / "clean").stat()["records"]
+        store_dir = tmp_path / "killed"
+        spec = f"raise@store-write:{writes // 2}"
+        with chaos.installed(chaos.ChaosPolicy.parse(spec)):
+            with pytest.raises(ChaosError):
+                detect(store_dir)
+        assert not path.exists()
+        resumed = detect(store_dir)
+        for name in ("detected", "output_l1", "class_count_diff"):
+            assert np.array_equal(resumed[name], reference[name]), name
+
+    @pytest.mark.parametrize(
+        "artifact, stage, error",
+        [
+            ("weights.npz", "network", ArtifactError),
+            ("stimulus.npz", "generation", CheckpointError),
+            ("activated.npz", "generation", ArtifactError),
+            ("classification.npz", "classification", ArtifactError),
+            ("detection.npz", "detection", ArtifactError),
+        ],
+    )
+    def test_torn_cached_artifact_raises_typed_error(
+        self, pipeline, tmp_path, artifact, stage, error
+    ):
+        """A truncated cached ``.npz`` raises a typed error naming the
+        file instead of the raw ``zipfile.BadZipFile``."""
+        pipeline.detection()
+        pipeline.classification()
+        shutil.copytree(
+            pipeline.cache_dir, tmp_path / "cache" / pipeline.cache_dir.name
+        )
+        copy = ExperimentPipeline(pipeline.definition, results_dir=tmp_path, seed=0)
+        path = copy.cache_dir / artifact
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(error, match=artifact):
+            getattr(copy, stage)()
 
     def test_different_seed_different_cache(self, pipeline):
         other = ExperimentPipeline(

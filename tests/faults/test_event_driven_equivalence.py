@@ -17,9 +17,9 @@ contract against the per-step reference oracle (``fused=False``,
   engine (``MODES``): ``on`` forces it with ``fused=True``; ``auto``
   leaves ``fused=None`` so the simulator resolves its default from
   ``$REPRO_FUSED``, as the CLI and the experiment pipeline do;
-- dispatch counters are stable under crash/resume: a campaign killed
-  mid-segment and resumed from its checkpoint reports the *same*
-  dispatch statistics as an uninterrupted checkpointed run.
+- dispatch counters count the work a run computes: a cold run with a
+  coverage store reports the same counters as one without, and a re-run
+  answered entirely from the store counts no dense blocks.
 """
 
 import numpy as np
@@ -266,95 +266,40 @@ def test_counters_zero_input_takes_zero_tier():
 
 
 # ----------------------------------------------------------------------
-# Crash/resume: bit-identical results AND stable dispatch counters
+# Store runs: dispatch counters count the work each run computes
 # ----------------------------------------------------------------------
-class _Boom(RuntimeError):
-    pass
+@pytest.mark.parametrize("mode", list(MODES))
+def test_cold_store_run_reports_same_dispatch(tmp_path, mode):
+    """Writing store records adds no counted work: a cold run with a
+    store reports the same dispatch dict as one without."""
+    net, config, faults, stimulus, reference = _reference("dense", "sparse")
+    simulator = _engine(net, config, mode)
+    plain = simulator.detect_segmented(stimulus, faults, drop_detected=False)
+    cold = simulator.detect_segmented(
+        stimulus, faults, drop_detected=False,
+        store=CoverageStore(tmp_path / f"ev-cold-{mode}"),
+    )
+    _assert_exact(cold, reference)
+    assert cold.dispatch == plain.dispatch
+    assert plain.dispatch["dense_blocks"] > 0
 
 
 @pytest.mark.parametrize("mode", list(MODES))
-def test_resumed_campaign_reports_identical_dispatch_stats(mode):
-    """Satellite regression: dispatch counters count each (fault, segment)
-    once.  A campaign killed mid-segment and resumed from the checkpoint
-    must report the *same* dispatch dict as an uninterrupted checkpointed
-    run — re-verified golden replays and resume seeks add nothing."""
+def test_full_hit_rerun_reports_no_dense_blocks(tmp_path, mode):
+    """A re-run in which every group is a full store hit computes no
+    faulty rows, so it counts no dense current blocks — resumed and
+    warm runs count only the work they ran."""
     net, config, faults, stimulus, reference = _reference("dense", "sparse")
     simulator = _engine(net, config, mode)
-
-    states = []
-
-    def recording_hook(campaign, group_index, segment_index):
-        # export_state returns live views (the real frontend serializes
-        # them to disk immediately); copy to model the disk round-trip.
-        arrays, meta = campaign.export_state(group_index, segment_index)
-        states.append(
-            ({key: np.array(value) for key, value in arrays.items()}, dict(meta))
-        )
-
-    uninterrupted = simulator.detect_segmented(
-        stimulus, faults, drop_detected=False, segment_hook=recording_hook
+    store = CoverageStore(tmp_path / f"ev-warm-{mode}")
+    simulator.detect_segmented(stimulus, faults, drop_detected=False, store=store)
+    writes = store.writes
+    warm = simulator.detect_segmented(
+        stimulus, faults, drop_detected=False, store=store
     )
-    _assert_exact(uninterrupted, reference)
-    assert len(states) >= 4, "campaign too small to crash mid-way"
-
-    crash_at = len(states) // 2
-    calls = {"n": 0}
-
-    def crashing_hook(campaign, group_index, segment_index):
-        calls["n"] += 1
-        if calls["n"] == crash_at:
-            raise _Boom
-
-    with pytest.raises(_Boom):
-        simulator.detect_segmented(
-            stimulus, faults, drop_detected=False, segment_hook=crashing_hook
-        )
-
-    resumed = simulator.detect_segmented(
-        stimulus,
-        faults,
-        drop_detected=False,
-        segment_hook=lambda campaign, gi, si: None,
-        resume_state=states[crash_at - 1],
-    )
-    _assert_exact(resumed, uninterrupted)
-    assert resumed.dispatch == uninterrupted.dispatch
-
-
-@pytest.mark.parametrize("mode", list(MODES))
-def test_chaos_crash_mid_segment_resumes_bit_identical(tmp_path, mode):
-    """Kill the checkpointed frontend right after a partial save; the
-    resumed run must match the oracle bit-for-bit and still carry a
-    dispatch dict."""
-    from repro.errors import ChaosError
-    from repro.utils import chaos
-
-    net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    simulator = _engine(net, config, mode)
-    path = tmp_path / f"ev-{mode}.ckpt"
-    with chaos.installed(chaos.ChaosPolicy.parse("raise@segment:3")):
-        with pytest.raises(ChaosError):
-            parallel_detect_segmented(
-                simulator,
-                stimulus,
-                faults,
-                workers=1,
-                drop_detected=False,
-                checkpoint_path=str(path),
-                resume=False,
-            )
-    assert path.exists(), "partial checkpoint must survive the crash"
-    result = parallel_detect_segmented(
-        simulator,
-        stimulus,
-        faults,
-        workers=1,
-        drop_detected=False,
-        checkpoint_path=str(path),
-        resume=True,
-    )
-    _assert_exact(result, reference)
-    assert result.dispatch is not None
+    _assert_exact(warm, reference)
+    assert store.writes == writes, "every group must be a full hit"
+    assert warm.dispatch["dense_blocks"] == 0
 
 
 # ----------------------------------------------------------------------

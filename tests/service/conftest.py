@@ -57,7 +57,7 @@ def verify_bundle(service_campaign, tmp_path):
             "stimulus": service_campaign["stimulus"],
             "faults": service_campaign["faults"],
             "fault_config": service_campaign["config"],
-            "options": {"segmented": True, "exact_metrics": True},
+            "options": {"exact_metrics": True},
         },
     )
     return str(path)

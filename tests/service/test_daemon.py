@@ -10,6 +10,7 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +72,49 @@ class TestExecution:
             assert_result_matches(
                 result["result_path"], service_campaign["serial"]
             )
+
+    def test_verify_job_progress_lives_in_the_state_store(
+        self, daemon, service_campaign, verify_bundle
+    ):
+        """Without ``store_dir`` a verify job runs against
+        ``<state>/coverage_store`` — the records a requeued job resumes
+        from — and writes no progress checkpoint of its own."""
+        from repro.faults.store import CoverageStore
+
+        harness = daemon()
+        client = harness.client()
+        job_id = client.submit(verify_bundle)
+        assert client.wait(job_id, deadline_s=120)["state"] == "done"
+        store = CoverageStore(harness.config.store_dir)
+        assert store.root == Path(harness.state_dir) / "coverage_store"
+        assert store.stat()["records"] > 0
+        assert not harness.service.store.progress_path(job_id).exists()
+
+    def test_legacy_segmented_bundle_option_is_ignored(
+        self, daemon, service_campaign, tmp_path
+    ):
+        """Bundles written while verification had an assembled mode carry
+        ``options["segmented"]``; they still load and run the one engine."""
+        from repro.service import save_campaign_bundle
+
+        bundle = tmp_path / "legacy.bundle"
+        save_campaign_bundle(
+            bundle,
+            {
+                "kind": "verify",
+                "network": service_campaign["network"],
+                "stimulus": service_campaign["stimulus"],
+                "faults": service_campaign["faults"],
+                "fault_config": service_campaign["config"],
+                "options": {"segmented": False, "exact_metrics": True},
+            },
+        )
+        client = daemon().client()
+        job_id = client.submit(str(bundle))
+        assert client.wait(job_id, deadline_s=120)["state"] == "done"
+        assert_result_matches(
+            client.result(job_id)["result_path"], service_campaign["serial"]
+        )
 
     def test_generate_job_runs(self, daemon, service_campaign, tmp_path):
         from repro.core.config import TestGenConfig
