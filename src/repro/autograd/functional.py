@@ -142,29 +142,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
-_IM2COL_CACHE = {}
-
-
-def _im2col_indices(channels: int, kh: int, kw: int, out_h: int, out_w: int, stride: int):
-    """Index arrays ``(k, i, j)`` that gather convolution patches from a
-    padded ``(C, H, W)`` image (cached per geometry).  Only used where a
-    handful of receptive fields is gathered; full patch matrices come from
-    :func:`im2col`."""
-    key = (channels, kh, kw, out_h, out_w, stride)
-    cached = _IM2COL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    i0 = np.tile(np.repeat(np.arange(kh), kw), channels)
-    j0 = np.tile(np.arange(kw), kh * channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    _IM2COL_CACHE[key] = (k, i, j)
-    return k, i, j
-
-
 def _conv_out_hw(height: int, width: int, kh: int, kw: int, stride: int, padding: int):
     return (
         (height + 2 * padding - kh) // stride + 1,

@@ -14,7 +14,7 @@ The LIF update is a per-step recurrence in ``(potential, last_spike,
 refractory)``, so splitting the time loop at any step and resuming from
 the carried state is bit-identical to the unsplit run — the sleep gap
 *decays* the membrane state but never zeroes it, so state carry across
-segment boundaries is required, not an optimisation.  Three further
+segment boundaries is required, not an optimisation.  Four further
 transformations are applied, all exact:
 
 - **Fault dropping** (``drop_detected``): detection is monotone in
@@ -35,6 +35,10 @@ transformations are applied, all exact:
   re-packed into full K-batches each segment.  Per-row results are
   independent of batch composition (the elementwise-update property the
   batched-equivalence suites pin), so compaction never changes results.
+- **Footprint packing**: splice-style rows of a conv layer that feeds a
+  sum pool and then a conv layer change one cell of that conv's input
+  each; rows whose reach in it is disjoint share one conv run, and each
+  row keeps its own carried state (see :meth:`_FaultGroup._run_packed`).
 
 Metric accumulation across segments is also exact: spike trains are
 0.0/1.0 floats, so L1 distances and per-class spike counts are
@@ -49,7 +53,9 @@ state: one LIF state per fault for the faulty module and, only after
 divergence, one per downstream spiking module.  Segments bound the time
 axis but not the rows: the conv patch matrices of a segment are built in
 cache-sized blocks (:func:`repro.autograd.functional.im2col_matmul`),
-and a K-batched synapse run reads the segment input untiled.
+a K-batched synapse run reads the segment input untiled, and packed rows
+hold only their footprint's conv spikes between the shared conv runs and
+their per-row tail.
 """
 
 from __future__ import annotations
@@ -76,19 +82,34 @@ from repro.faults.simulator import (
     _window_pieces,
 )
 from repro.snn.events import DispatchStats, EventDispatch
-from repro.snn.layers import SumPool, event_dispatch_context
-from repro.snn.neuron import LIFState, lif_step_numpy
+from repro.snn.layers import ConvLIF, SumPool, event_dispatch_context
+from repro.snn.neuron import LIFState, lif_scan_numpy
+
+
+def _unstack(slots, potential, last_spike, refractory) -> None:
+    """Scatter a stacked ``(R, ...)`` state into R per-row state slots, each
+    row its own copy."""
+    for field, stacked in (
+        ("pot", potential), ("spk", last_spike), ("ref", refractory)
+    ):
+        stacked = np.asarray(stacked)
+        for j, slot in enumerate(slots):
+            slot[field] = stacked[j].copy()
 
 
 class _GoldenSegment:
-    """One segment's fault-free run: input, per-module outputs, and copies
-    of every module's state at segment *entry* (for seeding the downstream
-    modules of a fault that diverges on this segment)."""
+    """One segment's fault-free run: input, per-module outputs, and every
+    module's state at segment *entry* (for seeding the downstream modules
+    of a fault that diverges on this segment) and *exit* (the state of
+    every neuron a packed row's fault cannot reach, see
+    :meth:`_FaultGroup._run_packed`)."""
 
-    def __init__(self, seg: np.ndarray, outputs: List[np.ndarray], entry_states: List):
+    def __init__(self, seg: np.ndarray, outputs: List[np.ndarray],
+                 entry_states: List, exit_states: List):
         self.input = seg
         self.outputs = outputs
         self.entry_states = entry_states
+        self.exit_states = exit_states
         final = outputs[-1]
         self.out_flat = final.reshape(final.shape[0], -1)  # (T_seg, classes)
         self.counts = self.out_flat.sum(axis=0)
@@ -121,7 +142,13 @@ class GoldenSegmentRunner:
             outputs = self.network.run_modules(
                 seg, states=self.states, fused=self.fused
             )
-        return _GoldenSegment(seg, outputs, entry)
+        # The kernels rebind state arrays instead of writing into them, so
+        # a shallow snapshot stays this segment's exit state.
+        exit_states = [
+            LIFState(s.potential, s.last_spike, s.refractory) if s is not None else None
+            for s in self.states
+        ]
+        return _GoldenSegment(seg, outputs, entry, exit_states)
 
     def skip_segments(self, stimulus, count: int) -> None:
         """Replay ``count`` segments without keeping outputs (deterministic
@@ -180,7 +207,7 @@ class _SessionGoldenRunner:
             # The runner's current state objects are this segment's entry
             # states; replacing ``states`` freezes them, so no copy is
             # needed before handing them to the segment.
-            gseg = _GoldenSegment(seg, outputs, self.inner.states)
+            gseg = _GoldenSegment(seg, outputs, self.inner.states, end_states)
             self.inner.states = end_states
             return gseg
         gseg = self.inner.run_segment(seg)
@@ -190,8 +217,75 @@ class _SessionGoldenRunner:
 
 #: Fused-path batch width for splice/delay rows (per-row state is a few
 #: scalars, so the width is bounded by call-overhead amortization, not
-#: memory; module-re-running kinds keep the configured batch sizes).
+#: memory; module-re-running kinds keep the configured batch sizes).  It
+#: also bounds the shared rows of one packed conv run and the rows of one
+#: per-row tail run (see :meth:`_FaultGroup._run_packed`).
 _SPLICE_BATCH = 64
+
+#: Kinds whose rows change one neuron's output trace without re-running
+#: the faulty module.
+_SPLICE_KINDS = ("splice", "synapse_splice", "delay")
+
+
+class _ConvFootprints:
+    """Where a change of one input cell of a conv layer can reach.
+
+    The footprint of input location ``loc = r * W + c`` is the set of
+    output positions whose receptive field holds it, in every output
+    channel: ``mask[loc]`` over positions ``oh * W' + ow``.  ``pos[loc]``
+    lists them, padded with position 0, and ``onehot[loc, i]`` maps slot
+    ``i`` to its cell of the sum pool after the conv (``window``; the
+    identity without one), all zero on padding.  ``conflict[loc]`` is the
+    bit set of locations whose footprint meets that of ``loc``."""
+
+    def __init__(self, conv: ConvLIF, window: Optional[int]) -> None:
+        channels, out_h, out_w = conv.neuron_shape
+        height, width = conv.input_hw
+
+        def covers(size_in: int, size_out: int) -> np.ndarray:
+            start = np.arange(size_out) * conv.stride - conv.padding
+            at = np.arange(size_in)[:, None]
+            return (start <= at) & (at < start + conv.kernel)
+
+        rows, cols = covers(height, out_h), covers(width, out_w)
+        self.mask = (rows[:, None, :, None] & cols[None, :, None, :]).reshape(
+            height * width, out_h * out_w
+        )
+        self.channels = channels
+        self.locations = height * width
+        sizes = self.mask.sum(axis=1)
+        valid = np.arange(max(int(sizes.max()), 1)) < sizes[:, None]
+        self.pos = np.zeros(valid.shape, dtype=np.int64)
+        self.pos[valid] = np.nonzero(self.mask)[1]
+        cell = np.arange(out_h * out_w)
+        if window:
+            oh, ow = np.divmod(cell, out_w)
+            cell = (oh // window) * (out_w // window) + ow // window
+        self.onehot = np.zeros(valid.shape + (int(cell.max()) + 1,))
+        loc, slot = np.nonzero(valid)
+        self.onehot[loc, slot, cell[self.pos[loc, slot]]] = 1.0
+        meets = self.mask.astype(float) @ self.mask.T.astype(float) > 0
+        self.conflict = [
+            int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(meets, axis=1, bitorder="little")
+        ]
+
+
+def _first_fit(locations: np.ndarray, conflict: List[int]) -> np.ndarray:
+    """Pack index of each row, first fit in row order: a row joins the
+    lowest pack that holds no row whose footprint meets its own."""
+    blocked: List[int] = []  # per pack: the locations its members shut out
+    lowest: Dict[int, int] = {}  # per location: no lower pack can take it
+    packs = np.empty(len(locations), dtype=np.int64)
+    for j, loc in enumerate(locations.tolist()):
+        p = lowest.get(loc, 0)
+        while p < len(blocked) and blocked[p] >> loc & 1:
+            p += 1
+        if p == len(blocked):
+            blocked.append(0)
+        blocked[p] |= conflict[loc]
+        lowest[loc] = packs[j] = p
+    return packs
 
 
 class _FaultGroup:
@@ -201,16 +295,17 @@ class _FaultGroup:
     ``kind`` selects the execution path:
 
     - ``"splice"`` — neuron faults in layers without lateral coupling: only
-      the faulty neuron's mini-LIF is advanced per row; the full module
-      output is materialized (golden + spliced trace) only for rows that
-      must propagate downstream — at pooled resolution when the module
-      feeds a sum pool (see :meth:`_splice_materialize`).
+      the faulty neuron's mini-LIF is advanced per row, on the module's
+      golden currents; rows that must propagate downstream enter it with
+      the golden output and their neuron's trace spliced in — at pooled
+      resolution when the module feeds a sum pool, and several rows per
+      conv run when a conv layer follows the pool (see :meth:`_run_packed`).
     - ``"neuron"`` — neuron faults needing a full module re-run (recurrent
       layers, or the splice fast path disabled).
     - ``"synapse_splice"`` — synapse faults in layers where one weight
       feeds exactly one neuron (dense fan-in), on the fused path: only the
-      affected neuron's mini-LIF is advanced per row, driven by faulty
-      currents from one column-stacked GEMM, exactly like ``"splice"``.
+      affected neuron's mini-LIF is advanced per row, driven by its column
+      of one K-batched faulty product, exactly like ``"splice"``.
     - ``"synapse_k"`` — synapse faults on modules with K-batched weight
       support.
     - ``"synapse_seq"`` — synapse faults on the sequential reference path
@@ -294,9 +389,12 @@ class _FaultGroup:
         # Index of the first downstream module that _run_downstream runs.
         # Splice-style rows of a module feeding a sum pool materialize the
         # pool's output directly, so propagation starts after the pool.
+        # When a conv layer follows the pool, the rows run it packed
+        # (``packing``) and enter the per-row tail at ``tail``.
         self.entry = 0
+        self.packing: Optional[_ConvFootprints] = None
         if (
-            kind in ("splice", "synapse_splice", "delay")
+            kind in _SPLICE_KINDS
             and self.downstream
             and isinstance(self.downstream[0], SumPool)
         ):
@@ -307,6 +405,12 @@ class _FaultGroup:
                 pool.output_shape(shape),
             )
             self.entry = 1
+            if len(self.downstream) > 1 and isinstance(self.downstream[1], ConvLIF):
+                after = self.downstream[2] if len(self.downstream) > 2 else None
+                window = after.window if isinstance(after, SumPool) else None
+                self.packing = _ConvFootprints(self.downstream[1], window)
+                self.cell_loc = self.cell_idx % self.packing.locations
+                self.tail = 3 if window else 2
         # State arrays are allocated lazily (and released when the group
         # finishes) so peak memory is bounded by the largest *single*
         # group, not the sum over all groups in the campaign.
@@ -367,7 +471,7 @@ class _FaultGroup:
     # Faulty-module execution, one path per kind
     # ------------------------------------------------------------------
     def _module_state(self, rows: np.ndarray) -> LIFState:
-        # Fancy indexing copies, so lif_step_numpy's attribute reassignment
+        # Fancy indexing copies, so the LIF kernels' attribute reassignment
         # never aliases the group arrays; _store_state scatters back.
         return LIFState(
             potential=self.pot[rows],
@@ -380,109 +484,89 @@ class _FaultGroup:
         self.spk[rows] = state.last_spike
         self.ref[rows] = state.refractory
 
-    def _run_splice(self, rows: np.ndarray, gseg: _GoldenSegment, offset: int):
-        """Advance the faulty neurons' mini-LIF rows; returns ``(same,
-        materialize)`` (see :meth:`_splice_compare`)."""
-        module = self.module
-        seg_input = gseg.module_input(self.module_index)
-        steps = seg_input.shape[0]
-        idx = self.neuron_idx[rows]
-        currents = module.neuron_input_currents(seg_input, idx)  # (T, 1, R)
-        currents = np.ascontiguousarray(currents.transpose(0, 2, 1))  # (T, R, 1)
+    def _mini_lif(self, rows: np.ndarray, offset: int, faulty: np.ndarray,
+                  nominal: Optional[np.ndarray], faulty_params=None) -> np.ndarray:
+        """Scan the rows' mini-LIFs, one scan per window piece: ``faulty``
+        currents ``(T, R, 1)`` under ``faulty_params`` inside the window,
+        ``nominal`` currents under the nominal scalar columns outside (and
+        inside too when ``faulty_params`` is ``None``).  Returns the spike
+        traces ``(T, R)``."""
+        nominal_params = (
+            self.nthr[rows][:, None], self.nleak[rows][:, None],
+            self.nrefr[rows][:, None], self.nmode[rows][:, None],
+        )
+        if faulty_params is None:
+            faulty_params = nominal_params
+        reset_mode = self.module.params.reset_mode
         state = self._module_state(rows)
+        traces = np.empty(faulty.shape)
+        for a, b, in_window in _window_pieces(self.window, faulty.shape[0], offset):
+            currents, params = (
+                (faulty, faulty_params) if in_window else (nominal, nominal_params)
+            )
+            traces[a:b] = lif_scan_numpy(currents[a:b], state, *params, reset_mode)
+        self._store_state(rows, state)
+        return traces[:, :, 0]
+
+    def _run_splice(self, rows: np.ndarray, gseg: _GoldenSegment, offset: int,
+                    currents: np.ndarray):
+        """Advance the faulty neurons' mini-LIF rows on the module's golden
+        currents ``(T, n)``; returns ``(same, traces, golden_traces)`` (see
+        :meth:`_splice_compare`)."""
+        golden = currents[:, self.neuron_idx[rows], None]  # (T, R, 1)
         faulty = (
             self.thr[rows][:, None], self.leak[rows][:, None],
             self.refr[rows][:, None], self.mode[rows][:, None],
         )
-        nominal = (
-            self.nthr[rows][:, None], self.nleak[rows][:, None],
-            self.nrefr[rows][:, None], self.nmode[rows][:, None],
-        )
-        reset_mode = module.params.reset_mode
-        traces = np.empty((steps, len(rows)))
-        for a, b, in_window in _window_pieces(self.window, steps, offset):
-            thr, leak, refr, mode = faulty if in_window else nominal
-            for t in range(a, b):
-                traces[t] = lif_step_numpy(
-                    currents[t], state, thr, leak, refr, mode, reset_mode
-                )[:, 0]
-        self._store_state(rows, state)
+        traces = self._mini_lif(rows, offset, golden, golden, faulty)
         return self._splice_compare(gseg, rows, traces)
 
     def _splice_compare(self, gseg: _GoldenSegment, rows: np.ndarray,
                         traces: np.ndarray):
-        """``(same, materialize)`` for R spliced traces ``(T, R)``: compare
-        each against its golden trace; see :meth:`_splice_materialize`."""
+        """``(same, traces, golden_traces)`` for R spliced traces ``(T, R)``:
+        ``same[j]`` when row ``j``'s trace equals its golden trace."""
         golden = gseg.outputs[self.module_index]
         golden_traces = golden.reshape(golden.shape[0], -1)[:, self.neuron_idx[rows]]
-        same = np.array(
-            [np.array_equal(traces[:, j], golden_traces[:, j])
-             for j in range(traces.shape[1])]
-        )
-        return same, self._splice_materialize(gseg, rows, traces, golden_traces)
+        return (traces == golden_traces).all(axis=0), traces, golden_traces
 
     def _splice_materialize(self, gseg: _GoldenSegment, rows: np.ndarray,
                             traces: np.ndarray, golden_traces: np.ndarray):
-        """``materialize(positions)`` for splice-style rows: the golden
-        output tiled over the selected rows, each with its faulty neuron
-        trace spliced in.
+        """The golden output tiled over splice-style ``rows``, each with its
+        faulty neuron trace spliced in: the rows' module output.
 
         With a sum pool next (``self.entry == 1``) the tile is the golden
         *pooled* output, and each row adds ``trace - golden_trace`` at its
         neuron's pooled cell.  Spike counts are small integers, so that
         equals pooling the spliced full-resolution tile exactly, without
         building it."""
-        steps = traces.shape[0]
+        steps, m = traces.shape
         base = gseg.outputs[self.module_index + self.entry]
         base_flat = base.reshape(steps, -1)
-        cells = (self.cell_idx if self.entry else self.neuron_idx)[rows]
-
-        def materialize(positions: List[int]) -> np.ndarray:
-            m = len(positions)
-            tiled = np.broadcast_to(
-                base_flat[:, None, :], (steps, m, base_flat.shape[1])
-            ).copy()
-            at = (slice(None), np.arange(m), cells[positions])
-            if self.entry:
-                tiled[at] += traces[:, positions] - golden_traces[:, positions]
-            else:
-                tiled[at] = traces[:, positions]
-            return tiled.reshape((steps, m) + base.shape[2:])
-
-        return materialize
+        tiled = np.broadcast_to(
+            base_flat[:, None, :], (steps, m, base_flat.shape[1])
+        ).copy()
+        at = (slice(None), np.arange(m))
+        if self.entry:
+            tiled[at + (self.cell_idx[rows],)] += traces - golden_traces
+        else:
+            tiled[at + (self.neuron_idx[rows],)] = traces
+        return tiled.reshape((steps, m) + base.shape[2:])
 
     def _run_synapse_splice(self, rows: np.ndarray, gseg: _GoldenSegment,
-                            offset: int):
+                            offset: int, currents: Optional[np.ndarray]):
         """Advance the synapse-faulty neurons' mini-LIF rows under nominal
-        neuron parameters: faulty currents (one column-stacked GEMM over
-        the perturbed fan-in columns) inside the fault window, golden
-        currents outside — exactly as the K-batched path swaps weight
-        stacks at the window boundaries."""
-        module = self.module
+        neuron parameters: faulty currents (one K-batched product over
+        full faulty weight copies) inside the fault window, the golden
+        currents ``(T, n)`` outside — exactly as the K-batched path swaps
+        weight stacks at the window boundaries."""
         seg_input = gseg.module_input(self.module_index)
-        steps = seg_input.shape[0]
-        idx = self.neuron_idx[rows]
         entries = [self.syn[row] for row in rows]
-        faulty = module.synapse_splice_currents(seg_input, entries)  # (T, 1, R)
-        faulty = np.ascontiguousarray(faulty.transpose(0, 2, 1))  # (T, R, 1)
-        nominal_cur = None
-        if self.window is not None:
-            nominal_cur = module.neuron_input_currents(seg_input, idx)
-            nominal_cur = np.ascontiguousarray(nominal_cur.transpose(0, 2, 1))
-        state = self._module_state(rows)
-        params = (
-            self.nthr[rows][:, None], self.nleak[rows][:, None],
-            self.nrefr[rows][:, None], self.nmode[rows][:, None],
-        )
-        reset_mode = module.params.reset_mode
-        traces = np.empty((steps, len(rows)))
-        for a, b, in_window in _window_pieces(self.window, steps, offset):
-            currents = faulty if in_window else nominal_cur
-            for t in range(a, b):
-                traces[t] = lif_step_numpy(
-                    currents[t], state, *params, reset_mode=reset_mode
-                )[:, 0]
-        self._store_state(rows, state)
+        faulty = self.module.synapse_splice_currents(seg_input, entries)  # (T, 1, R)
+        faulty = faulty.transpose(0, 2, 1)  # (T, R, 1)
+        nominal = None
+        if currents is not None:
+            nominal = currents[:, self.neuron_idx[rows], None]
+        traces = self._mini_lif(rows, offset, faulty, nominal)
         return self._splice_compare(gseg, rows, traces)
 
     def _run_neuron(
@@ -584,7 +668,8 @@ class _FaultGroup:
         """Delayed-output rows: the module itself runs nominally (the golden
         pass already did), so the faulty trace is the golden trace of the
         row's neuron time-shifted by its delay, with the tail of the
-        previous segments carried in ``self.hist``."""
+        previous segments carried in ``self.hist``.  Returns ``(same,
+        traces, golden_traces)`` like :meth:`_splice_compare`."""
         golden = gseg.outputs[self.module_index]
         steps = golden.shape[0]
         traces = golden.reshape(steps, -1)[:, self.neuron_idx[rows]]  # (T, R)
@@ -608,10 +693,7 @@ class _FaultGroup:
             for j, row in enumerate(rows):
                 rolled = np.concatenate([hist[row], traces[:, j]])
                 hist[row] = rolled[-self.hist_len:]
-        same = np.array(
-            [np.array_equal(out[:, j], traces[:, j]) for j in range(len(rows))]
-        )
-        return same, self._splice_materialize(gseg, rows, out, traces)
+        return (out == traces).all(axis=0), out, traces
 
     # ------------------------------------------------------------------
     # Downstream propagation with golden-entry seeding
@@ -623,41 +705,43 @@ class _FaultGroup:
             ]
         return self._down_stateful_cache
 
-    def _seed_row(self, row: int, gseg: _GoldenSegment) -> None:
-        """Create a diverging row's downstream state from the golden entry
-        states of this segment — until now the row's cross-section was
-        bit-identical to golden, so the golden entry IS its state."""
-        slots: List[Optional[Dict[str, np.ndarray]]] = []
-        for dj, stateful in enumerate(self._down_stateful()):
-            if not stateful:
-                slots.append(None)
-            else:
-                entry = gseg.entry_states[self.module_index + 1 + dj]
-                slots.append({
-                    "pot": entry.potential[0].copy(),
-                    "spk": entry.last_spike[0].copy(),
-                    "ref": entry.refractory[0].copy(),
-                })
-        self.dstates[row] = slots
+    def _seed(self, rows: np.ndarray, gseg: _GoldenSegment) -> None:
+        """Create the downstream state of newly diverging rows from the
+        golden entry states of this segment — until now each such row's
+        cross-section was bit-identical to golden, so the golden entry IS
+        its state."""
+        for row in rows[~self.diverged[rows]]:
+            slots: List[Optional[Dict[str, np.ndarray]]] = []
+            for dj, stateful in enumerate(self._down_stateful()):
+                if not stateful:
+                    slots.append(None)
+                else:
+                    entry = gseg.entry_states[self.module_index + 1 + dj]
+                    slots.append({
+                        "pot": entry.potential[0].copy(),
+                        "spk": entry.last_spike[0].copy(),
+                        "ref": entry.refractory[0].copy(),
+                    })
+            self.dstates[int(row)] = slots
+        self.diverged[rows] = True
 
     def _run_downstream(
-        self, module_out: np.ndarray, rows: np.ndarray, gseg: _GoldenSegment
+        self, module_out: np.ndarray, rows: np.ndarray, gseg: _GoldenSegment,
+        start: Optional[int] = None,
     ) -> np.ndarray:
-        """Propagate ``rows``' faulty module outputs through the downstream
-        modules, seeding newly diverged rows from the golden entry states.
+        """Propagate ``rows``' faulty outputs through the downstream modules
+        from index ``start`` (default ``self.entry``), one row per batch
+        row, seeding newly diverged rows from the golden entry states.
 
         Downstream state is stored per diverged row (``self.dstates`` maps
         row -> per-module state dicts), not as dense ``(k, ...)`` arrays:
         only diverged-and-undropped rows need it, and with fault dropping
         those are freed the moment the fault is detected, so group memory
         stays proportional to the live divergence front."""
-        for row in rows:
-            if not self.diverged[row]:
-                self._seed_row(int(row), gseg)
-        self.diverged[rows] = True
+        self._seed(rows, gseg)
         fused = self.campaign.simulator.fused
         current = module_out
-        for dj in range(self.entry, len(self.downstream)):
+        for dj in range(self.entry if start is None else start, len(self.downstream)):
             dm = self.downstream[dj]
             if not self._down_stateful()[dj]:
                 current = (
@@ -666,31 +750,133 @@ class _FaultGroup:
                     else dm.run_sequence_numpy(current)
                 )
                 continue
+            slots = [self.dstates[int(r)][dj] for r in rows]
             state = LIFState(
-                potential=np.stack(
-                    [self.dstates[int(r)][dj]["pot"] for r in rows]
-                ),
-                last_spike=np.stack(
-                    [self.dstates[int(r)][dj]["spk"] for r in rows]
-                ),
-                refractory=np.stack(
-                    [self.dstates[int(r)][dj]["ref"] for r in rows]
-                ),
+                potential=np.stack([slot["pot"] for slot in slots]),
+                last_spike=np.stack([slot["spk"] for slot in slots]),
+                refractory=np.stack([slot["ref"] for slot in slots]),
             )
             current = (
                 dm.run_sequence_fused(current, state=state)
                 if fused
                 else dm.run_sequence_numpy(current, state=state)
             )
-            pot = np.asarray(state.potential)
-            spk = np.asarray(state.last_spike)
-            ref = np.asarray(state.refractory)
-            for j, r in enumerate(rows):
-                slot = self.dstates[int(r)][dj]
-                slot["pot"] = pot[j].copy()
-                slot["spk"] = spk[j].copy()
-                slot["ref"] = ref[j].copy()
+            _unstack(slots, state.potential, state.last_spike, state.refractory)
         return current.reshape(current.shape[0], current.shape[1], -1)
+
+    def _run_packed(self, rows: np.ndarray, deltas: np.ndarray,
+                    gseg: _GoldenSegment) -> None:
+        """Propagate splice-style rows of a module that feeds a sum pool and
+        then a conv layer, many rows per conv run (footprint packing).
+
+        A row changes one cell of the conv's pooled input, so it reaches
+        only that cell's footprint: the conv outputs whose receptive field
+        holds it.  Rows whose footprints are disjoint share one input row,
+        the golden input plus each member's delta trace at its cell.  For a
+        fixed shape, a GEMM's output column depends only on that column of
+        the patch matrix, and the LIF update is elementwise, so one conv run
+        over the shared row, entered from the golden entry state with each
+        member's carried state on its footprint, computes every member's
+        footprint exactly as if it ran alone.  Each member leaves with its
+        own state, its footprint from the shared row and the golden exit
+        state elsewhere, and its own output.
+
+        Rows (in row order, ``deltas`` ``(T, R)`` their faulty minus golden
+        traces) are packed first fit over every row the segment
+        propagates, and the shared rows run ``batch_size`` at a time.  The
+        per-row tail then runs in row order, ``batch_size`` rows at a time,
+        exactly as it would with every row alone: a dense GEMM may round a
+        row differently by its place in the batch, so the tail's batches
+        must not depend on the packs.  Rows whose next spiking layer is
+        dense have an unbounded footprint: they form packs of one, which
+        is plainly :meth:`_run_downstream`."""
+        fp = self.packing
+        self._seed(rows, gseg)
+        packs = _first_fit(self.cell_loc[rows], fp.conflict)
+        order = np.argsort(packs, kind="stable")
+        width = self.batch_size
+        # Each row's conv spikes on its footprint: (R, slots, T, channels).
+        spikes = np.empty((len(rows), fp.pos.shape[1], deltas.shape[0], fp.channels), bool)
+        for lo in range(0, int(packs.max()) + 1, width):
+            a, b = np.searchsorted(packs[order], [lo, lo + width])
+            sel = order[a:b]
+            spikes[sel] = self._run_shared(rows[sel], deltas[:, sel], packs[sel] - lo, gseg)
+        for lo in range(0, len(rows), width):
+            sub = rows[lo : lo + width]
+            tile = self._footprint_tile(sub, spikes[lo : lo + width], gseg)
+            self._record(sub, self._run_downstream(tile, sub, gseg, start=self.tail), gseg)
+
+    def _run_shared(self, members: np.ndarray, deltas: np.ndarray,
+                    packs: np.ndarray, gseg: _GoldenSegment) -> np.ndarray:
+        """One conv run over shared rows ``0..packs.max()``: stores every
+        member's own conv state and returns its footprint spikes (see
+        :meth:`_run_packed`)."""
+        fp = self.packing
+        conv = self.downstream[1]
+        at = self.module_index + 2  # the conv's module index
+        shared_n = int(packs.max()) + 1
+        pooled = gseg.outputs[self.module_index + 1]
+        steps = pooled.shape[0]
+        flat = pooled.reshape(steps, -1)
+        shared = np.broadcast_to(flat[:, None], (steps, shared_n, flat.shape[1])).copy()
+        # The members of one pack hold distinct cells: no entry adds twice.
+        shared[:, packs, self.cell_idx[members]] += deltas
+        loc = self.cell_loc[members]
+        reach = fp.mask[loc]  # (M, positions)
+        jj, ll = np.nonzero(reach)
+        slots = [self.dstates[int(r)][1] for r in members]
+        entry, exit_state = gseg.entry_states[at], gseg.exit_states[at]
+        tiles = []
+        for field, golden in zip(
+            ("pot", "spk", "ref"), (entry.potential, entry.last_spike, entry.refractory)
+        ):
+            tile = np.broadcast_to(
+                golden.reshape(1, fp.channels, -1), (shared_n, fp.channels, reach.shape[1])
+            ).copy()
+            carried = np.stack([slot[field] for slot in slots])
+            carried = carried.reshape(len(members), fp.channels, -1)
+            tile[packs[jj], :, ll] = carried[jj, :, ll]
+            tiles.append(tile.reshape((shared_n,) + conv.neuron_shape))
+        state = LIFState(*tiles)
+        run = conv.run_sequence_fused if self.campaign.simulator.fused else conv.run_sequence_numpy
+        out = run(shared.reshape((steps, shared_n) + pooled.shape[2:]), state=state)
+        own = [
+            np.where(
+                reach[:, None, :],
+                np.asarray(after).reshape(shared_n, fp.channels, -1)[packs],
+                golden.reshape(1, fp.channels, -1),
+            ).reshape((len(members),) + conv.neuron_shape)
+            for after, golden in (
+                (state.potential, exit_state.potential),
+                (state.last_spike, exit_state.last_spike),
+                (state.refractory, exit_state.refractory),
+            )
+        ]
+        _unstack(slots, *own)
+        out = out.reshape(steps, shared_n, fp.channels, -1)
+        return out[:, packs[:, None], :, fp.pos[loc]]  # (M, slots, T, channels)
+
+    def _footprint_tile(self, rows: np.ndarray, spikes: np.ndarray,
+                        gseg: _GoldenSegment) -> np.ndarray:
+        """The tail's input for packed ``rows``: its golden input plus each
+        row's conv output delta on its footprint, pooled when a sum pool
+        follows the conv.  Spike deltas and counts are small integers, so
+        every sum is exact."""
+        fp = self.packing
+        steps = spikes.shape[2]
+        loc = self.cell_loc[rows]
+        pos = fp.pos[loc]
+        golden = gseg.outputs[self.module_index + 2].reshape(steps, fp.channels, -1)
+        delta = spikes - golden[:, :, pos].transpose(2, 3, 0, 1)  # (m, slots, T, C)
+        delta = delta.transpose(0, 2, 3, 1).reshape(len(rows), -1, pos.shape[1])
+        moved = np.matmul(delta, fp.onehot[loc]).reshape(len(rows), steps, -1)
+        base = gseg.outputs[self.module_index + self.tail]
+        tile = base.reshape(steps, 1, -1) + moved.transpose(1, 0, 2)
+        return tile.reshape((steps, len(rows)) + base.shape[2:])
+
+    def _record(self, rows: np.ndarray, outs: np.ndarray, gseg: _GoldenSegment) -> None:
+        for j, row in enumerate(rows):
+            self.campaign.record(self.indices[row], outs[:, j], gseg)
 
     # ------------------------------------------------------------------
     def step(self, segment_index: int, gseg: _GoldenSegment) -> None:
@@ -701,13 +887,26 @@ class _FaultGroup:
         has_down = bool(self.downstream)
         seg_input = gseg.module_input(self.module_index)
         golden_out = gseg.outputs[self.module_index]  # (T, 1, *neuron_shape)
-        for rows in self._batches():
+        currents = None
+        if self.kind == "splice" or (
+            self.kind == "synapse_splice" and self.window is not None
+        ):
+            # The golden currents the faulty neurons see, once per group and
+            # segment: the very products the golden run and the per-step
+            # oracle compute.
+            full = self.module.sequence_currents(seg_input)
+            currents = full.reshape(full.shape[0], -1)
+        batches = self._batches()
+        packed: List[Tuple[np.ndarray, np.ndarray]] = []
+        for rows in batches:
             if self.kind == "splice":
-                same, materialize = self._run_splice(rows, gseg, offset)
+                same, traces, golden_traces = self._run_splice(rows, gseg, offset, currents)
             elif self.kind == "synapse_splice":
-                same, materialize = self._run_synapse_splice(rows, gseg, offset)
+                same, traces, golden_traces = self._run_synapse_splice(
+                    rows, gseg, offset, currents
+                )
             elif self.kind == "delay":
-                same, materialize = self._run_delay(rows, gseg, offset)
+                same, traces, golden_traces = self._run_delay(rows, gseg, offset)
             else:
                 if self.kind == "neuron":
                     out = self._run_neuron(rows, seg_input, offset)
@@ -715,43 +914,46 @@ class _FaultGroup:
                     out = self._run_synapse_k(rows, seg_input, offset)
                 else:
                     out = self._run_synapse_seq(rows, seg_input, offset)
-                same = np.array(
-                    [np.array_equal(out[:, j], golden_out[:, 0]) for j in range(len(rows))]
-                )
-
-                def materialize(positions: List[int], _out=out) -> np.ndarray:
-                    return _out[:, positions]
-
+                same = (out == golden_out).reshape(out.shape[0], len(rows), -1).all(axis=(0, 2))
+            need = np.arange(len(rows))
             if campaign.divergence_exit:
                 # A row may exit only while its whole cross-section is still
                 # golden: module output identical this segment AND downstream
                 # state untouched.  Skipped rows contribute exactly zero.
-                need = [
-                    j for j, row in enumerate(rows)
-                    if not same[j] or (has_down and self.diverged[row])
-                ]
-            else:
-                need = list(range(len(rows)))
-            if need:
-                sub = rows[np.asarray(need)]
-                module_out = materialize(need)
-                if has_down:
-                    outs = self._run_downstream(module_out, sub, gseg)
+                need = need[~same | (has_down & self.diverged[rows])]
+            if need.size:
+                sub = rows[need]
+                if self.packing is not None:
+                    packed.append((sub, traces[:, need] - golden_traces[:, need]))
                 else:
-                    outs = module_out.reshape(
-                        module_out.shape[0], module_out.shape[1], -1
+                    module_out = (
+                        self._splice_materialize(
+                            gseg, sub, traces[:, need], golden_traces[:, need]
+                        )
+                        if self.kind in _SPLICE_KINDS
+                        else out[:, need]
                     )
-                for j, row in enumerate(sub):
-                    campaign.record(self.indices[row], outs[:, j], gseg)
+                    outs = (
+                        self._run_downstream(module_out, sub, gseg)
+                        if has_down
+                        else module_out.reshape(module_out.shape[0], len(sub), -1)
+                    )
+                    self._record(sub, outs, gseg)
             campaign.tracker.tick(len(rows))
-            if campaign.drop_detected:
-                remaining = campaign.n_segments - 1 - segment_index
-                for row in rows:
-                    if campaign.detected[self.indices[row]] and self.active[row]:
-                        self.active[row] = False
-                        self.dstates.pop(int(row), None)
-                        if remaining:
-                            campaign.tracker.tick(remaining)
+        if packed:
+            self._run_packed(
+                np.concatenate([rows for rows, _ in packed]),
+                np.concatenate([deltas for _, deltas in packed], axis=1),
+                gseg,
+            )
+        if campaign.drop_detected:
+            remaining = campaign.n_segments - 1 - segment_index
+            for row in np.concatenate(batches) if batches else ():
+                if campaign.detected[self.indices[row]] and self.active[row]:
+                    self.active[row] = False
+                    self.dstates.pop(int(row), None)
+                    if remaining:
+                        campaign.tracker.tick(remaining)
 
     # ------------------------------------------------------------------
     # Carried state of coverage-store records

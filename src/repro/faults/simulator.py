@@ -53,7 +53,7 @@ from repro.snn.neuron import (
     MODE_DEAD,
     MODE_SATURATED,
     LIFState,
-    lif_step_numpy,
+    lif_scan_numpy,
 )
 
 Fault = Union[NeuronFault, SynapseFault]
@@ -384,12 +384,22 @@ def _supports_kbatched_fused(module) -> bool:
 
 def _supports_splice(module) -> bool:
     """True for layers whose neurons are independent given the layer input
-    (so a neuron fault can be simulated from its current trace alone)."""
+    (so a neuron fault can be simulated from its current trace alone):
+    exactly the layers whose currents precompute from the input alone."""
     return (
         isinstance(module, SpikingModule)
-        and type(module).neuron_input_currents
-        is not SpikingModule.neuron_input_currents
+        and type(module).sequence_currents
+        is not SpikingModule.sequence_currents
     )
+
+
+def _neuron_currents(currents: np.ndarray, neuron_idx: np.ndarray) -> np.ndarray:
+    """``(T, K, S)`` input-current traces of K neurons, read from a module's
+    full ``sequence_currents`` ``(T, S, *neuron_shape)``: the very products
+    the golden run and the per-step oracle compute."""
+    steps, batch = currents.shape[:2]
+    picked = currents.reshape(steps, batch, -1)[:, :, neuron_idx]
+    return np.ascontiguousarray(picked.transpose(0, 2, 1))
 
 
 def _supports_synapse_splice(module) -> bool:
@@ -510,6 +520,7 @@ class FaultSimulator:
         base_seq: np.ndarray,
         golden_out: Optional[np.ndarray] = None,
         window=None,
+        memo: Optional[Dict[int, np.ndarray]] = None,
     ) -> np.ndarray:
         """Simulate ``len(group)`` neuron-faulty instances in one pass.
 
@@ -529,6 +540,9 @@ class FaultSimulator:
         piecewise, nominal parameters outside the window and perturbed
         inside, with LIF state carried across the boundary — bit-identical
         to switching parameters between two steps of one loop.
+
+        ``memo`` maps module index to the module's full golden currents for
+        ``base_seq``, so a campaign computes them once per module.
         """
         module = self.network.modules[module_index]
         if (
@@ -537,7 +551,7 @@ class FaultSimulator:
             and _supports_splice(module)
         ):
             return self._spliced_neuron_run(
-                module_index, group, base_seq, golden_out, window=window
+                module_index, group, base_seq, golden_out, window=window, memo=memo
             )
         shape = module.neuron_shape
         k = len(group)
@@ -609,26 +623,31 @@ class FaultSimulator:
         base_seq: np.ndarray,
         golden_out: np.ndarray,
         window=None,
+        memo: Optional[Dict[int, np.ndarray]] = None,
     ) -> np.ndarray:
         """Neuron-fault simulation without re-running the faulty module.
 
         In a layer without lateral coupling, a neuron fault changes only
         that neuron's spike train; every other neuron reproduces the cached
-        fault-free output.  So: extract the K faulty neurons' input-current
-        traces, advance K tiny LIF simulations (same elementwise update as
-        the full layer), splice the traces into K copies of the golden
-        layer output, and resume the network downstream.  Returns
-        ``(T, K, S, classes)`` like :meth:`_batched_neuron_run`.
+        fault-free output.  So: read the K faulty neurons' input-current
+        traces from the module's full golden currents, advance K tiny LIF
+        simulations (same elementwise update as the full layer), splice
+        the traces into K copies of the golden layer output, and resume
+        the network downstream.  Returns ``(T, K, S, classes)`` like
+        :meth:`_batched_neuron_run`.
         """
         module = self.network.modules[module_index]
-        shape = module.neuron_shape
         k = len(group)
         steps, s = base_seq.shape[:2]
         neuron_idx, threshold, leak, refractory, mode = _perturbed_neuron_scalars(
             module, group, self.config
         )
-        currents = module.neuron_input_currents(base_seq, neuron_idx)  # (T, S, K)
-        currents = np.ascontiguousarray(currents.transpose(0, 2, 1))  # (T, K, S)
+        full = None if memo is None else memo.get(module_index)
+        if full is None:
+            full = module.sequence_currents(base_seq)
+            if memo is not None:
+                memo[module_index] = full
+        currents = _neuron_currents(full, neuron_idx)  # (T, K, S)
 
         # Per-row (K, 1) parameter columns, perturbed per fault kind; the
         # nominal columns drive the mini-LIF outside a transient window.
@@ -649,11 +668,8 @@ class FaultSimulator:
         traces = np.empty((steps, k, s))
         reset_mode = module.params.reset_mode
         for a, b, in_w in _window_pieces(window, steps):
-            thr, lk, ref, md = faulty_params if in_w else nominal_params
-            for t in range(a, b):
-                traces[t] = lif_step_numpy(
-                    currents[t], state, thr, lk, ref, md, reset_mode
-                )
+            params = faulty_params if in_w else nominal_params
+            traces[a:b] = lif_scan_numpy(currents[a:b], state, *params, reset_mode)
 
         return self._splice_downstream(module_index, neuron_idx, traces, golden_out)
 
@@ -699,14 +715,15 @@ class FaultSimulator:
         In a layer where each weight feeds exactly one output neuron
         (dense fan-in), a single-entry synapse fault changes only that
         neuron's input-current trace; every other neuron reproduces the
-        cached fault-free output.  So: compute the K affected neurons'
-        faulty currents with one column-stacked GEMM, advance K tiny LIF
-        simulations under the *nominal* neuron parameters, and splice the
-        traces into the golden layer output — the synapse-fault analogue
-        of :meth:`_spliced_neuron_run`.  For a transient group, the
-        mini-LIF consumes the faulty currents inside the window and the
-        golden currents outside, exactly as the K-batched path swaps
-        weight stacks at the window boundaries.  Returns
+        cached fault-free output.  So: read the K affected neurons' faulty
+        currents from one K-batched product
+        (:meth:`~repro.snn.layers.DenseLIF.synapse_splice_currents`),
+        advance K tiny LIF simulations under the *nominal* neuron
+        parameters, and splice the traces into the golden layer output —
+        the synapse-fault analogue of :meth:`_spliced_neuron_run`.  For a
+        transient group, the mini-LIF consumes the faulty currents inside
+        the window and the golden currents outside, exactly as the
+        K-batched path swaps weight stacks at the window boundaries.  Returns
         ``(T, K, S, classes)`` like :meth:`_batched_synapse_run`.
         """
         module = self.network.modules[module_index]
@@ -718,21 +735,19 @@ class FaultSimulator:
         faulty = np.ascontiguousarray(faulty.transpose(0, 2, 1))  # (T, K, S)
         nominal = None
         if window is not None:
-            nominal = module.neuron_input_currents(base_seq, neuron_idx)
-            nominal = np.ascontiguousarray(nominal.transpose(0, 2, 1))
-        threshold = module.threshold.reshape(-1)[neuron_idx].astype(float)[:, None]
-        leak = module.leak.reshape(-1)[neuron_idx].astype(float)[:, None]
-        refractory = module.refractory_steps.reshape(-1)[neuron_idx][:, None]
-        mode = module.mode.reshape(-1)[neuron_idx][:, None]
+            nominal = _neuron_currents(module.sequence_currents(base_seq), neuron_idx)
+        params = (
+            module.threshold.reshape(-1)[neuron_idx].astype(float)[:, None],
+            module.leak.reshape(-1)[neuron_idx].astype(float)[:, None],
+            module.refractory_steps.reshape(-1)[neuron_idx][:, None],
+            module.mode.reshape(-1)[neuron_idx][:, None],
+        )
         state = LIFState.zeros_numpy((k, s))
         traces = np.empty((steps, k, s))
         reset_mode = module.params.reset_mode
         for a, b, in_w in _window_pieces(window, steps):
             currents = faulty if in_w else nominal
-            for t in range(a, b):
-                traces[t] = lif_step_numpy(
-                    currents[t], state, threshold, leak, refractory, mode, reset_mode
-                )
+            traces[a:b] = lif_scan_numpy(currents[a:b], state, *params, reset_mode)
         return self._splice_downstream(module_index, neuron_idx, traces, golden_out)
 
     # ------------------------------------------------------------------
@@ -987,6 +1002,7 @@ class FaultSimulator:
 
         # Neuron faults: batched along the batch axis, grouped by
         # (module, family, transient window).
+        memo: Dict[int, np.ndarray] = {}
         for (module_index, family, window), indices in self._neuron_groups(
             faults
         ).items():
@@ -1003,6 +1019,7 @@ class FaultSimulator:
                     out = self._batched_neuron_run(
                         module_index, group_faults, seq,
                         golden_out=golden_modules[module_index], window=window,
+                        memo=memo,
                     )[:, :, 0, :]  # (T, K, classes)
                 for row, idx in enumerate(group):
                     record(idx, out[:, row])
@@ -1164,6 +1181,7 @@ class FaultSimulator:
 
         # Neuron faults: batched (K faults x S samples per pass).
         k_max = max(1, min(self.neuron_batch, 192 // max(samples, 1)))
+        memo: Dict[int, np.ndarray] = {}
         for (module_index, family, window), indices in self._neuron_groups(
             faults
         ).items():
@@ -1180,6 +1198,7 @@ class FaultSimulator:
                     out = self._batched_neuron_run(
                         module_index, group_faults, seq,
                         golden_out=golden_modules[module_index], window=window,
+                        memo=memo,
                     )  # (T, K, S, classes)
                 preds = out.sum(axis=0).argmax(axis=2)  # (K, S)
                 for row, idx in enumerate(group):
@@ -1281,6 +1300,7 @@ class FaultSimulator:
         ).sum(axis=0)
         nominal_accuracy = float((golden_counts.argmax(axis=1) == labels).mean())
         drops = np.zeros(len(faults))
+        memo: Dict[int, np.ndarray] = {}
         for idx, fault in enumerate(faults):
             module_index = fault.module_index
             seq = inputs if module_index == 0 else golden_modules[module_index - 1]
@@ -1294,7 +1314,7 @@ class FaultSimulator:
                     out = self._batched_neuron_run(
                         module_index, [fault], seq,
                         golden_out=golden_modules[module_index],
-                        window=fault.window,
+                        window=fault.window, memo=memo,
                     )[:, 0]
             elif _supports_kbatched(self.network.modules[module_index]):
                 out = self._batched_synapse_run(

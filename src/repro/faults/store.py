@@ -124,18 +124,28 @@ def chain_from_array(array: np.ndarray) -> List[str]:
     return [bytes(bytearray(row)).hex() for row in np.asarray(array, dtype=np.uint8)]
 
 
+#: Revision of the engine that computes a record's carried group state.
+#: It is bumped whenever that state changes in value for the same inputs,
+#: so records of an older engine miss instead of resuming from state this
+#: engine would not carry.  Revision 2: splice mini-LIFs integrate the
+#: module's full golden products (their potentials changed in the last bit).
+ENGINE_REVISION = 2
+
+
 def options_token(
     simulator, drop_detected: bool, divergence_exit: bool, compact_batches: bool
 ) -> str:
     """The campaign options folded into the base fingerprint: everything
     that changes what a record *contains* (which metrics are exact, the
-    execution path family).  Batch widths are excluded
-    deliberately — per-row results are independent of batch composition
-    (pinned by the batched-equivalence suites), and the execution-path
-    splits they cause are captured per group by its ``kind``."""
+    execution path family, the engine revision).  Batch widths are
+    excluded deliberately — per-row spike trains are independent of batch
+    composition (pinned by the batched-equivalence suites), and the
+    execution-path splits they cause are captured per group by its
+    ``kind``."""
     return (
         f"drop={int(bool(drop_detected))},div={int(bool(divergence_exit))},"
-        f"comp={int(bool(compact_batches))},fused={int(bool(simulator.fused))}"
+        f"comp={int(bool(compact_batches))},fused={int(bool(simulator.fused))},"
+        f"engine={ENGINE_REVISION}"
     )
 
 

@@ -248,21 +248,6 @@ class SpikingModule(Module):
             f"{type(self).__name__} does not support fused K-batched execution"
         )
 
-    def neuron_input_currents(
-        self, seq: np.ndarray, neuron_indices: np.ndarray
-    ) -> np.ndarray:
-        """Input-current traces ``(T, B, K)`` of K selected neurons.
-
-        Only meaningful for layers whose neurons are independent given the
-        layer input (no lateral/recurrent coupling): there a neuron fault
-        perturbs just that neuron's spike train, so campaigns can simulate
-        the faulty neuron alone from its current trace and splice the
-        result into the cached fault-free layer output.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support per-neuron current extraction"
-        )
-
     def synapse_fault_targets(self, entries) -> np.ndarray:
         """Output neuron affected by each single-entry weight perturbation.
 
@@ -383,14 +368,6 @@ class DenseLIF(SpikingModule):
             currents.reshape(steps, batch, self.out_features), state
         )
 
-    def neuron_input_currents(
-        self, seq: np.ndarray, neuron_indices: np.ndarray
-    ) -> np.ndarray:
-        cols = self.weight.data[:, neuron_indices]
-        if self._events is not None:
-            return self._events.dense_block(seq, cols, self.name or "dense")
-        return seq @ cols
-
     def synapse_fault_targets(self, entries) -> np.ndarray:
         # Weight shape (in, out), row-major: flat index i*out + j hits
         # output neuron j.
@@ -400,16 +377,30 @@ class DenseLIF(SpikingModule):
         )
 
     def synapse_splice_currents(self, seq: np.ndarray, entries) -> np.ndarray:
-        # Fancy indexing copies the fan-in columns, so the single-entry
-        # perturbations never touch the pristine weights; the GEMM has the
-        # same shape as neuron_input_currents, whose per-column dots the
-        # splice equivalence suite pins against the K-batched path.
-        cols = self.weight.data[:, self.synapse_fault_targets(entries)]
+        # A GEMM's output column depends only on its own weight column, so
+        # entries with distinct target neurons share one full weight copy
+        # and each reads its column of one K-batched product: exactly the
+        # faulty layer's full per-step product.  Copies are assigned first
+        # fit in entry order (copy c takes a target's c-th entry).
+        targets = self.synapse_fault_targets(entries)
+        copy_of = np.empty(len(targets), dtype=np.int64)
+        taken: dict = {}
+        for j, target in enumerate(targets.tolist()):
+            copy_of[j] = taken.get(target, 0)
+            taken[target] = copy_of[j] + 1
+        copies = int(copy_of.max()) + 1 if len(targets) else 0
+        weights = np.broadcast_to(
+            self.weight.data, (copies,) + self.weight.data.shape
+        ).copy()
         for j, (_pidx, widx, value) in enumerate(entries):
-            cols[widx // self.out_features, j] = value
+            weights[copy_of[j]].reshape(-1)[widx] = value
+        steps, batch = seq.shape[:2]
         if self._events is not None:
-            return self._events.dense_block(seq, cols, self.name or "dense")
-        return seq @ cols
+            currents = self._events.kbatched_block(seq, weights, self.name or "dense")
+        else:
+            currents = np.matmul(seq[:, None], weights)
+        currents = currents.reshape(steps, copies, batch, self.out_features)
+        return currents[:, copy_of, :, targets].transpose(1, 2, 0)  # (T, B, K)
 
     def forward_sequence(self, seq: List[Tensor]) -> List[Tensor]:
         batch = seq[0].shape[0]
@@ -753,44 +744,6 @@ class ConvLIF(SpikingModule):
         else:
             currents = compute(seq)
         return self._lif_scan(currents, state)
-
-    def neuron_input_currents(
-        self, seq: np.ndarray, neuron_indices: np.ndarray
-    ) -> np.ndarray:
-        _, out_h, out_w = self.neuron_shape
-        positions = np.asarray(neuron_indices) % (out_h * out_w)  # spatial site
-        filters = np.asarray(neuron_indices) // (out_h * out_w)
-        k, i, j = F._im2col_indices(
-            self.in_channels, self.kernel, self.kernel, out_h, out_w, self.stride
-        )
-        pad = self.padding
-        steps, batch = seq.shape[:2]
-        i_sel, j_sel = i[:, positions], j[:, positions]
-        w_sel = self.weight.data.reshape(self.out_channels, -1)[filters]  # (K, C*k*k)
-
-        def compute(rows: np.ndarray) -> np.ndarray:
-            x_pad = (
-                np.pad(rows, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-                if pad
-                else rows
-            )
-            # Gather only the K receptive fields instead of the full im2col
-            # (the channel index k is position-independent: (C*kh*kw, 1)).
-            patches = x_pad[:, k, i_sel, j_sel]
-            return np.einsum("bkg,gk->bg", patches, w_sel)
-
-        flat = seq.reshape((steps * batch,) + seq.shape[2:])
-        if self._events is not None:
-            currents = self._events.stacked_block(
-                flat,
-                compute,
-                (len(positions),),
-                np.result_type(seq.dtype, w_sel.dtype),
-                self.name or "conv",
-            )
-        else:
-            currents = compute(flat)
-        return currents.reshape(steps, batch, len(positions))
 
     def forward_sequence(self, seq: List[Tensor]) -> List[Tensor]:
         batch = seq[0].shape[0]

@@ -26,9 +26,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.checkpoint import network_digest
+from repro.core.checkpoint import deserialize_checkpoint, network_digest
 from repro.core.testset import TestStimulus
 from repro.errors import StoreError
+from repro.faults import store as store_module
+from repro.faults.catalog import build_catalog
 from repro.faults.model import FaultModelConfig
 from repro.faults.simulator import FaultSimulator
 from repro.faults.store import (
@@ -130,6 +132,45 @@ def test_options_token_injective_over_the_full_grid():
                     tokens.add(options_token(simulator, drop, div, comp))
                     combos += 1
     assert len(tokens) == combos
+
+
+def test_group_records_of_another_engine_revision_miss(tmp_path, monkeypatch):
+    """A record whose carried state another engine revision computed is
+    never resumed from: the revision is part of the options token, so a
+    re-run writes every group record anew, while the golden records, which
+    no revision changes, still hit."""
+    def kinds(store):
+        counts = {}
+        for path in store._records():
+            kind = deserialize_checkpoint(path.read_bytes())[1]["kind"]
+            counts[kind] = counts.get(kind, 0) + 1
+        return counts
+
+    net = build_network(
+        NetworkSpec(
+            name="rev", input_shape=(3,),
+            layers=(DenseSpec(out_features=4), DenseSpec(out_features=2)),
+            lif=LIFParameters(leak=0.9),
+        ),
+        np.random.default_rng(0),
+    )
+    config = FaultModelConfig()
+    simulator = FaultSimulator(net, config)
+    faults = build_catalog(net, config).faults
+    stimulus = _stimulus_from_seed((3, 2, 4), 1)
+    root = tmp_path / "store"
+    revision = store_module.ENGINE_REVISION
+    monkeypatch.setattr(store_module, "ENGINE_REVISION", revision - 1)
+    simulator.detect_segmented(stimulus, faults, store=CoverageStore(root))
+    before = kinds(CoverageStore(root))
+    monkeypatch.setattr(store_module, "ENGINE_REVISION", revision)
+    current = CoverageStore(root)
+    simulator.detect_segmented(stimulus, faults, store=current)
+    assert before["cov-group"] > 0 and before["cov-golden"] > 0
+    assert current.writes == before["cov-group"]
+    assert kinds(current) == {
+        "cov-group": 2 * before["cov-group"], "cov-golden": before["cov-golden"]
+    }
 
 
 @SETTINGS
