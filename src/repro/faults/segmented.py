@@ -14,7 +14,7 @@ The LIF update is a per-step recurrence in ``(potential, last_spike,
 refractory)``, so splitting the time loop at any step and resuming from
 the carried state is bit-identical to the unsplit run — the sleep gap
 *decays* the membrane state but never zeroes it, so state carry across
-segment boundaries is required, not an optimisation.  Four further
+segment boundaries is required, not an optimisation.  Six further
 transformations are applied, all exact:
 
 - **Fault dropping** (``drop_detected``): detection is monotone in
@@ -39,6 +39,14 @@ transformations are applied, all exact:
   sum pool and then a conv layer change one cell of that conv's input
   each; rows whose reach in it is disjoint share one conv run, and each
   row keeps its own carried state (see :meth:`_FaultGroup._run_packed`).
+- **Channel packing**: a conv synapse fault on kernel entry
+  ``(f, c, i, j)`` changes only output channel ``f``, so faults on
+  distinct filters share one weight copy and one LIF scan; each row keeps
+  its own carried state and leaves with the golden output, its own
+  channel in place (see :meth:`_FaultGroup._run_channels`).
+- **Wide mini-LIFs**: splice-style rows are independent, so each group
+  scans them once per segment (and window piece) over all active rows;
+  comparison, materialization and propagation keep the row-order batches.
 
 Metric accumulation across segments is also exact: spike trains are
 0.0/1.0 floats, so L1 distances and per-class spike counts are
@@ -54,8 +62,9 @@ divergence, one per downstream spiking module.  Segments bound the time
 axis but not the rows: the conv patch matrices of a segment are built in
 cache-sized blocks (:func:`repro.autograd.functional.im2col_matmul`),
 a K-batched synapse run reads the segment input untiled, and packed rows
-hold only their footprint's conv spikes between the shared conv runs and
-their per-row tail.
+hold only their footprint's conv spikes (footprint packing) or their own
+channel, pooled when a sum pool follows (channel packing), between the
+shared runs and their per-row tail.
 """
 
 from __future__ import annotations
@@ -102,7 +111,7 @@ class _GoldenSegment:
     module's state at segment *entry* (for seeding the downstream modules
     of a fault that diverges on this segment) and *exit* (the state of
     every neuron a packed row's fault cannot reach, see
-    :meth:`_FaultGroup._run_packed`)."""
+    :meth:`_FaultGroup._run_packed` and :meth:`_FaultGroup._run_channels`)."""
 
     def __init__(self, seg: np.ndarray, outputs: List[np.ndarray],
                  entry_states: List, exit_states: List):
@@ -215,11 +224,13 @@ class _SessionGoldenRunner:
         return gseg
 
 
-#: Fused-path batch width for splice/delay rows (per-row state is a few
-#: scalars, so the width is bounded by call-overhead amortization, not
-#: memory; module-re-running kinds keep the configured batch sizes).  It
-#: also bounds the shared rows of one packed conv run and the rows of one
-#: per-row tail run (see :meth:`_FaultGroup._run_packed`).
+#: Fused-path batch width for splice/delay rows: the rows compared,
+#: materialized and propagated together (module-re-running kinds keep the
+#: configured batch sizes).  A dense GEMM rounds a row by its place in
+#: the batch, so this width fixes the downstream state that records
+#: carry.  It also bounds the shared rows of one footprint-packed conv
+#: run (see :meth:`_FaultGroup._run_packed`).  It no longer sets the
+#: mini-LIF width: a group scans all its active rows at once.
 _SPLICE_BATCH = 64
 
 #: Kinds whose rows change one neuron's output trace without re-running
@@ -273,7 +284,10 @@ class _ConvFootprints:
 
 def _first_fit(locations: np.ndarray, conflict: List[int]) -> np.ndarray:
     """Pack index of each row, first fit in row order: a row joins the
-    lowest pack that holds no row whose footprint meets its own."""
+    lowest pack that holds no row whose location conflicts with its own.
+    ``conflict[loc]`` is the bit set of locations that conflict with
+    ``loc``: footprints that meet (footprint packing), or the filter
+    itself (channel packing)."""
     blocked: List[int] = []  # per pack: the locations its members shut out
     lowest: Dict[int, int] = {}  # per location: no lower pack can take it
     packs = np.empty(len(locations), dtype=np.int64)
@@ -286,6 +300,17 @@ def _first_fit(locations: np.ndarray, conflict: List[int]) -> np.ndarray:
         blocked[p] |= conflict[loc]
         lowest[loc] = packs[j] = p
     return packs
+
+
+def _pack_runs(packs: np.ndarray, width: int):
+    """Runs of at most ``width`` consecutive packs: per run, the rows it
+    holds and each one's pack index within the run."""
+    order = np.argsort(packs, kind="stable")
+    ranked = packs[order]
+    for lo in range(0, int(packs.max()) + 1, width):
+        a, b = np.searchsorted(ranked, [lo, lo + width])
+        sel = order[a:b]
+        yield sel, packs[sel] - lo
 
 
 class _FaultGroup:
@@ -307,7 +332,13 @@ class _FaultGroup:
       affected neuron's mini-LIF is advanced per row, driven by its column
       of one K-batched faulty product, exactly like ``"splice"``.
     - ``"synapse_k"`` — synapse faults on modules with K-batched weight
-      support.
+      support.  Conv layers on the fused path with ``synapse_splice`` on
+      run them channel-packed and splice-style: faults on distinct
+      filters share one weight copy and one LIF scan, and each row leaves
+      with the golden output, its own channel in place — at pooled
+      resolution when the module feeds a sum pool (see
+      :meth:`_run_channels`).  Their records are those of the K-batched
+      run byte for byte, so the kind keeps its name.
     - ``"synapse_seq"`` — synapse faults on the sequential reference path
       (one reversible :func:`inject` per fault, batch size 1).
     - ``"delay"`` — neuron DELAY faults: the module runs nominally (the
@@ -345,9 +376,9 @@ class _FaultGroup:
         # Splice and delay rows carry (k, 1) scalar state and never re-run
         # the module, so the fused engine batches them far wider than the
         # module-re-running kinds: wider batches amortize the per-call
-        # overhead of the mini-LIF scan, the trace compares, and the
-        # downstream runs of diverged rows.  The legacy engine keeps the
-        # configured batch (it is the PR 5 reference configuration).
+        # overhead of the trace compares and the downstream runs of
+        # diverged rows (the mini-LIF scans every active row at once).
+        # The legacy engine keeps the configured batch.
         def _splice_batch(configured: int) -> int:
             return max(configured, _SPLICE_BATCH) if simulator.fused else configured
 
@@ -393,11 +424,20 @@ class _FaultGroup:
         # (``packing``) and enter the per-row tail at ``tail``.
         self.entry = 0
         self.packing: Optional[_ConvFootprints] = None
+        pooled = bool(self.downstream) and isinstance(self.downstream[0], SumPool)
+        # Channel-packed conv synapse rows: each row's output channel.
+        self.channel: Optional[np.ndarray] = None
         if (
-            kind in _SPLICE_KINDS
-            and self.downstream
-            and isinstance(self.downstream[0], SumPool)
+            kind == "synapse_k"
+            and simulator.fused
+            and simulator.synapse_splice
+            and isinstance(self.module, ConvLIF)
         ):
+            self.channel = np.unravel_index(
+                [widx for _pidx, widx, _value in self.syn], self.module.weight.shape
+            )[0]
+            self.entry = int(pooled)
+        if kind in _SPLICE_KINDS and pooled:
             pool = self.downstream[0]
             channel, row, col = np.unravel_index(self.neuron_idx, shape)
             self.cell_idx = np.ravel_multi_index(
@@ -510,7 +550,8 @@ class _FaultGroup:
 
     def _run_splice(self, rows: np.ndarray, gseg: _GoldenSegment, offset: int,
                     currents: np.ndarray):
-        """Advance the faulty neurons' mini-LIF rows on the module's golden
+        """Advance the faulty neurons' mini-LIF rows (every active row of
+        the group, in one scan per window piece) on the module's golden
         currents ``(T, n)``; returns ``(same, traces, golden_traces)`` (see
         :meth:`_splice_compare`)."""
         golden = currents[:, self.neuron_idx[rows], None]  # (T, R, 1)
@@ -554,11 +595,12 @@ class _FaultGroup:
 
     def _run_synapse_splice(self, rows: np.ndarray, gseg: _GoldenSegment,
                             offset: int, currents: Optional[np.ndarray]):
-        """Advance the synapse-faulty neurons' mini-LIF rows under nominal
-        neuron parameters: faulty currents (one K-batched product over
-        full faulty weight copies) inside the fault window, the golden
-        currents ``(T, n)`` outside — exactly as the K-batched path swaps
-        weight stacks at the window boundaries."""
+        """Advance the synapse-faulty neurons' mini-LIF rows (every active
+        row of the group at once) under nominal neuron parameters: faulty
+        currents (one K-batched product over full faulty weight copies)
+        inside the fault window, the golden currents ``(T, n)`` outside —
+        exactly as the K-batched path swaps weight stacks at the window
+        boundaries."""
         seg_input = gseg.module_input(self.module_index)
         entries = [self.syn[row] for row in rows]
         faulty = self.module.synapse_splice_currents(seg_input, entries)  # (T, 1, R)
@@ -597,40 +639,111 @@ class _FaultGroup:
         out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
         return out  # (T, R, *neuron_shape)
 
-    def _run_synapse_k(
-        self, rows: np.ndarray, seg_input: np.ndarray, offset: int
-    ) -> np.ndarray:
+    def _run_copies(self, rows: np.ndarray, copies: np.ndarray,
+                    seg_input: np.ndarray, offset: int, state: LIFState) -> np.ndarray:
+        """Run the module over full weight copies ``0..copies.max()``, each
+        row's fault entry written into its copy ``copies[j]``: faulty
+        copies inside the fault window, nominal ones outside, ``state``
+        carried through.  Returns the output ``(T, copies, *neuron_shape)``."""
         module = self.module
         params = module.parameters()
-        stacks = [
-            np.broadcast_to(p.data, (len(rows),) + p.data.shape).copy()
-            for p in params
-        ]
-        for j, row in enumerate(rows):
+        n = int(copies.max()) + 1
+        stacks = [np.broadcast_to(p.data, (n,) + p.data.shape).copy() for p in params]
+        for copy, row in zip(copies.tolist(), rows.tolist()):
             pidx, widx, value = self.syn[row]
-            stacks[pidx][j].reshape(-1)[widx] = value
-        state = self._module_state(rows)
+            stacks[pidx][copy].reshape(-1)[widx] = value
         run = (
             module.run_sequence_kbatched_fused
             if self.campaign.simulator.fused and _supports_kbatched_fused(module)
             else module.run_sequence_kbatched
         )
-        # The K-batched kernels broadcast the shared input over the rows.
+        # The K-batched kernels broadcast the shared input over the copies.
         if self.window is None:
-            out = run(seg_input, stacks, state=state)
-        else:
-            nominal = [
-                np.broadcast_to(p.data, (len(rows),) + p.data.shape) for p in params
-            ]
-            pieces = [
-                run(seg_input[a:b], stacks if in_window else nominal, state=state)
-                for a, b, in_window in _window_pieces(
-                    self.window, seg_input.shape[0], offset
-                )
-            ]
-            out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
+            return run(seg_input, stacks, state=state)
+        nominal = [np.broadcast_to(p.data, (n,) + p.data.shape) for p in params]
+        pieces = [
+            run(seg_input[a:b], stacks if in_window else nominal, state=state)
+            for a, b, in_window in _window_pieces(self.window, seg_input.shape[0], offset)
+        ]
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
+
+    def _run_synapse_k(
+        self, rows: np.ndarray, seg_input: np.ndarray, offset: int
+    ) -> np.ndarray:
+        state = self._module_state(rows)
+        out = self._run_copies(rows, np.arange(len(rows)), seg_input, offset, state)
         self._store_state(rows, state)
         return out
+
+    def _run_channels(self, rows: np.ndarray, gseg: _GoldenSegment, offset: int):
+        """Channel packing: conv synapse-fault ``rows``, many rows per
+        weight copy.
+
+        A fault on kernel entry ``(f, c, i, j)`` changes only output
+        channel ``f``.  For a fixed shape, a GEMM's output row depends only
+        on its own weight row and the patch matrix, and the LIF update is
+        elementwise, so rows on distinct filters share one weight copy (the
+        nominal weights with every member's faulty entry), entered from the
+        golden entry state with each member's carried channel in place:
+        one K-batched run over the copies gives every member's channel as
+        if it ran alone.  Each member leaves with the golden exit state,
+        its own channel from its copy.
+
+        Rows are packed first fit in row order, with a filter conflicting
+        only with itself, and the copies run ``batch_size`` at a time.
+        Returns ``(same, own)``: ``same[j]`` when row ``j``'s channel
+        equals its golden channel, and ``own`` ``(T, R, h, w)`` each row's
+        channel at the resolution it leaves at, pooled when a sum pool
+        follows (see :meth:`_channel_materialize`)."""
+        golden = gseg.outputs[self.module_index][:, 0]  # (T, F, H, W)
+        entry = gseg.entry_states[self.module_index]
+        exit_state = gseg.exit_states[self.module_index]
+        seg_input = gseg.module_input(self.module_index)
+        channel = self.channel[rows]
+        packs = _first_fit(channel, [1 << f for f in range(self.module.out_channels)])
+        same = np.empty(len(rows), dtype=bool)
+        leaves = gseg.outputs[self.module_index + self.entry]  # (T, 1, F, h, w)
+        own = np.empty((leaves.shape[0], len(rows)) + leaves.shape[3:])
+        for sel, copies in _pack_runs(packs, self.batch_size):
+            members, ch = rows[sel], channel[sel]
+            n = int(copies.max()) + 1
+            tiles = []
+            for golden_state, carried in (
+                (entry.potential, self.pot),
+                (entry.last_spike, self.spk),
+                (entry.refractory, self.ref),
+            ):
+                tile = np.broadcast_to(golden_state, (n,) + golden_state.shape[1:]).copy()
+                # The members of one copy hold distinct channels.
+                tile[copies, ch] = carried[members, ch]
+                tiles.append(tile)
+            state = LIFState(*tiles)
+            mine = self._run_copies(members, copies, seg_input, offset, state)[:, copies, ch]
+            same[sel] = (mine == golden[:, ch]).all(axis=(0, 2, 3))
+            if self.entry:
+                mine = self.downstream[0].run_sequence_fused(mine[:, :, None])[:, :, 0]
+            own[:, sel] = mine
+            for carried, golden_state, after in (
+                (self.pot, exit_state.potential, state.potential),
+                (self.spk, exit_state.last_spike, state.last_spike),
+                (self.ref, exit_state.refractory, state.refractory),
+            ):
+                carried[members] = golden_state
+                carried[members, ch] = after[copies, ch]
+        return same, own
+
+    def _channel_materialize(self, gseg: _GoldenSegment, rows: np.ndarray,
+                             own: np.ndarray) -> np.ndarray:
+        """The golden output tiled over channel-packed ``rows``, each with
+        its own channel ``own`` ``(T, m, h, w)`` in place: the rows' module
+        output, pooled when a sum pool follows (``self.entry == 1``).
+        Spike counts are small integers, so a pooled channel equals pooling
+        the row's full-resolution output exactly, without building it."""
+        base = gseg.outputs[self.module_index + self.entry]
+        steps, m = own.shape[:2]
+        tiled = np.broadcast_to(base, (steps, m) + base.shape[2:]).copy()
+        tiled[:, np.arange(m), self.channel[rows]] = own
+        return tiled
 
     def _run_synapse_seq(
         self, rows: np.ndarray, seg_input: np.ndarray, offset: int
@@ -793,14 +906,11 @@ class _FaultGroup:
         fp = self.packing
         self._seed(rows, gseg)
         packs = _first_fit(self.cell_loc[rows], fp.conflict)
-        order = np.argsort(packs, kind="stable")
         width = self.batch_size
         # Each row's conv spikes on its footprint: (R, slots, T, channels).
         spikes = np.empty((len(rows), fp.pos.shape[1], deltas.shape[0], fp.channels), bool)
-        for lo in range(0, int(packs.max()) + 1, width):
-            a, b = np.searchsorted(packs[order], [lo, lo + width])
-            sel = order[a:b]
-            spikes[sel] = self._run_shared(rows[sel], deltas[:, sel], packs[sel] - lo, gseg)
+        for sel, shared in _pack_runs(packs, width):
+            spikes[sel] = self._run_shared(rows[sel], deltas[:, sel], shared, gseg)
         for lo in range(0, len(rows), width):
             sub = rows[lo : lo + width]
             tile = self._footprint_tile(sub, spikes[lo : lo + width], gseg)
@@ -897,16 +1007,28 @@ class _FaultGroup:
             full = self.module.sequence_currents(seg_input)
             currents = full.reshape(full.shape[0], -1)
         batches = self._batches()
+        if not batches:
+            return
+        # Splice-style and channel-packed rows run once over every active
+        # row; the batches below only slice their results.
+        active = np.concatenate(batches)
+        if self.kind == "splice":
+            wide = self._run_splice(active, gseg, offset, currents)
+        elif self.kind == "synapse_splice":
+            wide = self._run_synapse_splice(active, gseg, offset, currents)
+        elif self.kind == "delay":
+            wide = self._run_delay(active, gseg, offset)
+        elif self.channel is not None:
+            wide = self._run_channels(active, gseg, offset)
         packed: List[Tuple[np.ndarray, np.ndarray]] = []
+        lo = 0
         for rows in batches:
-            if self.kind == "splice":
-                same, traces, golden_traces = self._run_splice(rows, gseg, offset, currents)
-            elif self.kind == "synapse_splice":
-                same, traces, golden_traces = self._run_synapse_splice(
-                    rows, gseg, offset, currents
-                )
-            elif self.kind == "delay":
-                same, traces, golden_traces = self._run_delay(rows, gseg, offset)
+            at = slice(lo, lo + len(rows))
+            lo += len(rows)
+            if self.kind in _SPLICE_KINDS:
+                same, traces, golden_traces = wide[0][at], wide[1][:, at], wide[2][:, at]
+            elif self.channel is not None:
+                same, own = wide[0][at], wide[1][:, at]
             else:
                 if self.kind == "neuron":
                     out = self._run_neuron(rows, seg_input, offset)
@@ -926,13 +1048,14 @@ class _FaultGroup:
                 if self.packing is not None:
                     packed.append((sub, traces[:, need] - golden_traces[:, need]))
                 else:
-                    module_out = (
-                        self._splice_materialize(
+                    if self.kind in _SPLICE_KINDS:
+                        module_out = self._splice_materialize(
                             gseg, sub, traces[:, need], golden_traces[:, need]
                         )
-                        if self.kind in _SPLICE_KINDS
-                        else out[:, need]
-                    )
+                    elif self.channel is not None:
+                        module_out = self._channel_materialize(gseg, sub, own[:, need])
+                    else:
+                        module_out = out[:, need]
                     outs = (
                         self._run_downstream(module_out, sub, gseg)
                         if has_down
@@ -948,7 +1071,7 @@ class _FaultGroup:
             )
         if campaign.drop_detected:
             remaining = campaign.n_segments - 1 - segment_index
-            for row in np.concatenate(batches) if batches else ():
+            for row in active:
                 if campaign.detected[self.indices[row]] and self.active[row]:
                     self.active[row] = False
                     self.dstates.pop(int(row), None)

@@ -6,6 +6,10 @@ bit-identical to the per-step oracle.
 - **Packed rows.**  conv1 rows of the conv -> pool -> conv -> pool net run
   conv2 several to a shared row; each row's own conv2 state goes into the
   records, and a resume must continue from it.
+- **Channel-packed rows.**  Synapse faults on the conv layers of the same
+  net share weight copies, one fault per filter; each row's own conv
+  state, the golden exit state with its channel from the copy, goes into
+  the records, and a resume must continue from it.
 - **Delay history.**  A DELAY fault's output at the start of a segment is
   the tail of the previous one, carried in ``grp.hist``.  The delays here
   (6 steps) are longer than the sleep gaps (4 and 3 steps), and every
@@ -30,6 +34,7 @@ from repro.utils import chaos
 
 from tests.faults.test_footprint_packing import (
     WINDOW,
+    _channel_faults,
     _packing_faults,
     packing_net,
     packing_stimulus,
@@ -101,6 +106,12 @@ def delay_campaign(request):
 def packed_campaign():
     net, stimulus = packing_net(), packing_stimulus()
     return _campaign(net, stimulus, _packing_faults(net, FaultModelConfig()))
+
+
+@pytest.fixture(scope="module")
+def channel_campaign():
+    net, stimulus = packing_net(), packing_stimulus()
+    return _campaign(net, stimulus, _channel_faults(net, FaultModelConfig()))
 
 
 class _WriteLog(CoverageStore):
@@ -188,3 +199,16 @@ def test_crash_after_carried_packed_state_resumes_bit_identical(
     )
     result = _crash_then_resume(packed_campaign, drop, tmp_path / "store", keys[strike])
     _assert_resumed(packed_campaign, drop, result)
+
+
+@pytest.mark.parametrize("strike", [0, 2, -1])
+@pytest.mark.parametrize("drop", [False, True])
+def test_crash_after_channel_packed_state_resumes_bit_identical(
+    channel_campaign, tmp_path, drop, strike
+):
+    keys, records = _carried_writes(channel_campaign, drop, tmp_path / "log", "synapse_k")
+    assert any(arrays["grp.diverged"].any() for arrays in records), (
+        "the records must carry channel-packed rows that diverged"
+    )
+    result = _crash_then_resume(channel_campaign, drop, tmp_path / "store", keys[strike])
+    _assert_resumed(channel_campaign, drop, result)

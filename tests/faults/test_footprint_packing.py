@@ -24,7 +24,13 @@ from hypothesis import strategies as st
 from repro.core.testset import TestStimulus
 from repro.faults import segmented
 from repro.faults.catalog import _neuron_variants, build_catalog
-from repro.faults.model import FaultModelConfig, NeuronFault, NeuronFaultKind
+from repro.faults.model import (
+    FaultModelConfig,
+    NeuronFault,
+    NeuronFaultKind,
+    SynapseFault,
+    SynapseFaultKind,
+)
 from repro.faults.parallel import fork_available, parallel_detect_segmented
 from repro.faults.simulator import FaultSimulator
 from repro.faults.store import CoverageStore
@@ -220,6 +226,29 @@ def _packing_faults(net, config):
     return faults + catalog.synapse_faults[::40]
 
 
+def _channel_faults(net, config, per_filter=2):
+    """Synapse faults of every kind (bit-flips at two bits) on both conv
+    layers, ``per_filter`` per filter and kind, permanent and windowed
+    across the first segment boundary: channel-packed groups."""
+    faults = []
+    for module_index in (0, 2):
+        weight = net.modules[module_index].weight.data
+        taps = weight[0].size
+        for kind in SynapseFaultKind:
+            bits = (2, config.weight_bits - 1) if kind is SynapseFaultKind.BITFLIP else (None,)
+            for bit in bits:
+                for window in (None, WINDOW):
+                    for f in range(len(weight)):
+                        for _ in range(per_filter):
+                            tap = (7 * len(faults) + 3) % taps
+                            faults.append(SynapseFault(
+                                module_index=module_index, parameter_index=0,
+                                weight_index=f * taps + tap, kind=kind, bit=bit,
+                                window=window,
+                            ))
+    return faults
+
+
 @pytest.fixture(scope="module")
 def packing_campaign():
     net = packing_net()
@@ -342,9 +371,12 @@ def _record_tree(store: CoverageStore):
 def test_packing_changes_no_record_byte(packing_campaign, monkeypatch, tmp_path, drop):
     """Every row's carried state (its downstream state included) and
     metrics are its own: the coverage-store records of a packed campaign
+    (footprint-packed splice rows, channel-packed conv synapse rows)
     equal, byte for byte, those of the campaign with every row alone."""
-    simulator = FaultSimulator(packing_campaign["net"], packing_campaign["config"])
-    stimulus, faults = packing_campaign["stimulus"], packing_campaign["faults"]
+    net, config = packing_campaign["net"], packing_campaign["config"]
+    simulator = FaultSimulator(net, config)
+    stimulus = packing_campaign["stimulus"]
+    faults = packing_campaign["faults"] + _channel_faults(net, config)
     packed = CoverageStore(tmp_path / "packed")
     simulator.detect_segmented(stimulus, faults, drop_detected=drop, store=packed)
     monkeypatch.setattr(segmented, "_first_fit", _alone)
