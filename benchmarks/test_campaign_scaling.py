@@ -231,12 +231,12 @@ def _rss_traced(fn):
 
 
 def test_fused_campaign(results_dir):
-    """One-BLAS-call fused batches + shared-memory workers vs the PR 5
-    segmented engine (per-step kernels, pickled-spool transport) on the
-    nmnist-small full catalog.  Emits ``results/campaign_fused.json``
-    with one row per mode including parent peak RSS, and — in full mode —
-    asserts the fused shm campaign clears the 2x acceptance bar.  All
-    modes must stay bit-identical."""
+    """One-BLAS-call fused batches vs the PR 5 segmented engine (per-step
+    kernels) on the nmnist-small full catalog, both over the same 2
+    supervised workers.  Emits ``results/campaign_fused.json`` with one
+    row per mode including parent peak RSS, and — in full mode — asserts
+    the fused campaign clears the 2x acceptance bar.  All modes must stay
+    bit-identical."""
     definition, network, faults, _ = _campaign_setup()
     chunk_steps = [3, 3, 2] if QUICK else [8] * 6
     rng = np.random.default_rng(4)
@@ -248,23 +248,14 @@ def test_fused_campaign(results_dir):
         input_shape=definition.spec.input_shape,
     )
     workers = 2
-    shm_env = os.environ.get("REPRO_SHM")
 
-    # PR 5 baseline: unfused per-step kernels, spool-file result transport.
-    os.environ["REPRO_SHM"] = "0"
-    try:
-        baseline_sim = FaultSimulator(network, definition.fault_config, fused=False)
-        reference, t_baseline, rss_baseline = _rss_traced(
-            lambda: parallel_detect_segmented(
-                baseline_sim, stimulus, faults, workers=workers
-            )
+    # PR 5 baseline: unfused per-step kernels.
+    baseline_sim = FaultSimulator(network, definition.fault_config, fused=False)
+    reference, t_baseline, rss_baseline = _rss_traced(
+        lambda: parallel_detect_segmented(
+            baseline_sim, stimulus, faults, workers=workers
         )
-    finally:
-        if shm_env is None:
-            os.environ.pop("REPRO_SHM", None)
-        else:
-            os.environ["REPRO_SHM"] = shm_env
-    assert not reference.health.shm
+    )
 
     simulator = FaultSimulator(network, definition.fault_config, fused=True)
     result, elapsed, rss = _rss_traced(
@@ -273,12 +264,11 @@ def test_fused_campaign(results_dir):
     assert np.array_equal(reference.detected, result.detected)
     rows = [
         {
-            "mode": "fused-shm",
+            "mode": "fused",
             "seconds": elapsed,
             "speedup_vs_baseline": t_baseline / elapsed,
             "throughput_faults_per_s": len(faults) / elapsed,
             "parent_peak_rss_mb": rss,
-            "shm": bool(result.health.shm),
         }
     ]
 
@@ -290,11 +280,10 @@ def test_fused_campaign(results_dir):
         "chunks": len(chunk_steps),
         "workers": workers,
         "baseline": {
-            "mode": "segmented-unfused-spool",
+            "mode": "segmented-unfused",
             "seconds": t_baseline,
             "throughput_faults_per_s": len(faults) / t_baseline,
             "parent_peak_rss_mb": rss_baseline,
-            "shm": False,
         },
         "modes": rows,
         "cpu_count": os.cpu_count(),
@@ -307,14 +296,13 @@ def test_fused_campaign(results_dir):
     print(
         f"\nfused campaign ({len(faults)} faults, "
         f"{stimulus.duration_steps} steps, {workers} workers): "
-        f"baseline {t_baseline:.2f}s; fused+shm {summary}"
+        f"baseline {t_baseline:.2f}s; fused {summary}"
     )
 
     if not QUICK:
-        # Acceptance bar: fused with shm workers >= 2x the PR 5 segmented
-        # engine on the full catalog.
+        # Acceptance bar: fused >= 2x the PR 5 segmented engine on the
+        # full catalog.
         assert rows[0]["speedup_vs_baseline"] >= 2.0, payload
-        assert rows[0]["shm"], payload
 
 
 def test_incremental_verify(tmp_path, results_dir):

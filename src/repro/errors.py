@@ -80,8 +80,7 @@ class JobCancelledError(ReproError):
     """A service job was cancelled cooperatively (client ``repro cancel``,
     deadline expiry, or daemon shutdown).  Raised from inside the
     campaign's progress ticks so every resource-releasing ``finally``
-    block — spool dirs, shm arenas, worker processes — runs on the way
-    out."""
+    block — spool dirs, worker processes — runs on the way out."""
 
 
 class WorkerFailureError(ReproError):

@@ -39,7 +39,6 @@ from repro.faults.simulator import (
     FaultSimulator,
 )
 from repro.faults.parallel import (
-    ParallelFaultSimulator,
     parallel_classify,
     parallel_detect,
     parallel_detect_segmented,
@@ -73,7 +72,6 @@ __all__ = [
     "DetectionResult",
     "ClassificationResult",
     "CoverageBreakdown",
-    "ParallelFaultSimulator",
     "parallel_detect",
     "parallel_detect_segmented",
     "parallel_classify",

@@ -37,9 +37,11 @@ Design notes
   checkpoint; a segment-wise one resumes by re-running against its
   coverage store.  Either way, resumed results are bit-identical to an
   uninterrupted campaign.
-- Results travel from worker to parent as a spool file (written
-  atomically) plus a single signal byte on a pipe, so a worker killed
-  mid-delivery can never stall the parent on a torn message.
+- Results travel from worker to parent only as a pickled spool file
+  (written atomically) plus a single signal byte on a pipe, so a worker
+  killed mid-delivery can never stall the parent on a torn message, and
+  a campaign leaves no process or system-wide resource behind once it
+  returns.
 - **Segment-wise detection** (:func:`parallel_detect_segmented`) shards
   the same way but never ships a golden cache: each worker advances its
   own fault-free network one test segment at a time, so peak memory is
@@ -64,6 +66,7 @@ import atexit
 import ctypes
 import heapq
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -78,7 +81,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ChaosError, FaultModelError, WorkerFailureError
-from repro.faults import shm
 from repro.faults.simulator import (
     CampaignHealth,
     ClassificationResult,
@@ -104,10 +106,6 @@ MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 # their shard generators explicitly); the atexit sweep only catches a
 # campaign torn down so abruptly that no ``finally`` ran.
 _SPOOL_DIRS: set = set()
-
-#: Sentinel payload a worker returns when its results were delivered
-#: through the shared-memory arena instead of the pickled spool file.
-_SHM_DELIVERED = "shm"
 
 #: Serializes fork points.  The campaign service forks shard workers from
 #: a multi-threaded parent (the daemon's asyncio loop plus one executor
@@ -204,17 +202,28 @@ class SupervisionConfig:
 
     @classmethod
     def from_env(cls) -> "SupervisionConfig":
-        def _float(name: str, default):
+        """Defaults with the environment overrides applied.  A timeout
+        that is not a finite positive number, or a negative retry count,
+        raises :class:`~repro.errors.FaultModelError` naming the variable:
+        a NaN timeout would never declare a hung worker, and a negative
+        one would declare every worker hung at once."""
+
+        def _timeout(name: str, default):
             raw = os.environ.get(name, "").strip()
             if not raw:
                 return default
             try:
-                return float(raw)
+                value = float(raw)
             except ValueError:
                 raise FaultModelError(f"{name} must be a number, got {raw!r}") from None
+            if not (math.isfinite(value) and value > 0):
+                raise FaultModelError(
+                    f"{name} must be a finite positive number of seconds, got {raw!r}"
+                )
+            return value
 
-        heartbeat_timeout = _float(HEARTBEAT_TIMEOUT_ENV, cls.heartbeat_timeout)
-        shard_timeout = _float(SHARD_TIMEOUT_ENV, None)
+        heartbeat_timeout = _timeout(HEARTBEAT_TIMEOUT_ENV, cls.heartbeat_timeout)
+        shard_timeout = _timeout(SHARD_TIMEOUT_ENV, None)
         retries_raw = os.environ.get(MAX_RETRIES_ENV, "").strip()
         if retries_raw:
             try:
@@ -223,6 +232,10 @@ class SupervisionConfig:
                 raise FaultModelError(
                     f"{MAX_RETRIES_ENV} must be an integer, got {retries_raw!r}"
                 ) from None
+            if max_retries < 0:
+                raise FaultModelError(
+                    f"{MAX_RETRIES_ENV} must not be negative, got {retries_raw!r}"
+                )
         else:
             max_retries = cls.max_retries
         return cls(
@@ -260,18 +273,6 @@ def _detect_shard(bounds: Tuple[int, int], shared: dict):
         golden_modules=shared["golden_modules"],
     )
     vector = _dispatch_vector(simulator, result)
-    views = shared.get("shm_out")
-    if views is not None:
-        # Zero-copy delivery: write this shard's slice of the parent's
-        # shared-memory result arrays in place; the spool payload shrinks
-        # to the dispatch-counter vector plus a sentinel.  The whole slice
-        # is written before the completion signal, so a killed worker's
-        # partial writes are always fully overwritten by the retry.
-        detected, output_l1, class_diff = views
-        detected[lo:hi] = result.detected
-        output_l1[lo:hi] = result.output_l1
-        class_diff[lo:hi] = result.class_count_diff
-        return lo, vector, _SHM_DELIVERED
     return lo, result.detected, result.output_l1, result.class_count_diff, vector
 
 
@@ -289,24 +290,14 @@ def _detect_seg_shard(bounds: Tuple[int, int], shared: dict):
 
     lo, hi = bounds
     simulator: FaultSimulator = shared["simulator"]
-    drop_detected, divergence_exit, compact_batches = shared["seg_options"]
     result = simulator.detect_segmented(
         shared["stimulus"],
         shared["faults"][lo:hi],
-        drop_detected=drop_detected,
-        divergence_exit=divergence_exit,
-        compact_batches=compact_batches,
+        drop_detected=shared["drop_detected"],
         store=shared.get("store"),
     )
     chain = chain_to_array(result.segment_digests)
     vector = _dispatch_vector(simulator, result)
-    views = shared.get("shm_out")
-    if views is not None:
-        detected, output_l1, class_diff = views
-        detected[lo:hi] = result.detected
-        output_l1[lo:hi] = result.output_l1
-        class_diff[lo:hi] = result.class_count_diff
-        return lo, chain, vector, _SHM_DELIVERED
     return (
         lo,
         result.detected,
@@ -327,12 +318,6 @@ def _classify_shard(bounds: Tuple[int, int], shared: dict):
         chunk_size=shared["chunk_size"],
         golden_modules=shared["golden_modules"],
     )
-    views = shared.get("shm_out")
-    if views is not None:
-        critical, accuracy_drop = views
-        critical[lo:hi] = result.critical
-        accuracy_drop[lo:hi] = result.accuracy_drop
-        return lo, _SHM_DELIVERED
     return lo, result.critical, result.accuracy_drop
 
 
@@ -605,17 +590,11 @@ def _run_sharded(
     health: CampaignHealth,
     checkpoint=None,
     checkpoint_path: Optional[str] = None,
-    shm_views=None,
     units: int = 1,
 ):
     """Yield merged shard payloads: checkpointed shards first, then live
     execution (supervised pool or in-process), persisting each completed
     shard when a checkpoint is attached.
-
-    With ``shm_views`` set (the campaign-wide shared-memory result
-    arrays), pooled workers deliver a sentinel instead of arrays;
-    ``complete`` re-materializes the shard's slice from the views so the
-    checkpoint blobs and the yielded payloads are identical either way.
 
     Progress ticks ``units`` per fault of a finished shard: 1 for flat
     campaigns, the segment count for segment-wise ones, whose progress
@@ -644,16 +623,6 @@ def _run_sharded(
 
         def complete(shard_bounds_, payload):
             lo, hi = shard_bounds_
-            if shm_views is not None and payload[-1] == _SHM_DELIVERED:
-                # Anything riding between the shard offset and the sentinel
-                # (e.g. the dispatch-counter vector) is re-attached after
-                # the re-materialized result slices, so spool and shm
-                # payloads line up.
-                payload = (
-                    (lo,)
-                    + tuple(np.array(view[lo:hi]) for view in shm_views)
-                    + tuple(payload[1:-1])
-                )
             if checkpoint is not None:
                 checkpoint.add(lo, payload[1:])
                 checkpoint.save(checkpoint_path)
@@ -749,48 +718,30 @@ def parallel_detect(
     detected = np.zeros(n_faults, dtype=bool)
     output_l1 = np.zeros(n_faults)
     class_diff = np.zeros((n_faults, classes))
-    arena = shm.open_arena("detect")
-    shm_views = None
+    shared = dict(
+        simulator=simulator,
+        stimulus=stimulus,
+        faults=list(faults),
+        golden_modules=golden_modules,
+    )
+    tracker = _ProgressTracker(progress, n_faults)
+    gen = _run_sharded(
+        _detect_shard, shared, bounds, workers, tracker,
+        use_pool=True, supervision=supervision, health=health,
+    )
     try:
-        if arena is not None:
-            health.shm = True
-            health.events.append("shared-memory result transport enabled")
-            stimulus = arena.share(stimulus)
-            golden_modules = [arena.share(g) for g in golden_modules]
-            shm_views = (
-                arena.zeros((n_faults,), bool),
-                arena.zeros((n_faults,), np.float64),
-                arena.zeros((n_faults, classes), np.float64),
-            )
-        shared = dict(
-            simulator=simulator,
-            stimulus=stimulus,
-            faults=list(faults),
-            golden_modules=golden_modules,
-            shm_out=shm_views,
-        )
-        tracker = _ProgressTracker(progress, n_faults)
-        gen = _run_sharded(
-            _detect_shard, shared, bounds, workers, tracker,
-            use_pool=True, supervision=supervision, health=health,
-            shm_views=shm_views,
-        )
-        try:
-            for lo, shard_detected, shard_l1, shard_diff, shard_vec in gen:
-                hi = lo + shard_detected.shape[0]
-                detected[lo:hi] = shard_detected
-                output_l1[lo:hi] = shard_l1
-                class_diff[lo:hi] = shard_diff
-                merged_stats.merge(DispatchStats.from_vector(shard_vec, layer_names))
-        finally:
-            # Closing the generator runs its cleanup *now* (remove the
-            # spool dir) even when this merge loop aborts —
-            # otherwise the suspended generator lives on in the traceback
-            # and the spool leaks until garbage collection.
-            gen.close()
+        for lo, shard_detected, shard_l1, shard_diff, shard_vec in gen:
+            hi = lo + shard_detected.shape[0]
+            detected[lo:hi] = shard_detected
+            output_l1[lo:hi] = shard_l1
+            class_diff[lo:hi] = shard_diff
+            merged_stats.merge(DispatchStats.from_vector(shard_vec, layer_names))
     finally:
-        if arena is not None:
-            arena.close()
+        # Closing the generator runs its cleanup *now* (remove the spool
+        # dir) even when this merge loop aborts — otherwise the suspended
+        # generator lives on in the traceback and the spool leaks until
+        # garbage collection.
+        gen.close()
     return DetectionResult(
         faults=list(faults),
         detected=detected,
@@ -810,8 +761,6 @@ def parallel_detect_segmented(
     progress: Optional[ProgressFn] = None,
     *,
     drop_detected: bool = True,
-    divergence_exit: bool = True,
-    compact_batches: bool = True,
     supervision: Optional[SupervisionConfig] = None,
     store=None,
 ) -> DetectionResult:
@@ -849,8 +798,6 @@ def parallel_detect_segmented(
             faults,
             progress=progress,
             drop_detected=drop_detected,
-            divergence_exit=divergence_exit,
-            compact_batches=compact_batches,
             store=store,
         )
     supervision = supervision or SupervisionConfig.from_env()
@@ -859,68 +806,41 @@ def parallel_detect_segmented(
     n_faults = len(faults)
     n_segments = stimulus.num_segments
     classes = simulator.network.num_classes
-    options = (bool(drop_detected), bool(divergence_exit), bool(compact_batches))
     bounds = shard_bounds(n_faults, workers)
-    # The chain the parent expects every shard to report.  Computed before
-    # any shm re-wrap of the stimulus: sharing the chunks moves their
-    # storage, never their bytes, so both stimuli hash identically.
+    # The chain the parent expects every shard to report.
     expected_chain = chain_to_array(stimulus_chain(stimulus))
     layer_names = dispatch_layer_names(simulator.network.modules)
     merged_stats = DispatchStats()
     detected = np.zeros(n_faults, dtype=bool)
     output_l1 = np.zeros(n_faults)
     class_diff = np.zeros((n_faults, classes))
-    arena = shm.open_arena("segmented")
-    shm_views = None
+    shared = dict(
+        simulator=simulator,
+        stimulus=stimulus,
+        faults=list(faults),
+        drop_detected=bool(drop_detected),
+        store=store,
+    )
+    tracker = _ProgressTracker(progress, n_faults * n_segments)
+    gen = _run_sharded(
+        _detect_seg_shard, shared, bounds, workers, tracker,
+        use_pool=True, supervision=supervision, health=health,
+        units=n_segments,
+    )
     try:
-        if arena is not None:
-            health.shm = True
-            health.events.append("shared-memory result transport enabled")
-            # Segment chunks are read-only and shared by every worker, so
-            # they are mapped once instead of riding copy-on-write pages.
-            from repro.core.testset import TestStimulus
-
-            stimulus = TestStimulus(
-                chunks=[arena.share(chunk) for chunk in stimulus.chunks],
-                input_shape=stimulus.input_shape,
-            )
-            shm_views = (
-                arena.zeros((n_faults,), bool),
-                arena.zeros((n_faults,), np.float64),
-                arena.zeros((n_faults, classes), np.float64),
-            )
-        shared = dict(
-            simulator=simulator,
-            stimulus=stimulus,
-            faults=list(faults),
-            seg_options=options,
-            shm_out=shm_views,
-            store=store,
-        )
-        tracker = _ProgressTracker(progress, n_faults * n_segments)
-        gen = _run_sharded(
-            _detect_seg_shard, shared, bounds, workers, tracker,
-            use_pool=True, supervision=supervision, health=health,
-            shm_views=shm_views, units=n_segments,
-        )
-        try:
-            for payload in gen:
-                lo, shard_detected, shard_l1, shard_diff, shard_chain = payload[:5]
-                if not np.array_equal(np.asarray(shard_chain), expected_chain):
-                    raise WorkerFailureError(
-                        f"shard {lo} reported segment chain digests that do "
-                        "not match the parent's stimulus"
-                    )
-                hi = lo + shard_detected.shape[0]
-                detected[lo:hi] = shard_detected
-                output_l1[lo:hi] = shard_l1
-                class_diff[lo:hi] = shard_diff
-                merged_stats.merge(DispatchStats.from_vector(payload[5], layer_names))
-        finally:
-            gen.close()
+        for lo, shard_detected, shard_l1, shard_diff, shard_chain, shard_vec in gen:
+            if not np.array_equal(np.asarray(shard_chain), expected_chain):
+                raise WorkerFailureError(
+                    f"shard {lo} reported segment chain digests that do "
+                    "not match the parent's stimulus"
+                )
+            hi = lo + shard_detected.shape[0]
+            detected[lo:hi] = shard_detected
+            output_l1[lo:hi] = shard_l1
+            class_diff[lo:hi] = shard_diff
+            merged_stats.merge(DispatchStats.from_vector(shard_vec, layer_names))
     finally:
-        if arena is not None:
-            arena.close()
+        gen.close()
     return DetectionResult(
         faults=list(faults),
         detected=detected,
@@ -928,8 +848,6 @@ def parallel_detect_segmented(
         class_count_diff=class_diff,
         wall_time=time.perf_counter() - start,
         health=health,
-        # From the pre-sharing chain: the shm-backed chunks are unmapped by
-        # the arena close above and must not be touched again.
         segment_digests=chain_from_array(expected_chain),
         dispatch=merged_stats.as_dict(),
     )
@@ -983,47 +901,27 @@ def parallel_classify(
     )
     critical = np.zeros(n_faults, dtype=bool)
     accuracy_drop = np.zeros(n_faults)
-    arena = shm.open_arena("classify") if use_pool else None
-    shm_views = None
+    shared = dict(
+        simulator=simulator,
+        inputs=inputs,
+        labels=labels,
+        faults=list(faults),
+        chunk_size=chunk_size,
+        golden_modules=golden_modules,
+    )
+    tracker = _ProgressTracker(progress, n_faults)
+    gen = _run_sharded(
+        _classify_shard, shared, bounds, workers, tracker,
+        use_pool=use_pool, supervision=supervision, health=health,
+        checkpoint=checkpoint, checkpoint_path=checkpoint_path,
+    )
     try:
-        if arena is not None:
-            health.shm = True
-            health.events.append("shared-memory result transport enabled")
-            inputs_shared = arena.share(inputs)
-            golden_shared = [arena.share(g) for g in golden_modules]
-            shm_views = (
-                arena.zeros((n_faults,), bool),
-                arena.zeros((n_faults,), np.float64),
-            )
-        else:
-            inputs_shared = inputs
-            golden_shared = golden_modules
-        shared = dict(
-            simulator=simulator,
-            inputs=inputs_shared,
-            labels=labels,
-            faults=list(faults),
-            chunk_size=chunk_size,
-            golden_modules=golden_shared,
-            shm_out=shm_views,
-        )
-        tracker = _ProgressTracker(progress, n_faults)
-        gen = _run_sharded(
-            _classify_shard, shared, bounds, workers, tracker,
-            use_pool=use_pool, supervision=supervision, health=health,
-            checkpoint=checkpoint, checkpoint_path=checkpoint_path,
-            shm_views=shm_views,
-        )
-        try:
-            for lo, shard_critical, shard_drop in gen:
-                hi = lo + shard_critical.shape[0]
-                critical[lo:hi] = shard_critical
-                accuracy_drop[lo:hi] = shard_drop
-        finally:
-            gen.close()
+        for lo, shard_critical, shard_drop in gen:
+            hi = lo + shard_critical.shape[0]
+            critical[lo:hi] = shard_critical
+            accuracy_drop[lo:hi] = shard_drop
     finally:
-        if arena is not None:
-            arena.close()
+        gen.close()
     return ClassificationResult(
         faults=list(faults),
         critical=critical,
@@ -1033,80 +931,3 @@ def parallel_classify(
         health=health,
     )
 
-
-class ParallelFaultSimulator:
-    """Drop-in :class:`FaultSimulator` facade that shards campaigns across
-    supervised processes.
-
-    ``workers=None`` defers to ``$REPRO_WORKERS`` (default 1, i.e. serial).
-    ``supervision=None`` defers to the environment-derived defaults.  All
-    other keyword arguments are forwarded to :class:`FaultSimulator`.
-    """
-
-    def __init__(
-        self,
-        network,
-        config=None,
-        workers: Optional[int] = None,
-        supervision: Optional[SupervisionConfig] = None,
-        **simulator_kwargs,
-    ) -> None:
-        self.simulator = FaultSimulator(network, config, **simulator_kwargs)
-        self.workers = resolve_workers(workers)
-        self.supervision = supervision
-
-    @property
-    def network(self):
-        return self.simulator.network
-
-    @property
-    def config(self):
-        return self.simulator.config
-
-    def detect(
-        self,
-        stimulus: np.ndarray,
-        faults: Sequence[Fault],
-        progress: Optional[ProgressFn] = None,
-    ) -> DetectionResult:
-        return parallel_detect(
-            self.simulator, stimulus, faults, workers=self.workers,
-            progress=progress, supervision=self.supervision,
-        )
-
-    def detect_segmented(
-        self,
-        stimulus,
-        faults: Sequence[Fault],
-        progress: Optional[ProgressFn] = None,
-        **options,
-    ) -> DetectionResult:
-        return parallel_detect_segmented(
-            self.simulator, stimulus, faults, workers=self.workers,
-            progress=progress, supervision=self.supervision, **options,
-        )
-
-    def classify(
-        self,
-        inputs: np.ndarray,
-        labels: np.ndarray,
-        faults: Sequence[Fault],
-        progress: Optional[ProgressFn] = None,
-        chunk_size: Optional[int] = None,
-        checkpoint_path: Optional[str] = None,
-        resume: bool = False,
-    ) -> ClassificationResult:
-        return parallel_classify(
-            self.simulator,
-            inputs,
-            labels,
-            faults,
-            workers=self.workers,
-            progress=progress,
-            chunk_size=chunk_size,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            supervision=self.supervision,
-        )
-
-    coverage = staticmethod(FaultSimulator.coverage)

@@ -24,17 +24,17 @@ transformations are applied, all exact:
   segments up to first detection; campaigns that need the exact Fig. 9
   metrics run with ``drop_detected=False`` and get every array
   bit-identical to the assembled campaign.
-- **Divergence-bounded propagation** (``divergence_exit``): if the faulty
-  module's segment output is bit-identical to golden *and* the fault's
-  downstream state is still golden, the downstream modules would
-  reproduce the golden output exactly, so the propagation is skipped and
-  the segment contributes zero to every metric.  Once a fault diverges,
-  its downstream modules are seeded from copies of the golden states at
+- **Divergence-bounded propagation** (always on): if the faulty module's
+  segment output is bit-identical to golden *and* the fault's downstream
+  state is still golden, the downstream modules would reproduce the
+  golden output exactly, so the propagation is skipped and the segment
+  contributes zero to every metric.  Once a fault diverges, its
+  downstream modules are seeded from copies of the golden states at
   segment entry and carried privately from then on.
-- **Batch compaction** (``compact_batches``): surviving faults are
-  re-packed into full K-batches each segment.  Per-row results are
-  independent of batch composition (the elementwise-update property the
-  batched-equivalence suites pin), so compaction never changes results.
+- **Batch compaction** (always on): surviving faults are re-packed into
+  full K-batches each segment.  Per-row results are independent of batch
+  composition (the elementwise-update property the batched-equivalence
+  suites pin), so compaction never changes results.
 - **Footprint packing**: splice-style rows of a conv layer that feeds a
   sum pool and then a conv layer change one cell of that conv's input
   each; rows whose reach in it is disjoint share one conv run, and each
@@ -459,10 +459,6 @@ class _FaultGroup:
         self.spk: Optional[np.ndarray] = None
         self.ref: Optional[np.ndarray] = None
         self.hist: Optional[np.ndarray] = None  # (K, hist_len) delay tails
-        self._initial_batches = [
-            np.arange(lo, min(lo + self.batch_size, k))
-            for lo in range(0, k, self.batch_size)
-        ]
 
     # ------------------------------------------------------------------
     def _nominal_scalars(self) -> None:
@@ -494,18 +490,12 @@ class _FaultGroup:
         self.dstates = {}
 
     def _batches(self) -> List[np.ndarray]:
-        if self.campaign.compact_batches:
-            rows = np.nonzero(self.active)[0]
-            return [
-                rows[lo : lo + self.batch_size]
-                for lo in range(0, len(rows), self.batch_size)
-            ]
-        batches = []
-        for chunk in self._initial_batches:
-            sub = chunk[self.active[chunk]]
-            if len(sub):
-                batches.append(sub)
-        return batches
+        """The active rows, compacted into full batches in row order."""
+        rows = np.nonzero(self.active)[0]
+        return [
+            rows[lo : lo + self.batch_size]
+            for lo in range(0, len(rows), self.batch_size)
+        ]
 
     # ------------------------------------------------------------------
     # Faulty-module execution, one path per kind
@@ -1037,12 +1027,10 @@ class _FaultGroup:
                 else:
                     out = self._run_synapse_seq(rows, seg_input, offset)
                 same = (out == golden_out).reshape(out.shape[0], len(rows), -1).all(axis=(0, 2))
-            need = np.arange(len(rows))
-            if campaign.divergence_exit:
-                # A row may exit only while its whole cross-section is still
-                # golden: module output identical this segment AND downstream
-                # state untouched.  Skipped rows contribute exactly zero.
-                need = need[~same | (has_down & self.diverged[rows])]
+            # A row may exit only while its whole cross-section is still
+            # golden: module output identical this segment AND downstream
+            # state untouched.  Skipped rows contribute exactly zero.
+            need = np.nonzero(~same | (has_down & self.diverged[rows]))[0]
             if need.size:
                 sub = rows[need]
                 if self.packing is not None:
@@ -1153,8 +1141,6 @@ class SegmentedDetectionCampaign:
         faults: Sequence,
         *,
         drop_detected: bool = True,
-        divergence_exit: bool = True,
-        compact_batches: bool = True,
         progress=None,
         store=None,
     ) -> None:
@@ -1163,8 +1149,6 @@ class SegmentedDetectionCampaign:
         self.faults = list(faults)
         self.config = simulator.config
         self.drop_detected = drop_detected
-        self.divergence_exit = divergence_exit
-        self.compact_batches = compact_batches
         self.n_segments = stimulus.num_segments
         # Prefix digests of the stimulus segments: the store keys hang off
         # them, the parallel frontend cross-checks them against worker
@@ -1177,8 +1161,6 @@ class SegmentedDetectionCampaign:
                 simulator,
                 stimulus,
                 drop_detected=drop_detected,
-                divergence_exit=divergence_exit,
-                compact_batches=compact_batches,
                 chain=self.segment_digests,
             )
         # Absolute test time of each segment's first step — transient

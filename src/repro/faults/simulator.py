@@ -79,7 +79,6 @@ class CampaignHealth:
     fallback_shards: int = 0  # shards that ran serially in the parent
     resumed_shards: int = 0  # shards restored from a campaign checkpoint
     degraded: bool = False  # pool declared unhealthy; remainder ran serially
-    shm: bool = False  # zero-copy shared-memory result transport in use
     events: List[str] = field(default_factory=list)
 
     @property
@@ -437,8 +436,7 @@ class FaultSimulator:
         currents of a K-batch x time block computed as one stacked matmul,
         with only the membrane recurrence scanned per step.  Bit-identical
         to the per-step path in float64 (pinned by the fused differential
-        suite).  ``None`` reads ``$REPRO_FUSED`` (default on; ``0``
-        disables).  ``fused=False`` with ``synapse_batch=1`` and
+        suite).  ``fused=False`` with ``synapse_batch=1`` and
         ``neuron_splice=False`` is the per-step reference oracle the
         differential suites compare the production engine against.
     time_block:
@@ -462,7 +460,7 @@ class FaultSimulator:
         synapse_batch: Optional[int] = None,
         neuron_splice: bool = True,
         synapse_splice: bool = True,
-        fused: Optional[bool] = None,
+        fused: bool = True,
         time_block: Optional[int] = None,
     ) -> None:
         self.network = network
@@ -477,8 +475,6 @@ class FaultSimulator:
         self.synapse_batch = synapse_batch
         self.neuron_splice = neuron_splice
         self.synapse_splice = synapse_splice
-        if fused is None:
-            fused = os.environ.get("REPRO_FUSED", "1") != "0"
         self.fused = bool(fused)
         if time_block is None:
             env_block = os.environ.get("REPRO_TIME_BLOCK", "").strip()
@@ -1060,8 +1056,6 @@ class FaultSimulator:
         progress: Optional[ProgressFn] = None,
         *,
         drop_detected: bool = True,
-        divergence_exit: bool = True,
-        compact_batches: bool = True,
         store=None,
     ) -> DetectionResult:
         """Segment-wise detection campaign over a :class:`TestStimulus`.
@@ -1072,7 +1066,9 @@ class FaultSimulator:
         flags are bit-identical to :meth:`detect` on the assembled
         stimulus.  See :mod:`repro.faults.segmented` for the engine and the
         exactness argument, and :func:`repro.faults.parallel.parallel_detect_segmented`
-        for the multi-process frontend.
+        for the multi-process frontend.  Every segment skips downstream
+        propagation for rows still bit-identical to golden and re-packs
+        the surviving rows into full batches; both are exact.
 
         Parameters
         ----------
@@ -1082,14 +1078,6 @@ class FaultSimulator:
             segments); ``output_l1`` / ``class_count_diff`` then only cover
             the segments up to first detection, so pass ``False`` when the
             exact Fig. 9 metrics are needed.
-        divergence_exit:
-            Skip downstream propagation for a fault whose faulty module
-            output is bit-identical to golden on this segment and whose
-            downstream state is still golden.  Exact in all modes.
-        compact_batches:
-            Re-pack surviving faults into full K-batches each segment as
-            dropped rows free slots (otherwise the initial batch grouping
-            is kept and merely filtered).
         store:
             Optional :class:`repro.faults.store.CoverageStore` for
             differential re-verification: cached (fault-group, segment)
@@ -1105,8 +1093,6 @@ class FaultSimulator:
             stimulus,
             faults,
             drop_detected=drop_detected,
-            divergence_exit=divergence_exit,
-            compact_batches=compact_batches,
             progress=progress,
             store=store,
         )

@@ -25,7 +25,7 @@ Everything is content-addressed through three fingerprints:
   re-verify resumes from the deepest surviving prefix record.
 - the **base fingerprint**: network parameter digest + fault model config
   + the campaign options that change what the engine records
-  (drop/divergence/compaction flags, fused path).
+  (the drop flag, fused path).
 - the **group digest**: a fault group's execution kind, module, transient
   window, and the ``describe()`` string of every member fault.
 
@@ -132,20 +132,19 @@ def chain_from_array(array: np.ndarray) -> List[str]:
 ENGINE_REVISION = 2
 
 
-def options_token(
-    simulator, drop_detected: bool, divergence_exit: bool, compact_batches: bool
-) -> str:
+def options_token(simulator, drop_detected: bool) -> str:
     """The campaign options folded into the base fingerprint: everything
     that changes what a record *contains* (which metrics are exact, the
     execution path family, the engine revision).  Batch widths are
     excluded deliberately — per-row spike trains are independent of batch
     composition (pinned by the batched-equivalence suites), and the
     execution-path splits they cause are captured per group by its
-    ``kind``."""
+    ``kind``.  ``div=1,comp=1`` record that the engine always exits on
+    divergence and compacts its batches; they stay in the token so that
+    stores written while those were options keep their keys."""
     return (
-        f"drop={int(bool(drop_detected))},div={int(bool(divergence_exit))},"
-        f"comp={int(bool(compact_batches))},fused={int(bool(simulator.fused))},"
-        f"engine={ENGINE_REVISION}"
+        f"drop={int(bool(drop_detected))},div=1,comp=1,"
+        f"fused={int(bool(simulator.fused))},engine={ENGINE_REVISION}"
     )
 
 
@@ -408,17 +407,13 @@ class StoreSession:
         stimulus,
         *,
         drop_detected: bool,
-        divergence_exit: bool,
-        compact_batches: bool,
         chain: Optional[List[str]] = None,
     ) -> None:
         self.store = store
         self.simulator = simulator
         self.chain = list(chain) if chain is not None else stimulus_chain(stimulus)
         self.network_fp = network_digest(simulator.network)
-        self.options = options_token(
-            simulator, drop_detected, divergence_exit, compact_batches
-        )
+        self.options = options_token(simulator, drop_detected)
         self.base_fp = base_fingerprint(self.network_fp, simulator.config, self.options)
         self.fused = bool(simulator.fused)
         self.touched: set = set()

@@ -10,7 +10,7 @@ speaking a line-delimited JSON protocol over a unix or TCP socket, with
   instead of unbounded memory growth),
 - per-job streaming progress events (``repro watch``),
 - cooperative cancellation (``repro cancel``) and per-job deadlines that
-  release every worker/shm/spool resource on the way out,
+  release every worker process and spool directory on the way out,
 - a scheduler that leases workers from one shared supervised-pool budget
   across jobs instead of spawning one full pool per campaign, shrinking
   the budget gracefully when workers keep failing, and

@@ -8,9 +8,9 @@ semantics:
 - **Cancellation** — a :class:`CancelToken` is checked at every campaign
   progress tick and generation log line; when set, the runner raises
   :class:`~repro.errors.JobCancelledError` *from inside the engine*, so
-  the engines' own ``finally`` blocks release worker processes, spool
-  directories, and shm arenas (the exact paths pinned by
-  ``tests/chaos/test_shm_lifecycle.py``, including the service's
+  the engines' own ``finally`` blocks release worker processes and
+  spool directories (the exact paths pinned by
+  ``tests/chaos/test_worker_failures.py``, including the service's
   cancel-mid-shard scenario).
 - **Durability** — a verify job runs against the daemon's coverage store,
   which holds a record for every finished (fault group, segment), and a

@@ -6,13 +6,26 @@ runs the supervised parallel engine, and compares field-by-field with
 ``np.array_equal`` — no tolerances.  The health report on the result must
 also account for what happened (crashes seen, retries issued, fallbacks
 taken), so silent recovery paths cannot rot.
+
+Workers return results through pickled spool files in a per-campaign
+temporary directory.  Every exit path out of a campaign (clean finish,
+worker crash and retry, deterministic worker error, ``KeyboardInterrupt``
+in the parent, a service cancel) must remove that directory, and a
+finished campaign must leave no child process behind.
 """
+
+import glob
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.checkpoint import CampaignCheckpoint, load_checkpoint
-from repro.errors import ChaosError, CheckpointError
+from repro.errors import ChaosError, CheckpointError, FaultModelError, JobCancelledError
 from repro.faults import parallel as parallel_mod
 from repro.faults.parallel import (
     SupervisionConfig,
@@ -20,6 +33,7 @@ from repro.faults.parallel import (
     parallel_classify,
     parallel_detect,
 )
+from repro.faults.simulator import _ProgressTracker
 from repro.utils import chaos
 
 from tests.chaos.conftest import assert_classify_equal, assert_detect_equal
@@ -35,6 +49,10 @@ def _policy(spec):
     # Short hang so a leaked hung worker cannot outlive the test run even
     # if supervision were broken.
     return chaos.installed(chaos.ChaosPolicy.parse(spec, hang_seconds=30.0))
+
+
+def _spool_dirs():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-shards-*")))
 
 
 def _classify(campaign, workers, path, resume=False, supervision=None):
@@ -185,6 +203,200 @@ class TestWorkerErrors:
         assert not parallel_mod._SPOOL_DIRS
 
 
+#: Body of ``test_campaigns_leave_no_child_process``: two pooled campaigns,
+#: then this process's children as ``/proc`` lists them, one per task.
+_NO_CHILD_SCRIPT = """
+import glob, os
+import numpy as np
+from repro.core.testset import TestStimulus
+from repro.faults.catalog import build_catalog
+from repro.faults.model import FaultModelConfig
+from repro.faults.parallel import parallel_classify, parallel_detect_segmented
+from repro.faults.simulator import FaultSimulator
+from repro.snn.builder import DenseSpec, NetworkSpec, build_network
+from repro.snn.neuron import LIFParameters
+
+spec = NetworkSpec(
+    name="children", input_shape=(12,),
+    layers=(DenseSpec(out_features=10), DenseSpec(out_features=4)),
+    lif=LIFParameters(leak=0.9, refractory_steps=1),
+)
+net = build_network(spec, np.random.default_rng(0))
+config = FaultModelConfig()
+faults = build_catalog(net, config).faults[::5]
+rng = np.random.default_rng(1)
+stimulus = TestStimulus(
+    chunks=[(rng.random((d, 1, 12)) > 0.6).astype(float) for d in (4, 3)],
+    input_shape=(12,),
+)
+inputs = (rng.random((8, 4, 12)) > 0.6).astype(float)
+labels = rng.integers(0, 4, size=4)
+simulator = FaultSimulator(net, config)
+parallel_detect_segmented(simulator, stimulus, faults, workers=2)
+parallel_classify(simulator, inputs, labels, faults, workers=2)
+print("campaigns done")
+children = []
+for path in sorted(glob.glob(f"/proc/{os.getpid()}/task/*/children")):
+    with open(path) as fh:
+        children += fh.read().split()
+print("children:", *children)
+"""
+
+
+class TestSpoolLifecycle:
+    def test_transport_exact_and_released(self, chaos_campaign):
+        """A clean pooled campaign matches the serial reference exactly
+        and leaves no spool directory behind."""
+        spools_before = _spool_dirs()
+        result = parallel_detect(
+            chaos_campaign["simulator"],
+            chaos_campaign["stimulus"],
+            chaos_campaign["faults"],
+            workers=WORKERS,
+        )
+        assert_detect_equal(chaos_campaign["detect"], result)
+        assert _spool_dirs() <= spools_before
+        assert not parallel_mod._SPOOL_DIRS
+
+    def test_classify_transport_exact_and_released(self, chaos_campaign):
+        spools_before = _spool_dirs()
+        result = parallel_classify(
+            chaos_campaign["simulator"],
+            chaos_campaign["inputs"],
+            chaos_campaign["labels"],
+            chaos_campaign["faults"],
+            workers=WORKERS,
+        )
+        assert_classify_equal(chaos_campaign["classify"], result)
+        assert _spool_dirs() <= spools_before
+        assert not parallel_mod._SPOOL_DIRS
+
+    def test_crash_retry_overwrites_partial_writes(
+        self, chaos_campaign, tight_supervision
+    ):
+        """Every shard's first attempt dies mid-write; retries rewrite the
+        shard's spool file whole, so the merged result is still exact and
+        the spool directory is removed."""
+        spools_before = _spool_dirs()
+        with _policy("crash@shard:*#0"):
+            result = parallel_detect(
+                chaos_campaign["simulator"],
+                chaos_campaign["stimulus"],
+                chaos_campaign["faults"],
+                workers=WORKERS,
+                supervision=tight_supervision,
+            )
+        assert_detect_equal(chaos_campaign["detect"], result)
+        assert result.health.crashes > 0
+        assert _spool_dirs() <= spools_before
+        assert not parallel_mod._SPOOL_DIRS
+
+    def test_worker_error_releases_spool(self, chaos_campaign, tight_supervision):
+        """A deterministic worker error aborts the campaign mid-merge;
+        the abort path must remove the spool dir (regression: an exception
+        raised while the merge generator was suspended used to leave the
+        spool dir to ``atexit``)."""
+        spools_before = _spool_dirs()
+        with _policy("raise@shard:0#0"):
+            with pytest.raises(ChaosError):
+                parallel_detect(
+                    chaos_campaign["simulator"],
+                    chaos_campaign["stimulus"],
+                    chaos_campaign["faults"],
+                    workers=WORKERS,
+                    supervision=tight_supervision,
+                )
+        assert _spool_dirs() <= spools_before
+        assert not parallel_mod._SPOOL_DIRS
+
+    def test_keyboard_interrupt_releases_everything(
+        self, chaos_campaign, tight_supervision, monkeypatch
+    ):
+        """Ctrl-C in the parent mid-campaign: spool dir removed, campaign
+        state cleared."""
+        # Per-fault progress so the interrupt lands after the first
+        # completed shard, not at campaign end.
+        monkeypatch.setattr(
+            parallel_mod,
+            "_ProgressTracker",
+            lambda progress, total: _ProgressTracker(progress, total, interval=1),
+        )
+
+        def interrupt(done, total):
+            raise KeyboardInterrupt
+
+        spools_before = _spool_dirs()
+        with pytest.raises(KeyboardInterrupt):
+            parallel_detect(
+                chaos_campaign["simulator"],
+                chaos_campaign["stimulus"],
+                chaos_campaign["faults"],
+                workers=WORKERS,
+                supervision=tight_supervision,
+                progress=interrupt,
+            )
+        assert _spool_dirs() <= spools_before
+        assert not parallel_mod._SPOOL_DIRS
+
+    def test_service_cancel_mid_shard_releases_everything(
+        self, chaos_campaign, tight_supervision, monkeypatch
+    ):
+        """The campaign service's cancellation path: a ``CancelToken``
+        trips inside a progress callback mid-shard, the engine unwinds
+        through :class:`~repro.errors.JobCancelledError`, and no spool
+        directory survives — a daemon-side cancel must free every worker
+        resource, not just mark the job cancelled."""
+        from repro.service.runner import CancelToken
+
+        monkeypatch.setattr(
+            parallel_mod,
+            "_ProgressTracker",
+            lambda progress, total: _ProgressTracker(progress, total, interval=1),
+        )
+        token = CancelToken()
+
+        def progress(done, total):
+            # Cancel as soon as the first shard lands, mid-campaign.
+            token.cancel("daemon-side cancel")
+            token.raise_if_cancelled()
+
+        spools_before = _spool_dirs()
+        with pytest.raises(JobCancelledError):
+            parallel_detect(
+                chaos_campaign["simulator"],
+                chaos_campaign["stimulus"],
+                chaos_campaign["faults"],
+                workers=WORKERS,
+                supervision=tight_supervision,
+                progress=progress,
+            )
+        assert _spool_dirs() <= spools_before
+        assert not parallel_mod._SPOOL_DIRS
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs Linux /proc"
+    )
+    def test_campaigns_leave_no_child_process(self):
+        """After a 2-worker segment-wise detection campaign and a 2-worker
+        labelling campaign return, their interpreter has no child process
+        left: every worker is reaped and no helper process outlives the
+        campaign.  Runs in a fresh interpreter so that no process an
+        earlier test started counts."""
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_CHILD_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert lines[0] == "campaigns done", proc.stdout
+        assert lines[1:] == ["children:"], proc.stdout
+
+
 class TestCheckpointedCampaigns:
     """Labelling campaigns checkpoint per shard (verification resumes
     through its coverage store instead; see test_segment_resume.py)."""
@@ -283,6 +495,34 @@ class TestEnvironmentConfig:
         assert supervision.heartbeat_timeout == 2.5
         assert supervision.shard_timeout == 90.0
         assert supervision.max_retries == 5
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        assert SupervisionConfig.from_env().max_retries == 0
+
+    @pytest.mark.parametrize("name", ["REPRO_HEARTBEAT_TIMEOUT", "REPRO_SHARD_TIMEOUT"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1"])
+    def test_timeout_must_be_finite_and_positive(self, monkeypatch, name, raw):
+        """A NaN heartbeat timeout would never declare a hung worker, so
+        the campaign would wait forever; a negative shard timeout would
+        declare every shard hung at once and degrade the pool to serial."""
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(FaultModelError, match=name):
+            SupervisionConfig.from_env()
+
+    @pytest.mark.parametrize("raw", ["-1", "-3"])
+    def test_negative_retries_rejected(self, monkeypatch, raw):
+        """A negative retry count would send every failed shard straight
+        to the in-process fallback."""
+        monkeypatch.setenv("REPRO_MAX_RETRIES", raw)
+        with pytest.raises(FaultModelError, match="REPRO_MAX_RETRIES"):
+            SupervisionConfig.from_env()
+
+    @pytest.mark.parametrize(
+        "name", ["REPRO_HEARTBEAT_TIMEOUT", "REPRO_SHARD_TIMEOUT", "REPRO_MAX_RETRIES"]
+    )
+    def test_non_numbers_rejected(self, monkeypatch, name):
+        monkeypatch.setenv(name, "soon")
+        with pytest.raises(FaultModelError, match=name):
+            SupervisionConfig.from_env()
 
     def test_env_policy_reaches_strike(self, monkeypatch):
         monkeypatch.setenv(chaos.CHAOS_ENV, "raise@shard:7")

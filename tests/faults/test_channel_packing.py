@@ -247,23 +247,16 @@ def test_channel_packed_campaign_matches_per_step_oracle(
 
 
 @pytest.mark.parametrize("net", [packing_net, _strided_net], ids=["pooled", "strided"])
-@pytest.mark.parametrize(
-    "divergence_exit, compact_batches", [(True, True), (False, True), (True, False)]
-)
-def test_channel_packs_match_the_oracle_with_and_without_a_pool(
-    net, divergence_exit, compact_batches
-):
+def test_channel_packs_match_the_oracle_with_and_without_a_pool(net):
     """Channel-packed rows leave at pooled resolution before a sum pool
     (the packing net) and at full resolution before a flatten (the
-    strided net's stride-2 conv2), with divergence exit or compaction
-    off too."""
+    strided net's stride-2 conv2)."""
     net, config, stimulus = net(), FaultModelConfig(), packing_stimulus()
     faults = _channel_faults(net, config)
     oracle = _oracle(net, config).detect(stimulus.assembled(), faults)
     assert 0 < oracle.detected.sum() < len(faults)
     result = FaultSimulator(net, config).detect_segmented(
-        stimulus, faults, drop_detected=False,
-        divergence_exit=divergence_exit, compact_batches=compact_batches,
+        stimulus, faults, drop_detected=False
     )
     _assert_same(result, oracle)
 

@@ -13,10 +13,8 @@ contract against the per-step reference oracle (``fused=False``,
   4-worker and store-warmed engines;
 - a transient fault window straddling a fused time-block boundary stays
   exact;
-- every scenario runs under both ways of selecting the dispatching fused
-  engine (``MODES``): ``on`` forces it with ``fused=True``; ``auto``
-  leaves ``fused=None`` so the simulator resolves its default from
-  ``$REPRO_FUSED``, as the CLI and the experiment pipeline do;
+- every scenario runs the default (fused) simulator, whose kernels the
+  dispatcher lives in, as the CLI and the experiment pipeline do;
 - dispatch counters count the work a run computes: a cold run with a
   coverage store reports the same counters as one without, and a re-run
   answered entirely from the store counts no dense blocks.
@@ -90,8 +88,6 @@ _NETS = {
     ),
 }
 PATTERNS = ("zeros", "ones", "single", "bursts", "sparse")
-#: How each scenario selects the fused engine the dispatcher lives in.
-MODES = {"on": True, "auto": None}
 _CACHE = {}
 
 
@@ -137,10 +133,6 @@ def _oracle(net, config):
     )
 
 
-def _engine(net, config, mode, **kwargs):
-    return FaultSimulator(net, config, fused=MODES[mode], **kwargs)
-
-
 def _reference(kind, pattern, chunk_durations=(4, 3, 5)):
     net, config, faults = _cached(kind)
     stimulus = _pattern_stimulus(pattern, net.input_shape, chunk_durations)
@@ -159,20 +151,18 @@ def _assert_exact(result, reference):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", sorted(_NETS))
 @pytest.mark.parametrize("pattern", PATTERNS)
-@pytest.mark.parametrize("mode", list(MODES))
-def test_flat_event_matches_dense(kind, pattern, mode):
+def test_flat_event_matches_dense(kind, pattern):
     net, config, faults, stimulus, reference = _reference(kind, pattern)
-    result = _engine(net, config, mode).detect(stimulus.assembled(), faults)
+    result = FaultSimulator(net, config).detect(stimulus.assembled(), faults)
     _assert_exact(result, reference)
     assert result.dispatch["cells"] > 0
 
 
 @pytest.mark.parametrize("kind", sorted(_NETS))
 @pytest.mark.parametrize("pattern", PATTERNS)
-@pytest.mark.parametrize("mode", list(MODES))
-def test_segmented_event_matches_dense(kind, pattern, mode):
+def test_segmented_event_matches_dense(kind, pattern):
     net, config, faults, stimulus, reference = _reference(kind, pattern)
-    result = _engine(net, config, mode).detect_segmented(
+    result = FaultSimulator(net, config).detect_segmented(
         stimulus, faults, drop_detected=False
     )
     _assert_exact(result, reference)
@@ -195,9 +185,8 @@ def _straddling_faults(net):
     ]
 
 
-@pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("time_block", [3, 7])
-def test_transient_straddles_time_block_boundary(mode, time_block):
+def test_transient_straddles_time_block_boundary(time_block):
     """A transient active across [5, 16) cuts through fused time blocks;
     the dispatcher skips zero slices *within* each block, so the
     parameter swap mid-block must stay exact."""
@@ -205,7 +194,7 @@ def test_transient_straddles_time_block_boundary(mode, time_block):
     faults = _straddling_faults(net)
     assembled = stimulus.assembled()
     reference = _oracle(net, config).detect(assembled, faults)
-    result = _engine(net, config, mode, time_block=time_block).detect(
+    result = FaultSimulator(net, config, time_block=time_block).detect(
         assembled, faults
     )
     _assert_exact(result, reference)
@@ -215,10 +204,9 @@ def test_transient_straddles_time_block_boundary(mode, time_block):
 # Parallel and store-warmed engines
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-@pytest.mark.parametrize("mode", list(MODES))
-def test_parallel_event_matches_dense(mode):
+def test_parallel_event_matches_dense():
     net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    simulator = _engine(net, config, mode)
+    simulator = FaultSimulator(net, config)
     flat = parallel_detect(simulator, stimulus.assembled(), faults, workers=4)
     _assert_exact(flat, reference)
     assert flat.dispatch is not None
@@ -229,11 +217,10 @@ def test_parallel_event_matches_dense(mode):
     assert seg.dispatch is not None
 
 
-@pytest.mark.parametrize("mode", list(MODES))
-def test_store_warm_event_matches_dense(tmp_path, mode):
+def test_store_warm_event_matches_dense(tmp_path):
     net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    simulator = _engine(net, config, mode)
-    store = CoverageStore(tmp_path / f"ev-{mode}")
+    simulator = FaultSimulator(net, config)
+    store = CoverageStore(tmp_path / "ev")
     cold = simulator.detect_segmented(
         stimulus, faults, drop_detected=False, store=store
     )
@@ -268,30 +255,28 @@ def test_counters_zero_input_takes_zero_tier():
 # ----------------------------------------------------------------------
 # Store runs: dispatch counters count the work each run computes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", list(MODES))
-def test_cold_store_run_reports_same_dispatch(tmp_path, mode):
+def test_cold_store_run_reports_same_dispatch(tmp_path):
     """Writing store records adds no counted work: a cold run with a
     store reports the same dispatch dict as one without."""
     net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    simulator = _engine(net, config, mode)
+    simulator = FaultSimulator(net, config)
     plain = simulator.detect_segmented(stimulus, faults, drop_detected=False)
     cold = simulator.detect_segmented(
         stimulus, faults, drop_detected=False,
-        store=CoverageStore(tmp_path / f"ev-cold-{mode}"),
+        store=CoverageStore(tmp_path / "ev-cold"),
     )
     _assert_exact(cold, reference)
     assert cold.dispatch == plain.dispatch
     assert plain.dispatch["dense_blocks"] > 0
 
 
-@pytest.mark.parametrize("mode", list(MODES))
-def test_full_hit_rerun_reports_no_dense_blocks(tmp_path, mode):
+def test_full_hit_rerun_reports_no_dense_blocks(tmp_path):
     """A re-run in which every group is a full store hit computes no
     faulty rows, so it counts no dense current blocks — resumed and
     warm runs count only the work they ran."""
     net, config, faults, stimulus, reference = _reference("dense", "sparse")
-    simulator = _engine(net, config, mode)
-    store = CoverageStore(tmp_path / f"ev-warm-{mode}")
+    simulator = FaultSimulator(net, config)
+    store = CoverageStore(tmp_path / "ev-warm")
     simulator.detect_segmented(stimulus, faults, drop_detected=False, store=store)
     writes = store.writes
     warm = simulator.detect_segmented(
@@ -312,11 +297,10 @@ def test_full_hit_rerun_reports_no_dense_blocks(tmp_path, mode):
     chunk_durations=st.lists(st.integers(1, 5), min_size=1, max_size=3),
     seed=st.integers(0, 2**16),
     n_faults=st.integers(1, 12),
-    mode=st.sampled_from(list(MODES)),
     segmented=st.booleans(),
 )
 def test_property_event_matches_dense(
-    kind, pattern, chunk_durations, seed, n_faults, mode, segmented
+    kind, pattern, chunk_durations, seed, n_faults, segmented
 ):
     net, config, catalog_faults = _cached(kind)
     rng = np.random.default_rng(seed)
@@ -326,7 +310,7 @@ def test_property_event_matches_dense(
     faults = [catalog_faults[i] for i in sorted(picks)]
     stimulus = _pattern_stimulus(pattern, net.input_shape, chunk_durations, seed=seed)
     reference = _oracle(net, config).detect(stimulus.assembled(), faults)
-    simulator = _engine(net, config, mode)
+    simulator = FaultSimulator(net, config)
     if segmented:
         result = simulator.detect_segmented(stimulus, faults, drop_detected=False)
     else:

@@ -310,13 +310,8 @@ def strided_campaign():
 
 
 @pytest.mark.parametrize("net", ["packing", "strided"])
-@pytest.mark.parametrize(
-    "fused, divergence_exit, compact_batches",
-    [(True, True, True), (True, False, True), (True, True, False), (False, True, True)],
-)
-def test_packs_form_and_match_the_oracle(
-    request, monkeypatch, net, fused, divergence_exit, compact_batches
-):
+@pytest.mark.parametrize("fused", [True, False])
+def test_packs_form_and_match_the_oracle(request, monkeypatch, net, fused):
     campaign = request.getfixturevalue(f"{net}_campaign")
     packs = []
     real = segmented._first_fit
@@ -329,8 +324,7 @@ def test_packs_form_and_match_the_oracle(
     monkeypatch.setattr(segmented, "_first_fit", spy)
     simulator = FaultSimulator(campaign["net"], campaign["config"], fused=fused)
     result = simulator.detect_segmented(
-        campaign["stimulus"], campaign["faults"], drop_detected=False,
-        divergence_exit=divergence_exit, compact_batches=compact_batches,
+        campaign["stimulus"], campaign["faults"], drop_detected=False
     )
     assert packs, "conv1 rows must take the packed path"
     assert max(int(sizes.max()) for sizes in packs) >= 2, "no pack formed"

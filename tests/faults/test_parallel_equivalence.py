@@ -17,7 +17,6 @@ import pytest
 from repro.faults.catalog import build_catalog
 from repro.faults.model import FaultModelConfig
 from repro.faults.parallel import (
-    ParallelFaultSimulator,
     fork_available,
     parallel_classify,
     parallel_detect,
@@ -160,14 +159,6 @@ def test_parallel_progress_aggregates_to_completion(campaign):
     dones = [done for done, _ in calls]
     assert dones == sorted(dones)
     assert all(total == n for _, total in calls)
-
-
-def test_facade_matches_functions(campaign):
-    facade = ParallelFaultSimulator(campaign["net"], campaign["config"], workers=2)
-    result = facade.detect(campaign["stimulus"], campaign["faults"])
-    reference = campaign["detect_ref"]
-    assert np.array_equal(result.detected, reference.detected)
-    assert np.array_equal(result.output_l1, reference.output_l1)
 
 
 def test_network_untouched_by_parallel_campaign(campaign):

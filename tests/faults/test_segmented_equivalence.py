@@ -2,12 +2,12 @@
 to the assembled campaign.
 
 The reference is ``FaultSimulator.detect(stimulus.assembled(), faults)``.
-Every combination of the segmented engine's optimisations — fault dropping
-(``drop_detected``), divergence-bounded propagation (``divergence_exit``),
-batch compaction (``compact_batches``) — and worker counts is compared
-with ``np.array_equal`` (no tolerances) on the ``detected`` mask.  With
-fault dropping off, ``output_l1`` and ``class_count_diff`` must also be
-bit-identical, which is what the Fig. 9 exact-metrics path relies on.
+The segmented engine always exits on divergence and compacts its batches;
+with fault dropping (``drop_detected``) on and off and at several worker
+counts it is compared with ``np.array_equal`` (no tolerances) on the
+``detected`` mask.  With fault dropping off, ``output_l1`` and
+``class_count_diff`` must also be bit-identical, which is what the Fig. 9
+exact-metrics path relies on.
 
 The suite also pins the one physically subtle requirement: segments
 include the sleep gap, and a saturated neuron fires *during sleep* while
@@ -153,37 +153,29 @@ class TestSegmentAPI:
 
 
 # ----------------------------------------------------------------------
-# Fixed-grid differential: every optimisation combo, serial
+# Fixed-grid differential: dropping on and off, serial
 # ----------------------------------------------------------------------
-OPTION_GRID = list(itertools.product([False, True], repeat=3))
-
-
-@pytest.mark.parametrize("drop,div,comp", OPTION_GRID)
-def test_segmented_detected_matches_assembled(mixed_campaign, drop, div, comp):
+@pytest.mark.parametrize("drop", [False, True])
+def test_segmented_detected_matches_assembled(mixed_campaign, drop):
     result = mixed_campaign["simulator"].detect_segmented(
         mixed_campaign["stimulus"],
         mixed_campaign["faults"],
         drop_detected=drop,
-        divergence_exit=div,
-        compact_batches=comp,
     )
     assert np.array_equal(result.detected, mixed_campaign["reference"].detected)
 
 
-@pytest.mark.parametrize("drop,div,comp", OPTION_GRID)
-def test_segmented_recurrent_matches_assembled(recurrent_campaign, drop, div, comp):
+@pytest.mark.parametrize("drop", [False, True])
+def test_segmented_recurrent_matches_assembled(recurrent_campaign, drop):
     result = recurrent_campaign["simulator"].detect_segmented(
         recurrent_campaign["stimulus"],
         recurrent_campaign["faults"],
         drop_detected=drop,
-        divergence_exit=div,
-        compact_batches=comp,
     )
     assert np.array_equal(result.detected, recurrent_campaign["reference"].detected)
 
 
-@pytest.mark.parametrize("div,comp", list(itertools.product([False, True], repeat=2)))
-def test_exact_metrics_without_dropping(mixed_campaign, div, comp):
+def test_exact_metrics_without_dropping(mixed_campaign):
     """With fault dropping off, every fault is simulated over the whole
     test, so the accumulated metrics are bit-identical to the assembled
     campaign (spike trains are 0/1 so the per-segment partial sums are
@@ -192,8 +184,6 @@ def test_exact_metrics_without_dropping(mixed_campaign, div, comp):
         mixed_campaign["stimulus"],
         mixed_campaign["faults"],
         drop_detected=False,
-        divergence_exit=div,
-        compact_batches=comp,
     )
     reference = mixed_campaign["reference"]
     assert np.array_equal(result.detected, reference.detected)
@@ -239,18 +229,6 @@ def test_parallel_segmented_matches_assembled(mixed_campaign, drop):
         assert np.array_equal(result.class_count_diff, reference.class_count_diff)
 
 
-def test_facade_detect_segmented(mixed_campaign):
-    from repro.faults.parallel import ParallelFaultSimulator
-
-    facade = ParallelFaultSimulator(
-        mixed_campaign["net"], mixed_campaign["config"], workers=1
-    )
-    result = facade.detect_segmented(
-        mixed_campaign["stimulus"], mixed_campaign["faults"]
-    )
-    assert np.array_equal(result.detected, mixed_campaign["reference"].detected)
-
-
 # ----------------------------------------------------------------------
 # Sleep-window detection: saturated neuron firing during the sleep gap
 # ----------------------------------------------------------------------
@@ -283,15 +261,9 @@ def test_saturated_neuron_detected_during_sleep_only():
 
     reference = simulator.detect(stimulus.assembled(), [fault])
     assert reference.detected[0], "sanity: assembled campaign detects it"
-    for drop, div, comp in OPTION_GRID:
-        result = simulator.detect_segmented(
-            stimulus,
-            [fault],
-            drop_detected=drop,
-            divergence_exit=div,
-            compact_batches=comp,
-        )
-        assert result.detected[0], (drop, div, comp)
+    for drop in (False, True):
+        result = simulator.detect_segmented(stimulus, [fault], drop_detected=drop)
+        assert result.detected[0], drop
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +302,7 @@ def test_parallel_progress_counts_segments(mixed_campaign):
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: random catalogs, chunk layouts, and option combos
+# Hypothesis: random catalogs, chunk layouts, dropping and workers
 # ----------------------------------------------------------------------
 _NETS = {
     "dense": lambda: build_network(
@@ -384,12 +356,10 @@ def _cached(kind):
     seed=st.integers(0, 2**16),
     n_faults=st.integers(1, 25),
     drop=st.booleans(),
-    div=st.booleans(),
-    comp=st.booleans(),
     workers=st.sampled_from([1, 4]),
 )
 def test_property_segmented_equals_assembled(
-    kind, chunk_durations, seed, n_faults, drop, div, comp, workers
+    kind, chunk_durations, seed, n_faults, drop, workers
 ):
     net, config, catalog = _cached(kind)
     rng = np.random.default_rng(seed)
@@ -407,8 +377,6 @@ def test_property_segmented_equals_assembled(
         faults,
         workers=workers,
         drop_detected=drop,
-        divergence_exit=div,
-        compact_batches=comp,
     )
     assert np.array_equal(result.detected, reference.detected)
     if not drop:

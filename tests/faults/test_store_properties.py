@@ -115,6 +115,9 @@ def test_chain_array_round_trip(digests):
 
 
 def test_options_token_injective_over_the_full_grid():
+    """One token per (fused, drop) pair, spelled exactly as stores written
+    while divergence exit and compaction were options keyed them
+    (``div=1,comp=1``), so those stores keep serving every record."""
     net = build_network(
         NetworkSpec(
             name="opt", input_shape=(3,), layers=(DenseSpec(out_features=2),),
@@ -122,16 +125,17 @@ def test_options_token_injective_over_the_full_grid():
         ),
         np.random.default_rng(0),
     )
-    tokens = set()
-    combos = 0
+    tokens = {}
     for fused in (True, False):
         simulator = FaultSimulator(net, FaultModelConfig(), fused=fused)
         for drop in (False, True):
-            for div in (False, True):
-                for comp in (False, True):
-                    tokens.add(options_token(simulator, drop, div, comp))
-                    combos += 1
-    assert len(tokens) == combos
+            tokens[fused, drop] = options_token(simulator, drop)
+    assert tokens == {
+        (True, True): "drop=1,div=1,comp=1,fused=1,engine=2",
+        (True, False): "drop=0,div=1,comp=1,fused=1,engine=2",
+        (False, True): "drop=1,div=1,comp=1,fused=0,engine=2",
+        (False, False): "drop=0,div=1,comp=1,fused=0,engine=2",
+    }
 
 
 def test_group_records_of_another_engine_revision_miss(tmp_path, monkeypatch):
@@ -185,7 +189,7 @@ def test_base_fingerprint_tracks_weights_and_config(seed):
     net = build_network(spec, rng)
     config = FaultModelConfig()
     simulator = FaultSimulator(net, config)
-    options = options_token(simulator, True, True, True)
+    options = options_token(simulator, True)
     fp = base_fingerprint(network_digest(net), config, options)
     # One weight element perturbed in the smallest representable way.
     module = net.modules[rng.integers(len(net.modules))]
