@@ -89,6 +89,7 @@ from repro.faults.simulator import (
     Fault,
     ProgressFn,
     _ProgressTracker,
+    env_int,
 )
 from repro.snn.events import DispatchStats, EventDispatch
 from repro.snn.layers import dispatch_layer_names, event_dispatch_context
@@ -222,26 +223,10 @@ class SupervisionConfig:
                 )
             return value
 
-        heartbeat_timeout = _timeout(HEARTBEAT_TIMEOUT_ENV, cls.heartbeat_timeout)
-        shard_timeout = _timeout(SHARD_TIMEOUT_ENV, None)
-        retries_raw = os.environ.get(MAX_RETRIES_ENV, "").strip()
-        if retries_raw:
-            try:
-                max_retries = int(retries_raw)
-            except ValueError:
-                raise FaultModelError(
-                    f"{MAX_RETRIES_ENV} must be an integer, got {retries_raw!r}"
-                ) from None
-            if max_retries < 0:
-                raise FaultModelError(
-                    f"{MAX_RETRIES_ENV} must not be negative, got {retries_raw!r}"
-                )
-        else:
-            max_retries = cls.max_retries
         return cls(
-            heartbeat_timeout=heartbeat_timeout,
-            shard_timeout=shard_timeout,
-            max_retries=max_retries,
+            heartbeat_timeout=_timeout(HEARTBEAT_TIMEOUT_ENV, cls.heartbeat_timeout),
+            shard_timeout=_timeout(SHARD_TIMEOUT_ENV, None),
+            max_retries=env_int(MAX_RETRIES_ENV, cls.max_retries, minimum=0),
         )
 
     def effective_failure_budget(self, workers: int) -> int:
@@ -783,7 +768,8 @@ def parallel_detect_segmented(
     splice results silently.  The store is also how a killed campaign
     resumes: re-running it against the same store skips every finished
     (fault group, segment), so ``dispatch`` then counts only the work the
-    re-run computed.
+    re-run computed.  Runs on the production engine only: the per-step
+    oracle raises :class:`~repro.errors.FaultModelError` before forking.
     """
     from repro.faults.store import (  # deferred; see _detect_seg_shard
         chain_from_array,
@@ -791,6 +777,7 @@ def parallel_detect_segmented(
         stimulus_chain,
     )
 
+    simulator._check_segment_engine()  # before any work or fork
     workers = resolve_workers(workers)
     if len(faults) == 0 or workers <= 1 or not fork_available():
         return simulator.detect_segmented(

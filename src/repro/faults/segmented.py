@@ -10,6 +10,12 @@ bare), and only one segment is ever materialized.
 
 Exactness
 ---------
+The engine runs the production engine's fused kernels only; given the
+per-step oracle (``FaultSimulator(fused=False)``),
+:meth:`FaultSimulator.detect_segmented` raises.  Its reference is the
+oracle's flat :meth:`FaultSimulator.detect` on the assembled stimulus,
+which the differential suites compare it against bit for bit.
+
 The LIF update is a per-step recurrence in ``(potential, last_spike,
 refractory)``, so splitting the time loop at any step and resuming from
 the carried state is bit-identical to the unsplit run — the sleep gap
@@ -21,9 +27,11 @@ transformations are applied, all exact:
   segments — once a fault's output diverges on some segment, the
   ``detected`` flag is final — so detected faults are dropped from all
   later segments.  ``output_l1`` / ``class_count_diff`` then only cover
-  segments up to first detection; campaigns that need the exact Fig. 9
-  metrics run with ``drop_detected=False`` and get every array
-  bit-identical to the assembled campaign.
+  segments up to first detection: they equal the flat metrics on the
+  stimulus cut at the end of that segment (on the whole stimulus for a
+  fault never detected).  Campaigns that need the exact Fig. 9 metrics
+  run with ``drop_detected=False`` and get every array bit-identical to
+  the assembled campaign.
 - **Divergence-bounded propagation** (always on): if the faulty module's
   segment output is bit-identical to golden *and* the fault's downstream
   state is still golden, the downstream modules would reproduce the
@@ -75,7 +83,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import FaultModelError, StoreError
-from repro.faults.injector import inject, synapse_fault_value
 from repro.faults.store import StoreSession, stimulus_chain
 from repro.faults.model import NeuronFaultKind
 from repro.faults.simulator import (
@@ -83,8 +90,6 @@ from repro.faults.simulator import (
     _perturbed_neuron_arrays,
     _perturbed_neuron_scalars,
     _ProgressTracker,
-    _supports_kbatched,
-    _supports_kbatched_fused,
     _supports_splice,
     _supports_synapse_splice,
     _synapse_entries,
@@ -128,29 +133,23 @@ class _GoldenSegment:
 
 
 class GoldenSegmentRunner:
-    """Advances the fault-free network one test segment at a time,
-    snapshotting module entry states before each segment.
-
-    ``fused=True`` routes every module through its fused fast path
-    (bit-identical in float64, pinned by the fused differential suite).
+    """Advances the fault-free network one test segment at a time on the
+    fused kernels, snapshotting module entry states before each segment.
 
     ``events`` optionally attaches a zero-skip dispatcher
     (:class:`repro.snn.events.EventDispatch`) to the fused kernels for
     the duration of each segment: sleep gaps and other all-zero stretches
     of a segment skip their GEMMs outright, bit-exactly."""
 
-    def __init__(self, network, fused: bool = False, events=None) -> None:
+    def __init__(self, network, events=None) -> None:
         self.network = network
-        self.fused = fused
         self.events = events
         self.states = network.init_states(1)
 
     def run_segment(self, seg: np.ndarray) -> _GoldenSegment:
         entry = [s.copy() if s is not None else None for s in self.states]
         with event_dispatch_context(self.network.modules, self.events):
-            outputs = self.network.run_modules(
-                seg, states=self.states, fused=self.fused
-            )
+            outputs = self.network.run_modules(seg, states=self.states, fused=True)
         # The kernels rebind state arrays instead of writing into them, so
         # a shallow snapshot stays this segment's exit state.
         exit_states = [
@@ -170,7 +169,7 @@ class GoldenSegmentRunner:
         with event_dispatch_context(self.network.modules, events):
             for index in range(count):
                 self.network.run_modules(
-                    stimulus.segment(index), states=self.states, fused=self.fused
+                    stimulus.segment(index), states=self.states, fused=True
                 )
 
 
@@ -178,8 +177,8 @@ class _PlainGoldenRunner:
     """Golden-runner adapter with the ``run_segment(index, seg)`` interface
     the campaign loop drives (the store-backed runner below shares it)."""
 
-    def __init__(self, network, fused: bool, events=None) -> None:
-        self.inner = GoldenSegmentRunner(network, fused=fused, events=events)
+    def __init__(self, network, events=None) -> None:
+        self.inner = GoldenSegmentRunner(network, events=events)
 
     def run_segment(self, segment_index: int, seg: np.ndarray) -> _GoldenSegment:
         return self.inner.run_segment(seg)
@@ -196,9 +195,9 @@ class _SessionGoldenRunner:
     normally and is stored for every later group, worker, and invocation.
     """
 
-    def __init__(self, session: StoreSession, network, fused: bool, events=None) -> None:
+    def __init__(self, session: StoreSession, network, events=None) -> None:
         self.session = session
-        self.inner = GoldenSegmentRunner(network, fused=fused, events=events)
+        self.inner = GoldenSegmentRunner(network, events=events)
 
     def seek(self, stimulus, count: int) -> None:
         if not count:
@@ -224,9 +223,9 @@ class _SessionGoldenRunner:
         return gseg
 
 
-#: Fused-path batch width for splice/delay rows: the rows compared,
-#: materialized and propagated together (module-re-running kinds keep the
-#: configured batch sizes).  A dense GEMM rounds a row by its place in
+#: Batch width for splice/delay rows: the rows compared, materialized
+#: and propagated together (module-re-running kinds keep the configured
+#: batch sizes).  A dense GEMM rounds a row by its place in
 #: the batch, so this width fixes the downstream state that records
 #: carry.  It also bounds the shared rows of one footprint-packed conv
 #: run (see :meth:`_FaultGroup._run_packed`).  It no longer sets the
@@ -326,21 +325,19 @@ class _FaultGroup:
       resolution when the module feeds a sum pool, and several rows per
       conv run when a conv layer follows the pool (see :meth:`_run_packed`).
     - ``"neuron"`` — neuron faults needing a full module re-run (recurrent
-      layers, or the splice fast path disabled).
+      layers).
     - ``"synapse_splice"`` — synapse faults in layers where one weight
-      feeds exactly one neuron (dense fan-in), on the fused path: only the
-      affected neuron's mini-LIF is advanced per row, driven by its column
-      of one K-batched faulty product, exactly like ``"splice"``.
-    - ``"synapse_k"`` — synapse faults on modules with K-batched weight
-      support.  Conv layers on the fused path with ``synapse_splice`` on
-      run them channel-packed and splice-style: faults on distinct
-      filters share one weight copy and one LIF scan, and each row leaves
-      with the golden output, its own channel in place — at pooled
-      resolution when the module feeds a sum pool (see
-      :meth:`_run_channels`).  Their records are those of the K-batched
-      run byte for byte, so the kind keeps its name.
-    - ``"synapse_seq"`` — synapse faults on the sequential reference path
-      (one reversible :func:`inject` per fault, batch size 1).
+      feeds exactly one neuron (dense fan-in): only the affected neuron's
+      mini-LIF is advanced per row, driven by its column of one K-batched
+      faulty product, exactly like ``"splice"``.
+    - ``"synapse_k"`` — the other synapse faults, over K weight copies.
+      Recurrent layers run one copy per row.  Conv layers run them
+      channel-packed and splice-style: faults on distinct filters share
+      one weight copy and one LIF scan, and each row leaves with the
+      golden output, its own channel in place — at pooled resolution when
+      the module feeds a sum pool (see :meth:`_run_channels`).  Their
+      records are those of the per-row K-batched run byte for byte, so
+      the kind keeps its name.
     - ``"delay"`` — neuron DELAY faults: the module runs nominally (the
       golden pass already did), and the faulty output is the golden output
       with the row's neuron trace time-shifted; a per-row history buffer
@@ -374,21 +371,17 @@ class _FaultGroup:
         group_faults = [campaign.faults[i] for i in self.indices]
         shape = self.module.neuron_shape
         # Splice and delay rows carry (k, 1) scalar state and never re-run
-        # the module, so the fused engine batches them far wider than the
-        # module-re-running kinds: wider batches amortize the per-call
-        # overhead of the trace compares and the downstream runs of
-        # diverged rows (the mini-LIF scans every active row at once).
-        # The legacy engine keeps the configured batch.
-        def _splice_batch(configured: int) -> int:
-            return max(configured, _SPLICE_BATCH) if simulator.fused else configured
-
+        # the module, so they batch far wider than the module-re-running
+        # kinds: wider batches amortize the per-call overhead of the trace
+        # compares and the downstream runs of diverged rows (the mini-LIF
+        # scans every active row at once).
         if kind == "splice":
             (self.neuron_idx, self.thr, self.leak, self.refr, self.mode) = \
                 _perturbed_neuron_scalars(self.module, group_faults, simulator.config)
             # Nominal scalar columns drive the mini-LIF outside a window.
             self._nominal_scalars()
             state_shape: Tuple[int, ...] = (k, 1)  # K mini-LIF rows, batch 1
-            self.batch_size = _splice_batch(simulator.neuron_batch)
+            self.batch_size = max(simulator.neuron_batch, _SPLICE_BATCH)
         elif kind == "synapse_splice":
             self.syn = _synapse_entries(self.module, group_faults, simulator.config)
             self.neuron_idx = self.module.synapse_fault_targets(self.syn)
@@ -396,7 +389,7 @@ class _FaultGroup:
             # lives entirely in the current trace.
             self._nominal_scalars()
             state_shape = (k, 1)
-            self.batch_size = _splice_batch(simulator.synapse_batch)
+            self.batch_size = max(simulator.synapse_batch, _SPLICE_BATCH)
         elif kind == "delay":
             self.neuron_idx = np.array(
                 [f.neuron_index for f in group_faults], dtype=np.int64
@@ -404,7 +397,7 @@ class _FaultGroup:
             self.delays = np.array([f.delay for f in group_faults], dtype=np.int64)
             self.hist_len = int(self.delays.max())
             state_shape = (k, 1)  # no LIF state needed; keep a tiny slab
-            self.batch_size = _splice_batch(simulator.neuron_batch)
+            self.batch_size = max(simulator.neuron_batch, _SPLICE_BATCH)
         else:
             state_shape = (k,) + shape  # row axis doubles as module batch
             if kind == "neuron":
@@ -412,11 +405,9 @@ class _FaultGroup:
                     self.module, group_faults, simulator.config
                 )
                 self.batch_size = simulator.neuron_batch
-            elif kind == "synapse_k":
+            else:  # synapse_k
                 self.syn = _synapse_entries(self.module, group_faults, simulator.config)
                 self.batch_size = simulator.synapse_batch
-            else:  # synapse_seq: reversible inject(), one fault per pass
-                self.batch_size = 1
         # Index of the first downstream module that _run_downstream runs.
         # Splice-style rows of a module feeding a sum pool materialize the
         # pool's output directly, so propagation starts after the pool.
@@ -427,12 +418,7 @@ class _FaultGroup:
         pooled = bool(self.downstream) and isinstance(self.downstream[0], SumPool)
         # Channel-packed conv synapse rows: each row's output channel.
         self.channel: Optional[np.ndarray] = None
-        if (
-            kind == "synapse_k"
-            and simulator.fused
-            and simulator.synapse_splice
-            and isinstance(self.module, ConvLIF)
-        ):
+        if kind == "synapse_k" and isinstance(self.module, ConvLIF):
             self.channel = np.unravel_index(
                 [widx for _pidx, widx, _value in self.syn], self.module.weight.shape
             )[0]
@@ -610,11 +596,6 @@ class _FaultGroup:
         threshold, leak, refractory, mode = self.params
         faulty = (threshold[rows], leak[rows], refractory[rows], mode[rows])
         state = self._module_state(rows)
-        run = (
-            module.run_sequence_fused
-            if self.campaign.simulator.fused
-            else module.run_sequence_numpy
-        )
         pieces: List[np.ndarray] = []
         try:
             for a, b, in_window in _window_pieces(
@@ -622,7 +603,7 @@ class _FaultGroup:
             ):
                 (module.threshold, module.leak,
                  module.refractory_steps, module.mode) = faulty if in_window else saved
-                pieces.append(run(tiled[a:b], state=state))
+                pieces.append(module.run_sequence_fused(tiled[a:b], state=state))
         finally:
             module.threshold, module.leak, module.refractory_steps, module.mode = saved
         self._store_state(rows, state)
@@ -642,17 +623,12 @@ class _FaultGroup:
         for copy, row in zip(copies.tolist(), rows.tolist()):
             pidx, widx, value = self.syn[row]
             stacks[pidx][copy].reshape(-1)[widx] = value
-        run = (
-            module.run_sequence_kbatched_fused
-            if self.campaign.simulator.fused and _supports_kbatched_fused(module)
-            else module.run_sequence_kbatched
-        )
-        # The K-batched kernels broadcast the shared input over the copies.
-        if self.window is None:
-            return run(seg_input, stacks, state=state)
         nominal = [np.broadcast_to(p.data, (n,) + p.data.shape) for p in params]
+        # The K-batched kernel broadcasts the shared input over the copies.
         pieces = [
-            run(seg_input[a:b], stacks if in_window else nominal, state=state)
+            module.run_sequence_kbatched_fused(
+                seg_input[a:b], stacks if in_window else nominal, state=state
+            )
             for a, b, in_window in _window_pieces(self.window, seg_input.shape[0], offset)
         ]
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
@@ -735,38 +711,6 @@ class _FaultGroup:
         tiled[:, np.arange(m), self.channel[rows]] = own
         return tiled
 
-    def _run_synapse_seq(
-        self, rows: np.ndarray, seg_input: np.ndarray, offset: int
-    ) -> np.ndarray:
-        (row,) = rows
-        fault = self.campaign.faults[self.indices[row]]
-        state = self._module_state(rows)
-        if fault.window is None:
-            with inject(self.campaign.simulator.network, fault, self.campaign.config):
-                out = self.module.run_sequence_numpy(seg_input, state=state)
-        else:
-            # Transient: swap the single weight at the window boundaries,
-            # carrying the LIF state through each piece.
-            params = self.module.parameters()
-            weights = params[fault.parameter_index].data
-            faulty = synapse_fault_value(weights, fault, self.campaign.config)
-            flat = weights.reshape(-1)
-            previous = flat[fault.weight_index]
-            pieces: List[np.ndarray] = []
-            try:
-                for a, b, in_window in _window_pieces(
-                    fault.window, seg_input.shape[0], offset
-                ):
-                    flat[fault.weight_index] = faulty if in_window else previous
-                    pieces.append(
-                        self.module.run_sequence_numpy(seg_input[a:b], state=state)
-                    )
-            finally:
-                flat[fault.weight_index] = previous
-            out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
-        self._store_state(rows, state)
-        return out
-
     def _run_delay(self, rows: np.ndarray, gseg: _GoldenSegment, offset: int):
         """Delayed-output rows: the module itself runs nominally (the golden
         pass already did), so the faulty trace is the golden trace of the
@@ -842,16 +786,11 @@ class _FaultGroup:
         those are freed the moment the fault is detected, so group memory
         stays proportional to the live divergence front."""
         self._seed(rows, gseg)
-        fused = self.campaign.simulator.fused
         current = module_out
         for dj in range(self.entry if start is None else start, len(self.downstream)):
             dm = self.downstream[dj]
             if not self._down_stateful()[dj]:
-                current = (
-                    dm.run_sequence_fused(current)
-                    if fused
-                    else dm.run_sequence_numpy(current)
-                )
+                current = dm.run_sequence_fused(current)
                 continue
             slots = [self.dstates[int(r)][dj] for r in rows]
             state = LIFState(
@@ -859,11 +798,7 @@ class _FaultGroup:
                 last_spike=np.stack([slot["spk"] for slot in slots]),
                 refractory=np.stack([slot["ref"] for slot in slots]),
             )
-            current = (
-                dm.run_sequence_fused(current, state=state)
-                if fused
-                else dm.run_sequence_numpy(current, state=state)
-            )
+            current = dm.run_sequence_fused(current, state=state)
             _unstack(slots, state.potential, state.last_spike, state.refractory)
         return current.reshape(current.shape[0], current.shape[1], -1)
 
@@ -938,8 +873,9 @@ class _FaultGroup:
             tile[packs[jj], :, ll] = carried[jj, :, ll]
             tiles.append(tile.reshape((shared_n,) + conv.neuron_shape))
         state = LIFState(*tiles)
-        run = conv.run_sequence_fused if self.campaign.simulator.fused else conv.run_sequence_numpy
-        out = run(shared.reshape((steps, shared_n) + pooled.shape[2:]), state=state)
+        out = conv.run_sequence_fused(
+            shared.reshape((steps, shared_n) + pooled.shape[2:]), state=state
+        )
         own = [
             np.where(
                 reach[:, None, :],
@@ -1022,10 +958,8 @@ class _FaultGroup:
             else:
                 if self.kind == "neuron":
                     out = self._run_neuron(rows, seg_input, offset)
-                elif self.kind == "synapse_k":
-                    out = self._run_synapse_k(rows, seg_input, offset)
                 else:
-                    out = self._run_synapse_seq(rows, seg_input, offset)
+                    out = self._run_synapse_k(rows, seg_input, offset)
                 same = (out == golden_out).reshape(out.shape[0], len(rows), -1).all(axis=(0, 2))
             # A row may exit only while its whole cross-section is still
             # golden: module output identical this segment AND downstream
@@ -1144,10 +1078,10 @@ class SegmentedDetectionCampaign:
         progress=None,
         store=None,
     ) -> None:
+        simulator._check_segment_engine()
         self.simulator = simulator
         self.stimulus = stimulus
         self.faults = list(faults)
-        self.config = simulator.config
         self.drop_detected = drop_detected
         self.n_segments = stimulus.num_segments
         # Prefix digests of the stimulus segments: the store keys hang off
@@ -1188,16 +1122,13 @@ class SegmentedDetectionCampaign:
 
     # ------------------------------------------------------------------
     def _build_groups(self) -> List[_FaultGroup]:
-        # Batched groups must share one activity window (and, for neuron
-        # faults, one execution family): the piecewise segment runs swap
-        # parameters for the whole batch at once.  Sequential synapse
-        # groups handle per-fault windows internally (batch size 1).
-        simulator = self.simulator
-        network = simulator.network
+        # Groups must share one activity window (and, for neuron faults,
+        # one execution family): the piecewise segment runs swap
+        # parameters for the whole batch at once.
+        network = self.simulator.network
         neuron_map: Dict[Tuple, List[int]] = {}
         synapse_splice_map: Dict[Tuple, List[int]] = {}
         synapse_k_map: Dict[Tuple, List[int]] = {}
-        synapse_seq_map: Dict[int, List[int]] = {}
         for idx, fault in enumerate(self.faults):
             if fault.module_index >= len(network.modules):
                 raise FaultModelError(f"{fault.describe()}: module index out of range")
@@ -1205,23 +1136,14 @@ class SegmentedDetectionCampaign:
                 family = "delay" if fault.kind is NeuronFaultKind.DELAY else "param"
                 key = (fault.module_index, family, fault.window)
                 neuron_map.setdefault(key, []).append(idx)
-            elif (
-                simulator.fused
-                and simulator.synapse_batch > 1
-                and simulator.synapse_splice
-                and _supports_synapse_splice(network.modules[fault.module_index])
-            ):
+            elif _supports_synapse_splice(network.modules[fault.module_index]):
                 synapse_splice_map.setdefault(
                     (fault.module_index, fault.window), []
                 ).append(idx)
-            elif simulator.synapse_batch > 1 and _supports_kbatched(
-                network.modules[fault.module_index]
-            ):
+            else:
                 synapse_k_map.setdefault(
                     (fault.module_index, fault.window), []
                 ).append(idx)
-            else:
-                synapse_seq_map.setdefault(fault.module_index, []).append(idx)
 
         def _wkey(window):
             return (-1, -1) if window is None else tuple(window)
@@ -1232,13 +1154,10 @@ class SegmentedDetectionCampaign:
         ):
             if family == "delay":
                 kind = "delay"
+            elif _supports_splice(network.modules[module_index]):
+                kind = "splice"
             else:
-                module = network.modules[module_index]
-                kind = (
-                    "splice"
-                    if simulator.neuron_splice and _supports_splice(module)
-                    else "neuron"
-                )
+                kind = "neuron"
             groups.append(
                 _FaultGroup(self, kind, module_index, indices, window=window)
             )
@@ -1256,8 +1175,6 @@ class SegmentedDetectionCampaign:
             groups.append(
                 _FaultGroup(self, "synapse_k", module_index, indices, window=window)
             )
-        for module_index, indices in sorted(synapse_seq_map.items()):
-            groups.append(_FaultGroup(self, "synapse_seq", module_index, indices))
         return groups
 
     # ------------------------------------------------------------------
@@ -1306,8 +1223,7 @@ class SegmentedDetectionCampaign:
     # ------------------------------------------------------------------
     def run(self) -> DetectionResult:
         start = time.perf_counter()
-        simulator = self.simulator
-        network = simulator.network
+        network = self.simulator.network
         modules = network.modules
         session = self.session
         events = EventDispatch(self.stats)
@@ -1321,13 +1237,11 @@ class SegmentedDetectionCampaign:
                 hit = session.lookup_group(self, group, gdigest)
                 if hit is not None:
                     first_segment = self._apply_hit(group, hit)
-                golden = _SessionGoldenRunner(
-                    session, network, simulator.fused, EventDispatch()
-                )
+                golden = _SessionGoldenRunner(session, network, EventDispatch())
                 if 0 < first_segment < self.n_segments and not group.done:
                     golden.seek(self.stimulus, first_segment)
             else:
-                golden = _PlainGoldenRunner(network, simulator.fused, EventDispatch())
+                golden = _PlainGoldenRunner(network, EventDispatch())
             for segment_index in range(first_segment, self.n_segments):
                 if group.done:
                     break

@@ -16,16 +16,24 @@ Both campaigns exploit the feedforward structure: the fault-free response
 of every module is cached once, and each faulty simulation restarts at the
 module containing the fault site, skipping all upstream work.
 
-Both neuron and synapse faults are simulated in batches along the batch
-axis: K faulty instances of the same module share one pass, with the
-per-neuron parameter arrays (neuron faults) or the weight tensors lifted
-to a ``(K, ...)`` leading axis (synapse faults).  Per-fault results are
-identical to one-at-a-time injection — the spiking nonlinearity is applied
-elementwise per batch row every time step — which is pinned by the
-differential suites in ``tests/faults/``.  For campaigns that parallelise
-across processes as well, see :mod:`repro.faults.parallel`; for the
-segment-wise detection engine (fault dropping, divergence-bounded
-propagation, bounded peak memory), see :mod:`repro.faults.segmented` and
+:class:`FaultSimulator` has two engines.  The production engine
+(``fused=True``, the default) computes a layer's synaptic currents for
+all time steps of a fault batch in one stacked BLAS call and scans only
+the membrane recurrence.  Neuron faults of layers without lateral
+coupling, and synapse faults of dense layers, are spliced into the cached
+fault-free layer output without re-running the layer; the other faults
+share one pass K at a time along the batch axis, with the per-neuron
+parameter arrays (neuron faults) or the weight tensors (synapse faults)
+lifted to a ``(K, ...)`` leading axis.  The per-step oracle
+(``fused=False``) advances one time step at a time, re-runs the faulty
+module for neuron faults and injects synapse faults one at a time.
+Per-fault results are identical on both — the spiking nonlinearity is
+applied elementwise per batch row every time step — which the
+differential suites in ``tests/faults/`` pin against the oracle, bit for
+bit.  For campaigns that parallelise across processes
+as well, see :mod:`repro.faults.parallel`; for the segment-wise detection
+engine (fault dropping, divergence-bounded propagation, bounded peak
+memory), see :mod:`repro.faults.segmented` and
 :meth:`FaultSimulator.detect_segmented`.
 """
 
@@ -197,14 +205,20 @@ def _rate(detected: np.ndarray, mask: np.ndarray) -> float:
 PROGRESS_INTERVAL_ENV = "REPRO_PROGRESS_INTERVAL"
 
 
-def _default_progress_interval() -> int:
-    raw = os.environ.get(PROGRESS_INTERVAL_ENV, "").strip()
+def env_int(name: str, default: int, minimum: int) -> int:
+    """The integer environment variable ``name``, else ``default``.  A
+    value that is not an integer of at least ``minimum`` raises
+    :class:`~repro.errors.FaultModelError` naming the variable."""
+    raw = os.environ.get(name, "").strip()
     if not raw:
-        return 1000
+        return default
     try:
-        return max(1, int(raw))
+        value = int(raw)
     except ValueError:
-        return 1000
+        raise FaultModelError(f"{name} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise FaultModelError(f"{name} must be at least {minimum}, got {raw!r}")
+    return value
 
 
 class _ProgressTracker:
@@ -219,7 +233,9 @@ class _ProgressTracker:
     ):
         self.progress = progress
         self.total = total
-        self.interval = interval if interval is not None else _default_progress_interval()
+        if interval is None:
+            interval = env_int(PROGRESS_INTERVAL_ENV, 1000, minimum=1)
+        self.interval = interval
         self.done = 0
         self._last_reported = -1
 
@@ -366,15 +382,10 @@ def _synapse_entries(module, group: Sequence[SynapseFault], config: FaultModelCo
 
 
 def _supports_kbatched(module) -> bool:
-    return (
-        isinstance(module, SpikingModule)
-        and type(module).run_sequence_kbatched
-        is not SpikingModule.run_sequence_kbatched
-    )
-
-
-def _supports_kbatched_fused(module) -> bool:
-    return (
+    """True for layers whose synapse faults the production engine runs K
+    at a time: spliced (dense fan-in, see :func:`_supports_synapse_splice`)
+    or over K weight copies in one fused pass (conv, recurrent)."""
+    return _supports_synapse_splice(module) or (
         isinstance(module, SpikingModule)
         and type(module).run_sequence_kbatched_fused
         is not SpikingModule.run_sequence_kbatched_fused
@@ -413,7 +424,20 @@ def _supports_synapse_splice(module) -> bool:
 
 
 class FaultSimulator:
-    """Runs fault campaigns against one network.
+    """Runs fault campaigns against one network, on one of two engines.
+
+    - **Production** (``fused=True``, the default; every campaign the
+      pipeline, the CLI and the service run): fused layer kernels, with
+      splicing, packing and K-batching wherever a layer supports them,
+      and the segment-wise engine of :meth:`detect_segmented`.
+    - **Per-step oracle** (``fused=False``): per-step kernels; neuron
+      faults re-run the faulty module ``neuron_batch`` rows per pass,
+      synapse faults run one per pass through the reversible
+      :func:`~repro.faults.injector.inject`, and delay faults use the
+      golden-output transform.  It runs only the flat :meth:`detect`,
+      :meth:`classify` and :meth:`accuracy_drops`; the differential
+      suites and the benchmark check the production engine against it,
+      bit for bit.
 
     Parameters
     ----------
@@ -422,30 +446,21 @@ class FaultSimulator:
     config:
         Fault-model magnitudes used at injection time.
     neuron_batch:
-        Neuron faults are simulated in parallel along the batch axis (the
-        per-neuron parameter and mode arrays broadcast per batch row);
-        this sets how many faulty instances share one pass.
+        How many neuron-faulty instances share one pass along the batch
+        axis (the per-neuron parameter and mode arrays broadcast per batch
+        row).
     synapse_batch:
-        Same for synapse faults: K weight-perturbed instances of one
-        module share one pass, with the module's weight tensors lifted to
-        a ``(K, ...)`` leading axis.  ``None`` follows ``neuron_batch``;
-        ``1`` selects the sequential reference path (one reversible
-        :func:`~repro.faults.injector.inject` per fault).
+        How many synapse-faulty instances share one pass on the production
+        engine, with the module's weight tensors lifted to a ``(K, ...)``
+        leading axis.  ``None`` follows ``neuron_batch`` on the production
+        engine and is 1 on the oracle, which takes no other value.
+    neuron_splice:
+        Follows the engine (``None`` means ``fused``); the other value is
+        rejected.  It stays so that the oracle can be spelled in full,
+        ``FaultSimulator(net, cfg, fused=False, synapse_batch=1,
+        neuron_splice=False)``.
     fused:
-        Route campaign runs through the fused layer kernels: all synaptic
-        currents of a K-batch x time block computed as one stacked matmul,
-        with only the membrane recurrence scanned per step.  Bit-identical
-        to the per-step path in float64 (pinned by the fused differential
-        suite).  ``fused=False`` with ``synapse_batch=1`` and
-        ``neuron_splice=False`` is the per-step reference oracle the
-        differential suites compare the production engine against.
-    time_block:
-        Split fused runs into time blocks of at most this many steps with
-        LIF state carried across block boundaries, bounding the size of
-        the stacked current and spike tensors.  Conv patch matrices are
-        built in cache-sized blocks whatever the time block
-        (:func:`repro.autograd.functional.im2col_matmul`).
-        ``None`` reads ``$REPRO_TIME_BLOCK`` (default: whole sequence).
+        ``True`` selects the production engine, ``False`` the oracle.
 
     Every campaign attaches a zero-skip dispatcher to the fused current
     kernels (see :mod:`repro.snn.events`); all-zero blocks and time
@@ -458,55 +473,52 @@ class FaultSimulator:
         config: Optional[FaultModelConfig] = None,
         neuron_batch: int = 16,
         synapse_batch: Optional[int] = None,
-        neuron_splice: bool = True,
-        synapse_splice: bool = True,
+        neuron_splice: Optional[bool] = None,
         fused: bool = True,
-        time_block: Optional[int] = None,
     ) -> None:
         self.network = network
         self.config = config or FaultModelConfig()
+        self.fused = bool(fused)
         if neuron_batch < 1:
             raise FaultModelError(f"neuron_batch must be >= 1, got {neuron_batch}")
         if synapse_batch is None:
-            synapse_batch = neuron_batch
+            synapse_batch = neuron_batch if self.fused else 1
         if synapse_batch < 1:
             raise FaultModelError(f"synapse_batch must be >= 1, got {synapse_batch}")
+        if neuron_splice is None:
+            neuron_splice = self.fused
+        if bool(neuron_splice) != self.fused or (not self.fused and synapse_batch > 1):
+            raise FaultModelError(
+                "FaultSimulator has two engines: production (fused=True, "
+                "neuron_splice=True) and the per-step oracle (fused=False, "
+                f"synapse_batch=1, neuron_splice=False); got fused={fused}, "
+                f"synapse_batch={synapse_batch}, neuron_splice={neuron_splice}"
+            )
         self.neuron_batch = neuron_batch
         self.synapse_batch = synapse_batch
-        self.neuron_splice = neuron_splice
-        self.synapse_splice = synapse_splice
-        self.fused = bool(fused)
-        if time_block is None:
-            env_block = os.environ.get("REPRO_TIME_BLOCK", "").strip()
-            time_block = int(env_block) if env_block else None
-        if time_block is not None and time_block < 1:
-            raise FaultModelError(f"time_block must be >= 1, got {time_block}")
-        self.time_block = time_block
 
     # ------------------------------------------------------------------
-    def _time_blocks(self, steps: int) -> List[tuple]:
-        """Partition ``[0, steps)`` into fused execution blocks."""
-        block = self.time_block
-        if block is None or block >= steps:
-            return [(0, steps)]
-        return [(a, min(a + block, steps)) for a in range(0, steps, block)]
-
-    def _fused_tail(self, start_index: int, out: np.ndarray) -> np.ndarray:
-        """Propagate a faulty module's output through the remaining modules
-        on the fused path, one time block at a time with carried state;
+    def _tail(self, start_index: int, out: np.ndarray) -> np.ndarray:
+        """Propagate a faulty module's output ``(T, batch, ...)`` through
+        the modules from ``start_index`` on, with this engine's kernels;
         returns flattened ``(T, batch, classes)`` spikes."""
-        steps, batch = out.shape[:2]
         if start_index >= len(self.network.modules):
-            return out.reshape(steps, batch, -1)
-        blocks = self._time_blocks(steps)
-        if len(blocks) == 1:
-            return self.network.run_from(start_index, out, fused=True)
-        states = [m.init_state(batch) for m in self.network.modules[start_index:]]
-        pieces = [
-            self.network.run_from(start_index, out[a:b], states=states, fused=True)
-            for a, b in blocks
-        ]
-        return np.concatenate(pieces, axis=0)
+            return out.reshape(out.shape[0], out.shape[1], -1)
+        return self.network.run_from(start_index, out, fused=self.fused)
+
+    def _kbatched(self, module_index: int) -> bool:
+        """Whether this engine runs the module's synapse faults K at a
+        time (else one per pass through :func:`inject`)."""
+        return self.fused and _supports_kbatched(self.network.modules[module_index])
+
+    def _check_segment_engine(self) -> None:
+        """The segment-wise engine runs on the production engine only."""
+        if not self.fused:
+            raise FaultModelError(
+                "segment-wise detection runs on the production engine "
+                "(fused=True); the per-step oracle runs only the flat "
+                "detect, classify and accuracy_drops"
+            )
 
     # ------------------------------------------------------------------
     def _batched_neuron_run(
@@ -514,22 +526,23 @@ class FaultSimulator:
         module_index: int,
         group: Sequence[NeuronFault],
         base_seq: np.ndarray,
-        golden_out: Optional[np.ndarray] = None,
+        golden_out: np.ndarray,
         window=None,
         memo: Optional[Dict[int, np.ndarray]] = None,
     ) -> np.ndarray:
         """Simulate ``len(group)`` neuron-faulty instances in one pass.
 
         ``base_seq`` is the module's input sequence with S base batch rows
-        (1 for detection, the sample count for classification).  Returns
-        output spikes of shape ``(T, K, S, classes)``.
+        (1 for detection, the sample count for classification), and
+        ``golden_out`` the module's fault-free output for the same rows.
+        Returns output spikes of shape ``(T, K, S, classes)``.
 
-        When ``golden_out`` (the module's fault-free output for the same
-        base rows) is given and the module's neurons are independent given
-        the layer input, the faulty module is not re-run at all: only the
-        K faulty neurons are simulated from their input-current traces and
-        their spike trains spliced into the cached fault-free output
-        (see :meth:`_spliced_neuron_run`).
+        On the production engine, when the module's neurons are
+        independent given the layer input, the faulty module is not re-run
+        at all: only the K faulty neurons are simulated from their
+        input-current traces and their spike trains spliced into
+        ``golden_out`` (see :meth:`_spliced_neuron_run`).  Otherwise the
+        module re-runs on K*S rows with per-row parameter arrays.
 
         ``window`` is the group's shared transient activity window in
         absolute test time (``None`` = permanent): the faulty module runs
@@ -541,17 +554,13 @@ class FaultSimulator:
         ``base_seq``, so a campaign computes them once per module.
         """
         module = self.network.modules[module_index]
-        if (
-            golden_out is not None
-            and self.neuron_splice
-            and _supports_splice(module)
-        ):
+        if self.fused and _supports_splice(module):
             return self._spliced_neuron_run(
                 module_index, group, base_seq, golden_out, window=window, memo=memo
             )
         shape = module.neuron_shape
         k = len(group)
-        s = base_seq.shape[1]
+        steps, s = base_seq.shape[:2]
         saved = (module.threshold, module.leak, module.refractory_steps, module.mode)
         # Per-row parameter arrays: (K, 1, *shape) broadcast over samples,
         # reshaped to (K*S, *shape) to match the tiled batch.
@@ -568,48 +577,19 @@ class FaultSimulator:
         # Fault-major batch layout: row (fault_k * S + sample_s).
         tiled = np.tile(base_seq, (1, k) + (1,) * (base_seq.ndim - 2))
         faulty = (expand(threshold), expand(leak), expand(refractory), expand(mode))
-        steps = base_seq.shape[0]
+        run = module.run_sequence_fused if self.fused else module.run_sequence_numpy
+        state = module.init_state(k * s)
+        outs = []
         try:
-            if not self.fused:
-                if window is None:
-                    module.threshold, module.leak, module.refractory_steps, module.mode = (
-                        faulty
-                    )
-                    out = self.network.run_from(module_index, tiled)
-                    return out.reshape(out.shape[0], k, s, -1)
-                state = module.init_state(k * s)
-                outs = []
-                for a, b, in_w in _window_pieces(window, steps):
-                    params = faulty if in_w else saved
-                    module.threshold, module.leak, module.refractory_steps, module.mode = (
-                        params
-                    )
-                    outs.append(module.run_sequence_numpy(tiled[a:b], state=state))
-            else:
-                # Fused: the faulty module consumes each window piece in
-                # time blocks, every block one stacked matmul, with LIF
-                # state carried across piece and block boundaries.
-                state = module.init_state(k * s)
-                outs = []
-                for a, b, in_w in _window_pieces(window, steps):
-                    params = faulty if in_w else saved
-                    module.threshold, module.leak, module.refractory_steps, module.mode = (
-                        params
-                    )
-                    for c, d in self._time_blocks(b - a):
-                        outs.append(
-                            module.run_sequence_fused(tiled[a + c : a + d], state=state)
-                        )
+            for a, b, in_w in _window_pieces(window, steps):
+                module.threshold, module.leak, module.refractory_steps, module.mode = (
+                    faulty if in_w else saved
+                )
+                outs.append(run(tiled[a:b], state=state))
         finally:
             module.threshold, module.leak, module.refractory_steps, module.mode = saved
         out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
-        if self.fused:
-            out = self._fused_tail(module_index + 1, out)
-        elif module_index + 1 < len(self.network.modules):
-            out = self.network.run_from(module_index + 1, out)
-        else:
-            out = out.reshape(steps, k * s, -1)
-        return out.reshape(steps, k, s, -1)
+        return self._tail(module_index + 1, out).reshape(steps, k, s, -1)
 
     # ------------------------------------------------------------------
     def _spliced_neuron_run(
@@ -629,73 +609,70 @@ class FaultSimulator:
         traces from the module's full golden currents, advance K tiny LIF
         simulations (same elementwise update as the full layer), splice
         the traces into K copies of the golden layer output, and resume
-        the network downstream.  Returns ``(T, K, S, classes)`` like
-        :meth:`_batched_neuron_run`.
+        the network downstream (see :meth:`_splice`).  Returns
+        ``(T, K, S, classes)`` like :meth:`_batched_neuron_run`.
         """
         module = self.network.modules[module_index]
-        k = len(group)
-        steps, s = base_seq.shape[:2]
-        neuron_idx, threshold, leak, refractory, mode = _perturbed_neuron_scalars(
-            module, group, self.config
-        )
+        neuron_idx, *faulty = _perturbed_neuron_scalars(module, group, self.config)
         full = None if memo is None else memo.get(module_index)
         if full is None:
             full = module.sequence_currents(base_seq)
             if memo is not None:
                 memo[module_index] = full
         currents = _neuron_currents(full, neuron_idx)  # (T, K, S)
-
-        # Per-row (K, 1) parameter columns, perturbed per fault kind; the
-        # nominal columns drive the mini-LIF outside a transient window.
-        faulty_params = (
-            threshold[:, None],
-            leak[:, None],
-            refractory[:, None],
-            mode[:, None],
+        # Per-row (K, 1) parameter columns, perturbed per fault kind.
+        faulty_params = tuple(column[:, None] for column in faulty)
+        return self._splice(
+            module_index, neuron_idx, golden_out, window, currents, currents,
+            faulty_params,
         )
+
+    # ------------------------------------------------------------------
+    def _splice(
+        self,
+        module_index: int,
+        neuron_idx: np.ndarray,
+        golden_out: np.ndarray,
+        window,
+        faulty: np.ndarray,
+        nominal: Optional[np.ndarray],
+        faulty_params=None,
+    ) -> np.ndarray:
+        """Scan K mini-LIFs, row ``k`` for neuron ``neuron_idx[k]``, splice
+        their spike traces into K copies of the golden module output
+        ``golden_out`` and resume the network downstream; returns
+        ``(T, K, S, classes)``.
+
+        Inside the fault ``window`` the scan reads the ``faulty`` currents
+        ``(T, K, S)`` under ``faulty_params`` (``None``: the nominal
+        parameters); outside it, the ``nominal`` currents under the
+        neurons' nominal parameters."""
+        module = self.network.modules[module_index]
+        shape = module.neuron_shape
+        steps, k, s = faulty.shape
         nominal_params = (
             module.threshold.reshape(-1)[neuron_idx].astype(float)[:, None],
             module.leak.reshape(-1)[neuron_idx].astype(float)[:, None],
             module.refractory_steps.reshape(-1)[neuron_idx][:, None],
             module.mode.reshape(-1)[neuron_idx][:, None],
         )
-
+        if faulty_params is None:
+            faulty_params = nominal_params
         state = LIFState.zeros_numpy((k, s))
         traces = np.empty((steps, k, s))
         reset_mode = module.params.reset_mode
         for a, b, in_w in _window_pieces(window, steps):
-            params = faulty_params if in_w else nominal_params
+            currents, params = (
+                (faulty, faulty_params) if in_w else (nominal, nominal_params)
+            )
             traces[a:b] = lif_scan_numpy(currents[a:b], state, *params, reset_mode)
-
-        return self._splice_downstream(module_index, neuron_idx, traces, golden_out)
-
-    # ------------------------------------------------------------------
-    def _splice_downstream(
-        self,
-        module_index: int,
-        neuron_idx: np.ndarray,
-        traces: np.ndarray,
-        golden_out: np.ndarray,
-    ) -> np.ndarray:
-        """Splice K faulty spike traces ``(T, K, S)`` into K copies of the
-        golden module output and resume the network downstream; returns
-        ``(T, K, S, classes)``."""
-        module = self.network.modules[module_index]
-        shape = module.neuron_shape
-        steps, k, s = traces.shape
         n = int(np.prod(shape))
         tiled = np.broadcast_to(
             golden_out.reshape(steps, 1, s, n), (steps, k, s, n)
         ).copy()
         tiled[:, np.arange(k), :, neuron_idx] = traces.transpose(1, 0, 2)
         merged = tiled.reshape((steps, k * s) + shape)
-        if self.fused:
-            out = self._fused_tail(module_index + 1, merged)
-        elif module_index + 1 < len(self.network.modules):
-            out = self.network.run_from(module_index + 1, merged)
-        else:
-            out = merged.reshape(steps, k * s, -1)
-        return out.reshape(steps, k, s, -1)
+        return self._tail(module_index + 1, merged).reshape(steps, k, s, -1)
 
     # ------------------------------------------------------------------
     def _spliced_synapse_run(
@@ -718,13 +695,11 @@ class FaultSimulator:
         parameters, and splice the traces into the golden layer output —
         the synapse-fault analogue of :meth:`_spliced_neuron_run`.  For a
         transient group, the mini-LIF consumes the faulty currents inside
-        the window and the golden currents outside, exactly as the
-        K-batched path swaps weight stacks at the window boundaries.  Returns
+        the window and the golden currents outside, exactly as swapping
+        the weight at the window boundaries does.  Returns
         ``(T, K, S, classes)`` like :meth:`_batched_synapse_run`.
         """
         module = self.network.modules[module_index]
-        k = len(group)
-        steps, s = base_seq.shape[:2]
         entries = _synapse_entries(module, group, self.config)
         neuron_idx = module.synapse_fault_targets(entries)
         faulty = module.synapse_splice_currents(base_seq, entries)  # (T, S, K)
@@ -732,19 +707,7 @@ class FaultSimulator:
         nominal = None
         if window is not None:
             nominal = _neuron_currents(module.sequence_currents(base_seq), neuron_idx)
-        params = (
-            module.threshold.reshape(-1)[neuron_idx].astype(float)[:, None],
-            module.leak.reshape(-1)[neuron_idx].astype(float)[:, None],
-            module.refractory_steps.reshape(-1)[neuron_idx][:, None],
-            module.mode.reshape(-1)[neuron_idx][:, None],
-        )
-        state = LIFState.zeros_numpy((k, s))
-        traces = np.empty((steps, k, s))
-        reset_mode = module.params.reset_mode
-        for a, b, in_w in _window_pieces(window, steps):
-            currents = faulty if in_w else nominal
-            traces[a:b] = lif_scan_numpy(currents[a:b], state, *params, reset_mode)
-        return self._splice_downstream(module_index, neuron_idx, traces, golden_out)
+        return self._splice(module_index, neuron_idx, golden_out, window, faulty, nominal)
 
     # ------------------------------------------------------------------
     def _delayed_neuron_run(
@@ -777,13 +740,7 @@ class FaultSimulator:
                 trace, fault.delay, window
             )
         merged = tiled.reshape((steps, k * s) + shape)
-        if self.fused:
-            out = self._fused_tail(module_index + 1, merged)
-        elif module_index + 1 < len(self.network.modules):
-            out = self.network.run_from(module_index + 1, merged)
-        else:
-            out = merged.reshape(steps, k * s, -1)
-        return out.reshape(steps, k, s, -1)
+        return self._tail(module_index + 1, merged).reshape(steps, k, s, -1)
 
     # ------------------------------------------------------------------
     def _batched_synapse_run(
@@ -791,38 +748,31 @@ class FaultSimulator:
         module_index: int,
         group: Sequence[SynapseFault],
         base_seq: np.ndarray,
-        golden_out: Optional[np.ndarray] = None,
+        golden_out: np.ndarray,
         window=None,
     ) -> np.ndarray:
-        """Simulate ``len(group)`` synapse-faulty instances in one pass.
+        """Simulate ``len(group)`` synapse-faulty instances in one pass on
+        the production engine.  Returns output spikes of shape
+        ``(T, K, S, classes)``.
 
-        The module's weight tensors are lifted to a ``(K, ...)`` leading
+        When each of the module's weights feeds exactly one neuron, the
+        module is not re-run at all (see :meth:`_spliced_synapse_run`).
+        Otherwise its weight tensors are lifted to a ``(K, ...)`` leading
         axis, one perturbed copy per fault; the faulty module runs all K
-        variants at once and every downstream module runs one pass with a
-        K*S batch.  Returns output spikes of shape ``(T, K, S, classes)``.
-
-        When ``golden_out`` is given on the fused path and each of the
-        module's weights feeds exactly one neuron, the module is not
-        re-run at all (see :meth:`_spliced_synapse_run`).
-
-        For a transient group (shared ``window``), the faulty module runs
-        piecewise with the pristine weight stacks outside the window and
-        the perturbed stacks inside, LIF state carried across boundaries.
+        variants in one fused pass and every downstream module runs one
+        pass with a K*S batch.  For a transient group (shared ``window``),
+        the faulty module runs piecewise with the pristine weight stacks
+        outside the window and the perturbed stacks inside, LIF state
+        carried across boundaries.
         """
         module = self.network.modules[module_index]
-        if (
-            golden_out is not None
-            and self.fused
-            and self.synapse_splice
-            and _supports_synapse_splice(module)
-        ):
+        if _supports_synapse_splice(module):
             return self._spliced_synapse_run(
                 module_index, group, base_seq, golden_out, window=window
             )
         params = module.parameters()
         k = len(group)
-        s = base_seq.shape[1]
-        steps = base_seq.shape[0]
+        steps, s = base_seq.shape[:2]
         stacks = [
             np.broadcast_to(p.data, (k,) + p.data.shape).copy() for p in params
         ]
@@ -830,45 +780,23 @@ class FaultSimulator:
             _synapse_entries(module, group, self.config)
         ):
             stacks[pidx][row].reshape(-1)[widx] = value
-        # The K-batched kernels broadcast the shared base input over K.
-        fused = self.fused and _supports_kbatched_fused(module)
-        if window is None and not fused:
-            out = module.run_sequence_kbatched(base_seq, stacks)
-        else:
-            nominal = [
-                np.broadcast_to(p.data, (k,) + p.data.shape) for p in params
-            ]
-            state = module.init_state(k * s)
-            outs = []
-            for a, b, in_w in _window_pieces(window, steps):
-                piece_stacks = stacks if in_w else nominal
-                if fused:
-                    for c, d in self._time_blocks(b - a):
-                        outs.append(
-                            module.run_sequence_kbatched_fused(
-                                base_seq[a + c : a + d], piece_stacks, state=state
-                            )
-                        )
-                else:
-                    outs.append(
-                        module.run_sequence_kbatched(
-                            base_seq[a:b], piece_stacks, state=state
-                        )
-                    )
-            out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
-        if self.fused:
-            out = self._fused_tail(module_index + 1, out)
-        elif module_index + 1 < len(self.network.modules):
-            out = self.network.run_from(module_index + 1, out)
-        else:
-            out = out.reshape(out.shape[0], out.shape[1], -1)
-        return out.reshape(steps, k, s, -1)
+        nominal = [np.broadcast_to(p.data, (k,) + p.data.shape) for p in params]
+        state = module.init_state(k * s)
+        # The K-batched kernel broadcasts the shared base input over K.
+        outs = [
+            module.run_sequence_kbatched_fused(
+                base_seq[a:b], stacks if in_w else nominal, state=state
+            )
+            for a, b, in_w in _window_pieces(window, steps)
+        ]
+        out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
+        return self._tail(module_index + 1, out).reshape(steps, k, s, -1)
 
     # ------------------------------------------------------------------
     def _sequential_synapse_run(
         self, fault: SynapseFault, base_seq: np.ndarray
     ) -> np.ndarray:
-        """Reference path for one synapse fault: ``(T, S, classes)``.
+        """One synapse fault per pass, the oracle's path: ``(T, S, classes)``.
 
         Permanent faults go through the reversible injector; transient
         faults swap the single weight entry at the window boundaries with
@@ -896,10 +824,7 @@ class FaultSimulator:
                 outs.append(module.run_sequence_numpy(base_seq[a:b], state=state))
         finally:
             flat[fault.weight_index] = previous
-        out = np.concatenate(outs, axis=0)
-        if module_index + 1 < len(self.network.modules):
-            return self.network.run_from(module_index + 1, out)
-        return out.reshape(steps, base_seq.shape[1], -1)
+        return self._tail(module_index + 1, np.concatenate(outs, axis=0))
 
     # ------------------------------------------------------------------
     def _neuron_groups(self, faults: Sequence[Fault]) -> Dict[tuple, List[int]]:
@@ -922,15 +847,14 @@ class FaultSimulator:
         return groups
 
     def _synapse_partition(self, faults: Sequence[Fault]):
-        """Split synapse-fault indices into per-(module, window) groups
-        eligible for batching and a sequential remainder."""
+        """Split synapse-fault indices into per-(module, window) K-batch
+        groups (see :meth:`_kbatched`) and a one-at-a-time remainder."""
         batched: Dict[tuple, List[int]] = {}
         sequential: List[int] = []
         for idx, fault in enumerate(faults):
             if fault.is_neuron:
                 continue
-            module = self.network.modules[fault.module_index]
-            if self.synapse_batch > 1 and _supports_kbatched(module):
+            if self._kbatched(fault.module_index):
                 batched.setdefault((fault.module_index, fault.window), []).append(idx)
             else:
                 sequential.append(idx)
@@ -1021,9 +945,8 @@ class FaultSimulator:
                     record(idx, out[:, row])
                 tracker.tick(len(group))
 
-        # Synapse faults: weight tensors lifted to a (K, ...) axis, grouped
-        # by (module, window); modules without K-batched support run
-        # sequentially.
+        # Synapse faults: K-batches grouped by (module, window) on the
+        # production engine, one fault per pass on the oracle.
         syn_batched, syn_sequential = self._synapse_partition(faults)
         for (module_index, window), indices in syn_batched.items():
             seq = stimulus if module_index == 0 else golden_modules[module_index - 1]
@@ -1068,7 +991,9 @@ class FaultSimulator:
         exactness argument, and :func:`repro.faults.parallel.parallel_detect_segmented`
         for the multi-process frontend.  Every segment skips downstream
         propagation for rows still bit-identical to golden and re-packs
-        the surviving rows into full batches; both are exact.
+        the surviving rows into full batches; both are exact.  Runs on the
+        production engine only: the oracle raises
+        :class:`~repro.errors.FaultModelError`.
 
         Parameters
         ----------
@@ -1194,8 +1119,8 @@ class FaultSimulator:
                     )
                 tracker.tick(len(group))
 
-        # Synapse faults: batched per module where supported, with the same
-        # sample-chunk early-exit semantics as the sequential path.
+        # Synapse faults: K-batches on the production engine, with the same
+        # sample-chunk early-exit semantics as the one-at-a-time path.
         syn_k_max = max(1, min(self.synapse_batch, 192 // max(samples, 1)))
         syn_batched, syn_sequential = self._synapse_partition(faults)
         for (module_index, window), indices in syn_batched.items():
@@ -1302,7 +1227,7 @@ class FaultSimulator:
                         golden_out=golden_modules[module_index],
                         window=fault.window, memo=memo,
                     )[:, 0]
-            elif _supports_kbatched(self.network.modules[module_index]):
+            elif self._kbatched(module_index):
                 out = self._batched_synapse_run(
                     module_index, [fault], seq,
                     golden_out=golden_modules[module_index],

@@ -25,14 +25,14 @@ Everything is content-addressed through three fingerprints:
   re-verify resumes from the deepest surviving prefix record.
 - the **base fingerprint**: network parameter digest + fault model config
   + the campaign options that change what the engine records
-  (the drop flag, fused path).
+  (the drop flag, the engine revision).
 - the **group digest**: a fault group's execution kind, module, transient
   window, and the ``describe()`` string of every member fault.
 
 A *group record* at key ``sha256("group" | base | gdigest | chain[i])``
 holds the group's detection/L1/class-count rows after segment ``i`` plus
 (for non-final segments) the full carried group state; a *golden record*
-at ``sha256("golden" | network | fused | chain[i])`` holds segment
+at ``sha256("golden" | network | "fused=1" | chain[i])`` holds segment
 ``i``'s fault-free per-module outputs and end states, shared across every
 campaign on the same network regardless of fault options.
 
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -76,6 +77,7 @@ from repro.core.checkpoint import (
     serialize_checkpoint,
 )
 from repro.errors import CheckpointError, StoreError
+from repro.faults.simulator import env_int
 from repro.snn.neuron import LIFState
 
 #: Golden records larger than this many serialized bytes are not stored
@@ -84,6 +86,33 @@ GOLDEN_MAX_ENV = "REPRO_STORE_GOLDEN_MAX"
 _GOLDEN_MAX_DEFAULT = 64 * 2**20
 
 _RECORD_SUFFIX = ".rec"
+
+#: Lock files this process holds open in :meth:`CoverageStore._write_mutex`,
+#: and the lock that keeps a fork out of the moments they are opened and
+#: closed, so that every forked child closes its copies of them.
+_LOCK_FILES: set = set()
+_LOCK_FILES_GATE = threading.Lock()
+
+
+def _close_inherited_locks() -> None:
+    """Fork hook, child side.  An ``flock`` belongs to the open file
+    description that parent and child share after a fork, so a child
+    that kept its copy of a lock file a parent thread held would keep the
+    store locked once the parent died.  Closing the copy leaves the
+    parent's lock in place: an ``flock`` ends when it is unlocked or when
+    every descriptor of its file description is closed."""
+    for fh in _LOCK_FILES:
+        fh.close()
+    _LOCK_FILES.clear()
+    _LOCK_FILES_GATE.release()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_LOCK_FILES_GATE.acquire,
+        after_in_parent=_LOCK_FILES_GATE.release,
+        after_in_child=_close_inherited_locks,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -132,19 +161,20 @@ def chain_from_array(array: np.ndarray) -> List[str]:
 ENGINE_REVISION = 2
 
 
-def options_token(simulator, drop_detected: bool) -> str:
+def options_token(drop_detected: bool) -> str:
     """The campaign options folded into the base fingerprint: everything
     that changes what a record *contains* (which metrics are exact, the
-    execution path family, the engine revision).  Batch widths are
-    excluded deliberately — per-row spike trains are independent of batch
-    composition (pinned by the batched-equivalence suites), and the
-    execution-path splits they cause are captured per group by its
-    ``kind``.  ``div=1,comp=1`` record that the engine always exits on
-    divergence and compacts its batches; they stay in the token so that
-    stores written while those were options keep their keys."""
+    engine revision).  Batch widths are excluded deliberately — per-row
+    spike trains are independent of batch composition (pinned by the
+    batched-equivalence suites), and the execution-path splits they cause
+    are captured per group by its ``kind``.  ``div=1,comp=1,fused=1``
+    record that the engine always exits on divergence, compacts its
+    batches and runs the fused kernels (the segment-wise engine runs on
+    the production engine only); they stay in the token so that stores
+    written while those were options keep their keys."""
     return (
         f"drop={int(bool(drop_detected))},div=1,comp=1,"
-        f"fused={int(bool(simulator.fused))},engine={ENGINE_REVISION}"
+        f"fused=1,engine={ENGINE_REVISION}"
     )
 
 
@@ -203,20 +233,29 @@ class CoverageStore:
         evicting records while campaign workers or service jobs in other
         processes are mid-write.  Under the lock, GC never deletes a temp
         file a live writer is about to rename, and a writer never
-        re-creates a record GC believes it has evicted.  On platforms
-        without ``fcntl`` the store falls back to its lock-free behavior.
+        re-creates a record GC believes it has evicted.  A process forked
+        while a thread holds the mutex does not inherit it (see
+        :func:`_close_inherited_locks`).  On platforms without ``fcntl``
+        the store falls back to its lock-free behavior.
         """
         if fcntl is None:
             yield
             return
         lock_path = self.root / ".lock"
         lock_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(lock_path, "a+b") as fh:
+        with _LOCK_FILES_GATE:
+            fh = open(lock_path, "a+b")
+            _LOCK_FILES.add(fh)
+        try:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
                 yield
             finally:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+        finally:
+            with _LOCK_FILES_GATE:
+                _LOCK_FILES.discard(fh)
+                fh.close()
 
     def has(self, key: str) -> bool:
         return self._path(key).exists()
@@ -413,12 +452,10 @@ class StoreSession:
         self.simulator = simulator
         self.chain = list(chain) if chain is not None else stimulus_chain(stimulus)
         self.network_fp = network_digest(simulator.network)
-        self.options = options_token(simulator, drop_detected)
+        self.options = options_token(drop_detected)
         self.base_fp = base_fingerprint(self.network_fp, simulator.config, self.options)
-        self.fused = bool(simulator.fused)
         self.touched: set = set()
-        raw = os.environ.get(GOLDEN_MAX_ENV, "").strip()
-        self.golden_max = int(raw) if raw else _GOLDEN_MAX_DEFAULT
+        self.golden_max = env_int(GOLDEN_MAX_ENV, _GOLDEN_MAX_DEFAULT, minimum=0)
 
     # ------------------------------------------------------------------
     # Keys
@@ -441,11 +478,12 @@ class StoreSession:
         ).hexdigest()
 
     def golden_key(self, segment_index: int) -> str:
-        # Golden records depend only on the network, the fused flag, and
-        # the stimulus prefix — never on fault options — so every
-        # campaign and every worker shares them.
+        # Golden records depend only on the network and the stimulus
+        # prefix — never on fault options — so every campaign and every
+        # worker shares them.  ``fused=1`` keeps the keys of stores written
+        # while the segment-wise engine also ran per-step kernels.
         return hashlib.sha256(
-            f"golden|{self.network_fp}|fused={int(self.fused)}|"
+            f"golden|{self.network_fp}|fused=1|"
             f"{self.chain[segment_index]}".encode("ascii")
         ).hexdigest()
 

@@ -5,7 +5,7 @@ every sleep gap is all zero, yet the fused engines compute synaptic
 currents as stacked GEMMs over those binary matrices.  An
 :class:`EventDispatch` attached to the spiking modules (via
 :func:`repro.snn.layers.event_dispatch_context`) routes every current
-block through one of two paths, per (layer, time block):
+block through one of two paths, per (layer, kernel call):
 
 ``zero``
     The block carries no spikes at all (sleep gaps): the current is an
@@ -213,9 +213,11 @@ class EventDispatch:
     def kbatched_block(
         self, seq: np.ndarray, weights: np.ndarray, name: str
     ) -> np.ndarray:
-        """Currents ``(T, K*S, out)`` for the K-batched fused dense path:
-        per (t, k) the ``(S, in) @ weights[k]`` product, as one stacked
-        matmul that broadcasts the shared input over K."""
+        """Currents ``(T, K*S, out)`` of K dense weight variants (the
+        dense synapse-splice currents and the recurrent K-batched
+        feedforward currents): per (t, k) the ``(S, in) @ weights[k]``
+        product, as one stacked matmul that broadcasts the shared input
+        over K."""
         k, _, out_features = weights.shape
         batch = k * seq.shape[1]
 

@@ -207,42 +207,29 @@ class SpikingModule(Module):
             self.params.reset_mode,
         )
 
-    def run_sequence_kbatched(
-        self,
-        seq: np.ndarray,
-        param_stacks: Sequence[np.ndarray],
-        state: Optional[LIFState] = None,
-    ) -> np.ndarray:
-        """Fast path over K weight variants at once.
-
-        ``seq`` is the module input ``(T, S, *in_shape)``, shared by all
-        variants, and ``param_stacks[p]`` holds K variants of parameter
-        ``p`` stacked on a leading axis.  The matmuls broadcast the input
-        over K, so it is never tiled, and a conv builds one patch matrix
-        for all K.  Row ``k*S + s`` of the ``(T, K*S, ...)`` output is the
-        response of sample ``s`` under weight variant ``k``.  Used by the
-        batched synapse-fault campaign; LIF state advances for the whole
-        K*S batch in one elementwise step, so per-row dynamics match the
-        unbatched path exactly.  ``state`` optionally carries the
-        K*S-batched state across calls (see :meth:`Module.init_state`).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support K-batched execution"
-        )
-
     def run_sequence_kbatched_fused(
         self,
         seq: np.ndarray,
         param_stacks: Sequence[np.ndarray],
         state: Optional[LIFState] = None,
     ) -> np.ndarray:
-        """Fused variant of :meth:`run_sequence_kbatched`.
+        """Fused fast path over K weight variants at once.
 
-        The entire K-batch x time block of synaptic currents is computed
-        as a single stacked matmul before the membrane scan, instead of
-        one broadcast GEMM per time step.  Per-(k, t) GEMM slices are the
-        same shapes over the same operands as the per-step path, so the
-        output is bit-identical (pinned by the fused differential suite).
+        ``seq`` is the module input ``(T, S, *in_shape)``, shared by all
+        variants, and ``param_stacks[p]`` holds K variants of parameter
+        ``p`` stacked on a leading axis.  The synaptic currents of all T
+        steps and K variants are one stacked matmul that broadcasts the
+        input over K, so it is never tiled, and a conv builds one patch
+        matrix for all K; only the membrane recurrence is scanned per
+        step.  Row ``k*S + s`` of the ``(T, K*S, ...)`` output is the
+        response of sample ``s`` under weight variant ``k``.  Per-(k, t)
+        GEMM slices are the same shapes over the same operands as the
+        per-step path, and LIF state advances for the whole K*S batch in
+        one elementwise step, so every row equals the per-step run of its
+        variant bit for bit.  Used by the production engine's synapse-fault
+        campaigns on layers that cannot splice them (conv, recurrent);
+        ``state`` optionally carries the K*S-batched state across calls
+        (see :meth:`Module.init_state`).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support fused K-batched execution"
@@ -320,23 +307,6 @@ class DenseLIF(SpikingModule):
             out[t] = self._lif_numpy(seq[t] @ weight, state)
         return out
 
-    def run_sequence_kbatched(
-        self,
-        seq: np.ndarray,
-        param_stacks: Sequence[np.ndarray],
-        state: Optional[LIFState] = None,
-    ) -> np.ndarray:
-        (weight,) = param_stacks  # (K, in, out)
-        steps, s = seq.shape[:2]
-        batch = weight.shape[0] * s
-        if state is None:
-            state = self._state_numpy(batch)
-        out = np.empty((steps, batch, self.out_features))
-        for t in range(steps):
-            current = np.matmul(seq[t], weight)  # (K, S, out)
-            out[t] = self._lif_numpy(current.reshape(batch, self.out_features), state)
-        return out
-
     def sequence_currents(self, seq: np.ndarray) -> np.ndarray:
         # One batched matmul for all T steps: (T, B, in) @ (in, out) runs
         # per-slice GEMMs identical to the per-step 2-D products.
@@ -344,29 +314,6 @@ class DenseLIF(SpikingModule):
         if self._events is not None:
             return self._events.dense_block(seq, weight, self.name or "dense")
         return seq @ weight
-
-    def run_sequence_kbatched_fused(
-        self,
-        seq: np.ndarray,
-        param_stacks: Sequence[np.ndarray],
-        state: Optional[LIFState] = None,
-    ) -> np.ndarray:
-        (weight,) = param_stacks  # (K, in, out)
-        steps, s = seq.shape[:2]
-        batch = weight.shape[0] * s
-        if state is None:
-            state = self._state_numpy(batch)
-        if self._events is not None:
-            currents = self._events.kbatched_block(
-                seq, weight, self.name or "dense"
-            )
-        else:
-            # (T, 1, S, in) @ (K, in, out): one stacked call, per-(t, k)
-            # slices identical to the per-step broadcast GEMM.
-            currents = np.matmul(seq[:, None], weight)
-        return self._lif_scan(
-            currents.reshape(steps, batch, self.out_features), state
-        )
 
     def synapse_fault_targets(self, entries) -> np.ndarray:
         # Weight shape (in, out), row-major: flat index i*out + j hits
@@ -474,28 +421,6 @@ class RecurrentLIF(SpikingModule):
             current = seq[t] @ w_in + previous @ w_rec
             previous = self._lif_numpy(current, state)
             out[t] = previous
-        return out
-
-    def run_sequence_kbatched(
-        self,
-        seq: np.ndarray,
-        param_stacks: Sequence[np.ndarray],
-        state: Optional[LIFState] = None,
-    ) -> np.ndarray:
-        w_in, w_rec = param_stacks  # (K, in, out), (K, out, out)
-        k = w_in.shape[0]
-        steps, s = seq.shape[:2]
-        batch = k * s
-        if state is None:
-            state = self._state_numpy(batch)
-        out = np.empty((steps, batch, self.out_features))
-        previous = np.asarray(state.last_spike).reshape(k, s, self.out_features)
-        for t in range(steps):
-            current = np.matmul(seq[t], w_in)  # (K, S, out)
-            current += np.matmul(previous, w_rec)
-            spikes = self._lif_numpy(current.reshape(batch, self.out_features), state)
-            previous = spikes.reshape(k, s, self.out_features)
-            out[t] = spikes
         return out
 
     def run_sequence_fused(
@@ -654,30 +579,6 @@ class ConvLIF(SpikingModule):
         out = np.empty((steps, batch) + self.neuron_shape)
         for t in range(steps):
             out[t] = self._lif_numpy(self._conv_numpy(seq[t]), state)
-        return out
-
-    def run_sequence_kbatched(
-        self,
-        seq: np.ndarray,
-        param_stacks: Sequence[np.ndarray],
-        state: Optional[LIFState] = None,
-    ) -> np.ndarray:
-        (weight,) = param_stacks  # (K, F, C, k, k)
-        k = weight.shape[0]
-        steps, s = seq.shape[:2]
-        batch = k * s
-        w_mats = weight.reshape(k, 1, self.out_channels, -1)
-        if state is None:
-            state = self._state_numpy(batch)
-        out = np.empty((steps, batch) + self.neuron_shape)
-        for t in range(steps):
-            cols = self._im2col(seq[t])  # (S, C*k*k, L)
-            # Broadcast GEMM per (instance, sample) slice — bit-identical
-            # to the serial per-instance matmul in _conv_numpy.
-            current = np.matmul(w_mats, cols)  # (K, S, F, L)
-            out[t] = self._lif_numpy(
-                current.reshape((batch,) + self.neuron_shape), state
-            )
         return out
 
     def sequence_currents(self, seq: np.ndarray) -> np.ndarray:

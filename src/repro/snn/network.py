@@ -238,36 +238,22 @@ class SNN:
         return [module.init_state(batch) for module in self.modules]
 
     def run_from(
-        self,
-        module_index: int,
-        seq: np.ndarray,
-        states: Optional[List] = None,
-        fused: bool = False,
+        self, module_index: int, seq: np.ndarray, fused: bool = False
     ) -> np.ndarray:
         """Resume fast inference at ``module_index`` given that module's
-        *input* sequence; returns flattened output spikes.
-
-        ``states`` optionally carries one simulation state per remaining
-        module (aligned with ``self.modules[module_index:]``) so callers
-        can advance the tail of the network block by block; ``fused=True``
+        *input* sequence; returns flattened output spikes.  ``fused=True``
         uses the fused per-module fast path.
         """
         if not 0 <= module_index < len(self.modules):
             raise ConfigurationError(
                 f"module_index {module_index} out of range [0, {len(self.modules)})"
             )
-        tail = self.modules[module_index:]
-        if states is not None and len(states) != len(tail):
-            raise ConfigurationError(
-                f"states list has {len(states)} entries for {len(tail)} remaining modules"
-            )
         current = seq
-        for idx, module in enumerate(tail):
-            state = None if states is None else states[idx]
+        for module in self.modules[module_index:]:
             if fused:
-                current = module.run_sequence_fused(current, state=state)
+                current = module.run_sequence_fused(current)
             else:
-                current = module.run_sequence_numpy(current, state=state)
+                current = module.run_sequence_numpy(current)
         return current.reshape(current.shape[0], current.shape[1], -1)
 
     def run_spiking_layers(self, seq: np.ndarray) -> List[np.ndarray]:

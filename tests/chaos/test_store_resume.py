@@ -14,20 +14,29 @@ written, byte for byte.
 A second scenario pins staleness rejection: records written under one
 option fingerprint or one network are invisible to campaigns running
 under another, and a record corrupted on disk raises ``StoreError``
-instead of splicing garbage.
+instead of splicing garbage.  A third kills a process that forked a
+shard worker while one of its threads held the store's write mutex: the
+orphaned worker must not keep the store locked.
 """
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.testset import TestStimulus
 from repro.errors import ChaosError, StoreError
 from repro.faults.catalog import build_catalog
 from repro.faults.model import FaultModelConfig
+from repro.faults.parallel import fork_available
 from repro.faults.simulator import FaultSimulator
-from repro.faults.store import CoverageStore
+from repro.faults.store import CoverageStore, fcntl
 from repro.snn.builder import DenseSpec, NetworkSpec, build_network
 from repro.snn.neuron import LIFParameters
 from repro.utils import chaos
@@ -157,3 +166,77 @@ def test_corrupted_record_raises_instead_of_splicing(store_campaign, tmp_path):
         path.write_bytes(bytes(payload))
     with pytest.raises(StoreError):
         simulator.detect_segmented(stimulus, faults, store=store)
+
+
+# A thread holds the store's write mutex while the process forks a shard
+# worker the way a pooled campaign does, reports the worker's pid, and is
+# killed.
+_HOLD_FORK_DIE = """
+import os, signal, sys, tempfile, threading, time
+from repro.faults import parallel
+from repro.faults.store import CoverageStore
+
+store = CoverageStore(sys.argv[1])
+held = threading.Event()
+
+def hold():
+    with store._write_mutex():
+        held.set()
+        time.sleep(120)
+
+def sleeping_shard(bounds, shared):
+    time.sleep(120)
+
+threading.Thread(target=hold, daemon=True).start()
+held.wait()
+run = parallel._launch(
+    parallel.multiprocessing.get_context("fork"), sleeping_shard, {}, (0, 1), 0,
+    parallel.SupervisionConfig(), tempfile.mkdtemp(),
+)
+print(run.process.pid, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif(
+    fcntl is None or not fork_available(), reason="needs fcntl and fork"
+)
+def test_dead_parent_leaves_the_store_lockable(tmp_path):
+    """The campaign service forks shard workers while another job's
+    thread may be writing a record.  If the service then dies, the
+    orphaned workers must not hold its lock on ``root/.lock``: the store
+    becomes lockable as soon as the parent is gone, while the worker
+    still runs.  Runs in a fresh interpreter in its own session, whose
+    process group is killed at the end."""
+    root = tmp_path / "store"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_FORK_DIE, str(root)],
+        env=env, stdout=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        worker = int(proc.stdout.readline())
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        os.kill(worker, 0)  # the orphaned worker is still alive
+        deadline = time.monotonic() + 5.0
+        with open(root / ".lock", "a+b") as fh:
+            while True:
+                try:
+                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() > deadline:
+                        pytest.fail("the orphaned worker keeps the store locked")
+                    time.sleep(0.05)
+            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stdout.close()

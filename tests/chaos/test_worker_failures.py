@@ -25,6 +25,7 @@ import pytest
 
 import repro
 from repro.core.checkpoint import CampaignCheckpoint, load_checkpoint
+from repro.core.testset import TestStimulus
 from repro.errors import ChaosError, CheckpointError, FaultModelError, JobCancelledError
 from repro.faults import parallel as parallel_mod
 from repro.faults.parallel import (
@@ -34,6 +35,7 @@ from repro.faults.parallel import (
     parallel_detect,
 )
 from repro.faults.simulator import _ProgressTracker
+from repro.faults.store import CoverageStore
 from repro.utils import chaos
 
 from tests.chaos.conftest import assert_classify_equal, assert_detect_equal
@@ -523,6 +525,51 @@ class TestEnvironmentConfig:
         monkeypatch.setenv(name, "soon")
         with pytest.raises(FaultModelError, match=name):
             SupervisionConfig.from_env()
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-5"])
+    def test_progress_interval_must_be_a_positive_integer(
+        self, chaos_campaign, monkeypatch, raw
+    ):
+        """A malformed interval used to become 1000, and 0 or a negative
+        one silently became 1."""
+        monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", raw)
+        with pytest.raises(FaultModelError, match="REPRO_PROGRESS_INTERVAL"):
+            chaos_campaign["simulator"].detect(
+                chaos_campaign["stimulus"], chaos_campaign["faults"]
+            )
+
+    @pytest.mark.parametrize("raw", ["lots", "1.5", "-1"])
+    def test_golden_cap_must_be_a_non_negative_integer(
+        self, chaos_campaign, monkeypatch, tmp_path, raw
+    ):
+        """``lots`` used to raise a bare ``ValueError``, and a negative cap
+        silently disabled golden records."""
+        monkeypatch.setenv("REPRO_STORE_GOLDEN_MAX", raw)
+        stimulus = TestStimulus(
+            chunks=[chaos_campaign["stimulus"][:4], chaos_campaign["stimulus"][4:]],
+            input_shape=(12,),
+        )
+        with pytest.raises(FaultModelError, match="REPRO_STORE_GOLDEN_MAX"):
+            chaos_campaign["simulator"].detect_segmented(
+                stimulus, chaos_campaign["faults"], store=CoverageStore(tmp_path)
+            )
+
+    def test_golden_cap_of_zero_disables_golden_records(
+        self, chaos_campaign, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_STORE_GOLDEN_MAX", "0")
+        stimulus = TestStimulus(
+            chunks=[chaos_campaign["stimulus"][:4], chaos_campaign["stimulus"][4:]],
+            input_shape=(12,),
+        )
+        store = CoverageStore(tmp_path)
+        chaos_campaign["simulator"].detect_segmented(
+            stimulus, chaos_campaign["faults"], store=store
+        )
+        kinds = {
+            load_checkpoint(str(path))[1]["kind"] for path in store._records()
+        }
+        assert kinds == {"cov-group"}
 
     def test_env_policy_reaches_strike(self, monkeypatch):
         monkeypatch.setenv(chaos.CHAOS_ENV, "raise@shard:7")

@@ -5,8 +5,9 @@ Neuron faults batch along the batch axis (parameter arrays per row),
 synapse faults batch by lifting weight tensors to a ``(K, ...)`` leading
 axis, and eligible neuron faults are spliced into the cached golden layer
 output without re-running the faulty module.  All three fast paths are
-compared here against the reversible one-at-a-time ``inject`` reference
-with exact equality."""
+compared here against the per-step oracle (``fused=False``: one reversible
+``inject`` per synapse fault, a full module re-run per neuron fault) and
+against one-at-a-time ``inject`` with exact equality."""
 
 import numpy as np
 import pytest
@@ -108,15 +109,15 @@ def _synapse_faults(net, per_module=12):
 )
 @pytest.mark.parametrize("synapse_batch", [4, 16])
 def test_synapse_detect_matches_sequential(net_factory, input_shape, synapse_batch):
-    """K-batched synapse campaigns equal the synapse_batch=1 inject path,
-    field by field, with no tolerance."""
+    """K-batched synapse campaigns equal the oracle's one-at-a-time
+    inject path, field by field, with no tolerance."""
     net = net_factory()
     config = FaultModelConfig(neuron_kinds=())
     faults = _synapse_faults(net)
     assert faults, "catalog produced no synapse faults"
     stim = (np.random.default_rng(5).random((10, 1) + input_shape) > 0.6).astype(float)
 
-    sequential = FaultSimulator(net, config, synapse_batch=1).detect(stim, faults)
+    sequential = FaultSimulator(net, config, fused=False).detect(stim, faults)
     batched = FaultSimulator(net, config, synapse_batch=synapse_batch).detect(
         stim, faults
     )
@@ -144,7 +145,7 @@ def test_synapse_classify_matches_sequential(chunk_size):
     inputs = (rng.random((10, 6, 2, 8, 8)) > 0.6).astype(float)
     labels = rng.integers(0, 4, size=6)
 
-    sequential = FaultSimulator(net, config, synapse_batch=1).classify(
+    sequential = FaultSimulator(net, config, fused=False).classify(
         inputs, labels, faults, chunk_size=chunk_size
     )
     batched = FaultSimulator(net, config, synapse_batch=8).classify(
@@ -169,14 +170,15 @@ def test_synapse_classify_matches_sequential(chunk_size):
 )
 def test_neuron_splice_matches_full_rerun(net_factory, input_shape):
     """The splice path (simulate only the faulty neuron, patch the cached
-    golden layer output) equals the full faulty-module re-run exactly."""
+    golden layer output) equals the oracle's full faulty-module re-run
+    exactly."""
     net = net_factory()
     config = FaultModelConfig(synapse_kinds=())
     catalog = build_catalog(net, config)
     faults = catalog.neuron_faults[:: max(1, len(catalog.neuron_faults) // 50)]
     stim = (np.random.default_rng(7).random((10, 1) + input_shape) > 0.6).astype(float)
 
-    full = FaultSimulator(net, config, neuron_splice=False).detect(stim, faults)
+    full = FaultSimulator(net, config, fused=False).detect(stim, faults)
     spliced = FaultSimulator(net, config, neuron_splice=True).detect(stim, faults)
     assert np.array_equal(full.detected, spliced.detected)
     assert np.array_equal(full.output_l1, spliced.output_l1)
@@ -185,7 +187,7 @@ def test_neuron_splice_matches_full_rerun(net_factory, input_shape):
     rng = np.random.default_rng(8)
     inputs = (rng.random((10, 4) + input_shape) > 0.6).astype(float)
     labels = rng.integers(0, 4, size=4)
-    full_cls = FaultSimulator(net, config, neuron_splice=False).classify(
+    full_cls = FaultSimulator(net, config, fused=False).classify(
         inputs, labels, faults
     )
     spliced_cls = FaultSimulator(net, config, neuron_splice=True).classify(

@@ -3,7 +3,7 @@ weight copy and one LIF scan, bit for bit; splice-style groups scan every
 active row at once.
 
 A synapse fault on kernel entry ``(f, c, i, j)`` of a conv layer changes
-only output channel ``f``.  The fused segmented engine runs such faults
+only output channel ``f``.  The segment-wise engine runs such faults
 packed: faults on distinct filters write their entries into one weight
 copy, and each leaves with the golden output and state, its own channel
 in place (:meth:`repro.faults.segmented._FaultGroup._run_channels`).
@@ -14,7 +14,8 @@ This suite pins
   mixed carried states;
 - the packer's contract (``_first_fit``, shared with footprint packing);
 - the engine against the per-step oracle on the packing net, with synapse
-  faults of every kind on both conv layers, packed and unpacked;
+  faults of every kind on both conv layers, packed and (with the groups'
+  ``channel`` cleared) one weight copy per row;
 - that splice and dense synapse-splice groups wider than one 64-row batch,
   with a window edge inside a segment, match the oracle.
 
@@ -42,6 +43,7 @@ from repro.faults.store import CoverageStore
 from repro.snn.layers import ConvLIF
 from repro.snn.neuron import LIFParameters, LIFState
 
+from tests.faults.conftest import drop_on_reference
 from tests.faults.test_footprint_packing import (
     WINDOW,
     _channel_faults,
@@ -192,6 +194,19 @@ def _oracle(net, config):
     return FaultSimulator(net, config, fused=False, synapse_batch=1, neuron_splice=False)
 
 
+def _unpack_channels(monkeypatch):
+    """Run conv synapse groups the per-row K-batched way, one weight copy
+    per row at full resolution: every group's ``channel`` is cleared."""
+    real = segmented._FaultGroup.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        if self.channel is not None:
+            self.channel, self.entry = None, 0
+
+    monkeypatch.setattr(segmented._FaultGroup, "__init__", init)
+
+
 @pytest.fixture(scope="module")
 def channel_campaign():
     net, config = packing_net(), FaultModelConfig()
@@ -200,9 +215,8 @@ def channel_campaign():
     oracle = _oracle(net, config)
     reference = {
         False: oracle.detect(stimulus.assembled(), faults),
-        # Dropping ends each fault's metrics at its first detection: the
-        # oracle drops too.
-        True: oracle.detect_segmented(stimulus, faults, drop_detected=True),
+        # Dropping ends each fault's metrics at its first detection.
+        True: drop_on_reference(oracle, stimulus, faults),
     }
     assert 0 < reference[False].detected.sum() < len(faults)
     return {"net": net, "config": config, "faults": faults,
@@ -215,14 +229,16 @@ def _assert_same(result, reference):
     assert np.array_equal(result.class_count_diff, reference.class_count_diff)
 
 
-@pytest.mark.parametrize("synapse_splice", [True, False])
+@pytest.mark.parametrize("packed", [True, False])
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("drop", [False, True])
 def test_channel_packed_campaign_matches_per_step_oracle(
-    channel_campaign, monkeypatch, drop, workers, synapse_splice
+    channel_campaign, monkeypatch, drop, workers, packed
 ):
     if workers > 1 and not fork_available():
         pytest.skip("fork start method unavailable")
+    if not packed:
+        _unpack_channels(monkeypatch)
     sizes = []
     real = segmented._first_fit
 
@@ -232,9 +248,7 @@ def test_channel_packed_campaign_matches_per_step_oracle(
         return packs
 
     monkeypatch.setattr(segmented, "_first_fit", spy)
-    simulator = FaultSimulator(
-        channel_campaign["net"], channel_campaign["config"], synapse_splice=synapse_splice
-    )
+    simulator = FaultSimulator(channel_campaign["net"], channel_campaign["config"])
     result = parallel_detect_segmented(
         simulator, channel_campaign["stimulus"], channel_campaign["faults"],
         workers=workers, drop_detected=drop,
@@ -242,8 +256,8 @@ def test_channel_packed_campaign_matches_per_step_oracle(
     _assert_same(result, channel_campaign["reference"][drop])
     if workers == 1:
         # Forked shards pack in their own processes, out of the spy's view.
-        assert bool(sizes) == synapse_splice
-        assert not synapse_splice or max(sizes) >= 2, "no pack formed"
+        assert bool(sizes) == packed
+        assert not packed or max(sizes) >= 2, "no pack formed"
 
 
 @pytest.mark.parametrize("net", [packing_net, _strided_net], ids=["pooled", "strided"])
@@ -262,17 +276,20 @@ def test_channel_packs_match_the_oracle_with_and_without_a_pool(net):
 
 
 @pytest.mark.parametrize("drop", [False, True])
-def test_channel_packing_keeps_the_kbatched_records(channel_campaign, tmp_path, drop):
+def test_channel_packing_keeps_the_kbatched_records(
+    channel_campaign, monkeypatch, tmp_path, drop
+):
     """Every record a channel-packed campaign writes is the record of the
-    per-row K-batched run (``synapse_splice=False``), byte for byte: same
-    group kind, same carried state."""
+    per-row K-batched run (the groups' ``channel`` cleared), byte for
+    byte: same group kind, same carried state."""
     campaign = channel_campaign
+    simulator = FaultSimulator(campaign["net"], campaign["config"])
     trees = []
-    for synapse_splice in (True, False):
-        store = CoverageStore(tmp_path / f"splice{int(synapse_splice)}")
-        FaultSimulator(
-            campaign["net"], campaign["config"], synapse_splice=synapse_splice
-        ).detect_segmented(
+    for packed in (True, False):
+        if not packed:
+            _unpack_channels(monkeypatch)
+        store = CoverageStore(tmp_path / f"packed{int(packed)}")
+        simulator.detect_segmented(
             campaign["stimulus"], campaign["faults"], drop_detected=drop, store=store
         )
         trees.append(_record_tree(store))
@@ -327,7 +344,7 @@ def test_wide_mini_lifs_match_the_oracle(monkeypatch, drop):
     assert widths["synapse_splice"] > segmented._SPLICE_BATCH
     oracle = _oracle(net, config)
     reference = (
-        oracle.detect_segmented(stimulus, faults, drop_detected=True)
+        drop_on_reference(oracle, stimulus, faults)
         if drop
         else oracle.detect(stimulus.assembled(), faults)
     )

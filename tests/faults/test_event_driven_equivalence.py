@@ -11,8 +11,8 @@ contract against the per-step reference oracle (``fused=False``,
   all-ones, single-spike-per-step, alternating bursts and sparse noise —
   for dense, conv and recurrent topologies, in the flat, segmented,
   4-worker and store-warmed engines;
-- a transient fault window straddling a fused time-block boundary stays
-  exact;
+- a transient fault window whose edges cut through zero-skipped time
+  slices stays exact;
 - every scenario runs the default (fused) simulator, whose kernels the
   dispatcher lives in, as the CLI and the experiment pipeline do;
 - dispatch counters count the work a run computes: a cold run with a
@@ -170,7 +170,7 @@ def test_segmented_event_matches_dense(kind, pattern):
 
 
 # ----------------------------------------------------------------------
-# Transient window straddling a fused time-block boundary
+# Transient window cutting through zero-skipped time slices
 # ----------------------------------------------------------------------
 STRADDLING = (5, 16)  # cuts through both segment boundaries of (4, 3, 5)
 
@@ -185,18 +185,15 @@ def _straddling_faults(net):
     ]
 
 
-@pytest.mark.parametrize("time_block", [3, 7])
-def test_transient_straddles_time_block_boundary(time_block):
-    """A transient active across [5, 16) cuts through fused time blocks;
-    the dispatcher skips zero slices *within* each block, so the
-    parameter swap mid-block must stay exact."""
+def test_transient_straddles_zero_slices():
+    """A transient active across [5, 16) splits each faulty run into
+    three window pieces; the dispatcher skips zero slices *within* each
+    piece, so the parameter swap mid-sequence must stay exact."""
     net, config, _, stimulus, _ = _reference("dense", "sparse")
     faults = _straddling_faults(net)
     assembled = stimulus.assembled()
     reference = _oracle(net, config).detect(assembled, faults)
-    result = FaultSimulator(net, config, time_block=time_block).detect(
-        assembled, faults
-    )
+    result = FaultSimulator(net, config).detect(assembled, faults)
     _assert_exact(result, reference)
 
 

@@ -45,6 +45,7 @@ from repro.snn.builder import (
 from repro.snn.events import EventDispatch
 from repro.snn.layers import ConvLIF, DenseLIF, event_dispatch_context
 from repro.snn.neuron import LIFParameters, LIFState
+from tests.faults.conftest import drop_on_reference
 
 WINDOW = (6, 11)  # segments span [0, 8), [8, 14), [14, 19)
 
@@ -255,9 +256,7 @@ def packing_campaign():
     config = FaultModelConfig()
     faults = _packing_faults(net, config)
     stimulus = packing_stimulus()
-    oracle = FaultSimulator(
-        net, config, fused=False, synapse_batch=1, neuron_splice=False
-    ).detect(stimulus.assembled(), faults)
+    oracle = FaultSimulator(net, config, fused=False).detect(stimulus.assembled(), faults)
     assert 0 < oracle.detected.sum() < len(faults)
     return {
         "net": net,
@@ -301,17 +300,18 @@ def strided_campaign():
     net, config = _strided_net(), FaultModelConfig()
     faults = [f for f in _packing_faults(net, config) if f.module_index != 2]
     stimulus = packing_stimulus()
-    oracle = FaultSimulator(
-        net, config, fused=False, synapse_batch=1, neuron_splice=False
-    ).detect(stimulus.assembled(), faults)
+    oracle = FaultSimulator(net, config, fused=False).detect(stimulus.assembled(), faults)
     assert 0 < oracle.detected.sum() < len(faults)
     return {"net": net, "config": config, "faults": faults,
             "stimulus": stimulus, "oracle": oracle}
 
 
 @pytest.mark.parametrize("net", ["packing", "strided"])
-@pytest.mark.parametrize("fused", [True, False])
-def test_packs_form_and_match_the_oracle(request, monkeypatch, net, fused):
+@pytest.mark.parametrize("drop", [True, False])
+def test_packs_form_and_match_the_oracle(request, monkeypatch, net, drop):
+    """Packs form and the packed campaign equals the oracle: its flat run
+    with dropping off, the drop-on reference derived from it with
+    dropping on."""
     campaign = request.getfixturevalue(f"{net}_campaign")
     packs = []
     real = segmented._first_fit
@@ -322,13 +322,17 @@ def test_packs_form_and_match_the_oracle(request, monkeypatch, net, fused):
         return packed
 
     monkeypatch.setattr(segmented, "_first_fit", spy)
-    simulator = FaultSimulator(campaign["net"], campaign["config"], fused=fused)
+    simulator = FaultSimulator(campaign["net"], campaign["config"])
     result = simulator.detect_segmented(
-        campaign["stimulus"], campaign["faults"], drop_detected=False
+        campaign["stimulus"], campaign["faults"], drop_detected=drop
     )
     assert packs, "conv1 rows must take the packed path"
     assert max(int(sizes.max()) for sizes in packs) >= 2, "no pack formed"
-    _assert_same(result, campaign["oracle"])
+    reference = campaign["oracle"]
+    if drop:
+        oracle = FaultSimulator(campaign["net"], campaign["config"], fused=False)
+        reference = drop_on_reference(oracle, campaign["stimulus"], campaign["faults"])
+    _assert_same(result, reference)
 
 
 @pytest.mark.parametrize("workers", [1, 4])

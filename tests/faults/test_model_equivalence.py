@@ -4,23 +4,25 @@ PR 5 proved the segmented engine exactly matches the assembled campaign
 for the paper's classic catalog.  This suite extends the obligation to
 the full extended model — parametric neuron faults, delay faults,
 weight-memory bit-flips, and time-windowed transients — across every
-execution mode:
+way the production engine runs, against the per-step oracle:
 
-1. **serial**: ``FaultSimulator(neuron_batch=1, synapse_batch=1,
-   neuron_splice=False)`` on the assembled stimulus (one LIF loop per
-   fault — the semantic reference implementation),
-2. **K-batched**: the default simulator on the assembled stimulus,
+1. **oracle**: ``FaultSimulator(fused=False)`` on the assembled stimulus
+   (per-step kernels, one synapse fault per pass — the semantic
+   reference implementation),
+2. **flat**: the default (production) simulator on the assembled
+   stimulus,
 3. **process-parallel**: ``parallel_detect`` / ``parallel_detect_segmented``
    with 4 workers (the ``REPRO_WORKERS=4`` production path),
 4. **segmented**: ``detect_segmented`` with fault dropping on and off
-   (divergence-bounded propagation and batch compaction always on).
+   (divergence-bounded propagation and batch compaction always on); with
+   dropping on, the reference is the oracle run on the stimulus cut at
+   each segment end (``drop_on_reference``).
 
-All comparisons are ``np.array_equal`` on the ``detected`` mask — no
-tolerances.  The physically subtle case is pinned explicitly: a
-transient fault whose activity window straddles a segment boundary,
-where the segmented engine must swap the faulty parameter mid-campaign
-while carrying LIF membrane state (and, for DELAY faults, the golden
-trace history) across the boundary.
+All comparisons are ``np.array_equal`` — no tolerances.  The physically
+subtle case is pinned explicitly: a transient fault whose activity window
+straddles a segment boundary, where the segmented engine must swap the
+faulty parameter mid-campaign while carrying LIF membrane state (and, for
+DELAY faults, the golden trace history) across the boundary.
 """
 
 import numpy as np
@@ -53,6 +55,7 @@ from repro.snn.builder import (
     build_network,
 )
 from repro.snn.neuron import LIFParameters
+from tests.faults.conftest import drop_on_reference
 
 # Segment layout [4, 3, 5] -> segment spans [0, 8), [8, 14), [14, 19).
 # The (5, 16) window straddles BOTH internal boundaries; (2, 9) straddles
@@ -182,15 +185,12 @@ def test_sample_covers_all_families(mixed_campaign):
 
 
 # ----------------------------------------------------------------------
-# Engine 1: serial reference vs K-batched
+# Engine 1: the oracle, one fault per pass, vs the flat production engine
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("campaign", ["mixed_campaign", "recurrent_campaign"])
 def test_serial_matches_kbatched(campaign, request):
     data = request.getfixturevalue(campaign)
-    serial = FaultSimulator(
-        data["net"], EXTENDED,
-        neuron_batch=1, synapse_batch=1, neuron_splice=False,
-    )
+    serial = FaultSimulator(data["net"], EXTENDED, fused=False, neuron_batch=1)
     result = serial.detect(data["stimulus"].assembled(), data["faults"])
     reference = data["reference"]
     assert np.array_equal(result.detected, reference.detected)
@@ -217,11 +217,10 @@ def test_segmented_matches_assembled(campaign, request, drop):
 
 
 def test_segmented_sequential_path_matches(mixed_campaign):
-    """synapse_batch=1 / no splice exercises the one-at-a-time segmented
-    group kinds (piecewise manual weight swap for windowed synapse faults)."""
+    """``neuron_batch=1, synapse_batch=1``: the segment engine runs its
+    module-re-running kinds one fault per batch (K-batches of one)."""
     serial = FaultSimulator(
-        mixed_campaign["net"], EXTENDED,
-        neuron_batch=1, synapse_batch=1, neuron_splice=False,
+        mixed_campaign["net"], EXTENDED, neuron_batch=1, synapse_batch=1
     )
     result = serial.detect_segmented(
         mixed_campaign["stimulus"], mixed_campaign["faults"], drop_detected=False
@@ -330,8 +329,7 @@ def test_straddling_window_parallel_segmented(mixed_campaign):
 
 
 # ----------------------------------------------------------------------
-# Fused one-BLAS-call path vs legacy per-step path (all-T stacked
-# matmuls)
+# The production engine (all-T stacked matmuls) vs the per-step oracle
 # ----------------------------------------------------------------------
 def _assert_detect_fields_equal(result, reference):
     assert np.array_equal(result.detected, reference.detected)
@@ -340,47 +338,47 @@ def _assert_detect_fields_equal(result, reference):
 
 
 @pytest.fixture(scope="module")
-def legacy_reference(mixed_campaign):
-    """The per-step unfused float64 engine — the semantic baseline the
-    fused path must reproduce bit-for-bit."""
-    legacy = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=False)
-    return legacy.detect(
+def oracle_reference(mixed_campaign):
+    """The per-step oracle — the semantic baseline the production engine
+    must reproduce bit-for-bit."""
+    oracle = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=False)
+    return oracle.detect(
         mixed_campaign["stimulus"].assembled(), mixed_campaign["faults"]
     )
 
 
-def test_fused_serial_matches_legacy(mixed_campaign, legacy_reference):
+def test_fused_serial_matches_legacy(mixed_campaign, oracle_reference):
     fused = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=True)
     result = fused.detect(
         mixed_campaign["stimulus"].assembled(), mixed_campaign["faults"]
     )
-    _assert_detect_fields_equal(result, legacy_reference)
+    _assert_detect_fields_equal(result, oracle_reference)
 
 
-def test_fused_segmented_matches_legacy(mixed_campaign, legacy_reference):
+def test_fused_segmented_matches_legacy(mixed_campaign, oracle_reference):
     fused = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=True)
     result = fused.detect_segmented(
         mixed_campaign["stimulus"], mixed_campaign["faults"], drop_detected=False
     )
-    _assert_detect_fields_equal(result, legacy_reference)
+    _assert_detect_fields_equal(result, oracle_reference)
 
 
 @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-def test_fused_parallel_matches_legacy(mixed_campaign, legacy_reference):
+def test_fused_parallel_matches_legacy(mixed_campaign, oracle_reference):
     fused = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=True)
     result = parallel_detect(
         fused, mixed_campaign["stimulus"].assembled(),
         mixed_campaign["faults"], workers=4,
     )
-    _assert_detect_fields_equal(result, legacy_reference)
+    _assert_detect_fields_equal(result, oracle_reference)
 
 
 def test_fused_recurrent_matches_legacy(recurrent_campaign):
     """Recurrent layers cannot fuse the full matmul (the recurrent term
     feeds back per step) but still use the fused input-current stack —
     must stay bit-identical."""
-    legacy = FaultSimulator(recurrent_campaign["net"], EXTENDED, fused=False)
-    reference = legacy.detect(
+    oracle = FaultSimulator(recurrent_campaign["net"], EXTENDED, fused=False)
+    reference = oracle.detect(
         recurrent_campaign["stimulus"].assembled(), recurrent_campaign["faults"]
     )
     fused = FaultSimulator(recurrent_campaign["net"], EXTENDED, fused=True)
@@ -390,24 +388,21 @@ def test_fused_recurrent_matches_legacy(recurrent_campaign):
     _assert_detect_fields_equal(result, reference)
 
 
-@pytest.mark.parametrize("time_block", [1, 3, 4, 7, 19])
-def test_transient_straddles_time_block_boundary(mixed_campaign, time_block):
-    """The fused engine processes time in blocks; a transient whose
-    window [5, 16) cuts through block boundaries must swap parameters
-    mid-block exactly as the per-step engine does."""
+def test_straddling_window_flat_matches_oracle(mixed_campaign):
+    """The production engine runs a transient's window [5, 16) as three
+    pieces with LIF state carried across; it must swap parameters
+    mid-sequence exactly as the per-step oracle does."""
     faults = _straddling_faults(mixed_campaign["net"])
     assembled = mixed_campaign["stimulus"].assembled()
-    legacy = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=False)
-    reference = legacy.detect(assembled, faults)
-    fused = FaultSimulator(
-        mixed_campaign["net"], EXTENDED, fused=True, time_block=time_block
-    )
+    oracle = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=False)
+    reference = oracle.detect(assembled, faults)
+    fused = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=True)
     result = fused.detect(assembled, faults)
     _assert_detect_fields_equal(result, reference)
 
 
 def test_synapse_splice_group_routing(mixed_campaign):
-    """The fused segmented engine must route dense-layer synapse faults
+    """The segment engine must route dense-layer synapse faults
     (persistent and windowed) through the column-splice kind; conv-layer
     synapse faults keep the K-batched weight-stack kind."""
     from repro.faults.segmented import SegmentedDetectionCampaign
@@ -432,29 +427,6 @@ def test_synapse_splice_group_routing(mixed_campaign):
     # Both persistent and windowed dense synapse faults took the splice path.
     assert None in dense_synapse_windows
     assert any(w is not None for w in dense_synapse_windows)
-    # The legacy engine never builds splice groups, so the differential
-    # baseline genuinely exercises the other path.
-    legacy = FaultSimulator(mixed_campaign["net"], EXTENDED, fused=False)
-    legacy_campaign = SegmentedDetectionCampaign(
-        legacy, mixed_campaign["stimulus"], mixed_campaign["faults"]
-    )
-    assert all(g.kind != "synapse_splice" for g in legacy_campaign.groups)
-
-
-def test_synapse_splice_matches_kbatched(mixed_campaign, legacy_reference):
-    """Splice off vs on under the fused engine — same bits, both engines."""
-    splice_off = FaultSimulator(
-        mixed_campaign["net"], EXTENDED, fused=True, synapse_splice=False
-    )
-    for simulator in (
-        splice_off,
-        FaultSimulator(mixed_campaign["net"], EXTENDED, fused=True),
-    ):
-        result = simulator.detect_segmented(
-            mixed_campaign["stimulus"], mixed_campaign["faults"],
-            drop_detected=False,
-        )
-        _assert_detect_fields_equal(result, legacy_reference)
 
 
 # ----------------------------------------------------------------------
@@ -492,6 +464,21 @@ _NETS = {
         ),
         np.random.default_rng(17),
     ),
+    "pooled": lambda: build_network(
+        NetworkSpec(
+            name="h-pooled",
+            input_shape=(1, 6, 6),
+            layers=(
+                ConvSpec(out_channels=2, kernel=3, padding=1, weight_scale=4.0),
+                PoolSpec(2),
+                ConvSpec(out_channels=2, kernel=3, padding=1, weight_scale=4.0),
+                FlattenSpec(),
+                DenseSpec(out_features=3),
+            ),
+            lif=LIFParameters(leak=0.9, refractory_steps=1),
+        ),
+        np.random.default_rng(19),
+    ),
 }
 _CACHE = {}
 
@@ -506,7 +493,7 @@ def _cached(kind):
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    kind=st.sampled_from(["dense", "recurrent"]),
+    kind=st.sampled_from(["dense", "pooled", "recurrent"]),
     chunk_durations=st.lists(st.integers(1, 5), min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
     n_faults=st.integers(1, 20),
@@ -516,6 +503,9 @@ def _cached(kind):
 def test_property_extended_engines_agree(
     kind, chunk_durations, seed, n_faults, drop, workers
 ):
+    """The flat and the segment-wise production engine equal the per-step
+    oracle in every metric, dropping on and off, on a dense, a
+    conv→pool→conv and a recurrent net."""
     net, catalog = _cached(kind)
     rng = np.random.default_rng(seed)
     all_faults = catalog.faults
@@ -525,23 +515,17 @@ def test_property_extended_engines_agree(
     faults = [all_faults[i] for i in sorted(picks)]
     stimulus = _stimulus(net.input_shape, chunk_durations, rng, density=0.5)
     simulator = FaultSimulator(net, EXTENDED)
-    reference = simulator.detect(stimulus.assembled(), faults)
-    serial = FaultSimulator(
-        net, EXTENDED, neuron_batch=1, synapse_batch=1, neuron_splice=False
-    )
-    assert np.array_equal(
-        serial.detect(stimulus.assembled(), faults).detected, reference.detected
-    )
+    oracle = FaultSimulator(net, EXTENDED, fused=False)
+    flat = oracle.detect(stimulus.assembled(), faults)
+    _assert_detect_fields_equal(simulator.detect(stimulus.assembled(), faults), flat)
     if workers > 1 and not fork_available():
         workers = 1
     result = parallel_detect_segmented(
         simulator, stimulus, faults,
         workers=workers, drop_detected=drop,
     )
-    assert np.array_equal(result.detected, reference.detected)
-    if not drop:
-        assert np.array_equal(result.output_l1, reference.output_l1)
-        assert np.array_equal(result.class_count_diff, reference.class_count_diff)
+    reference = drop_on_reference(oracle, stimulus, faults) if drop else flat
+    _assert_detect_fields_equal(result, reference)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -550,11 +534,10 @@ def test_property_extended_engines_agree(
     seed=st.integers(0, 2**16),
     n_faults=st.integers(1, 16),
     duration=st.integers(2, 14),
-    time_block=st.sampled_from([None, 1, 3, 5]),
 )
-def test_property_fused_matches_legacy(kind, seed, n_faults, duration, time_block):
-    """Fused one-BLAS-call batches equal the per-step engine bit-for-bit
-    on random dense/conv/recurrent catalogs, any time-block size."""
+def test_property_fused_matches_legacy(kind, seed, n_faults, duration):
+    """Fused one-BLAS-call batches equal the per-step oracle bit-for-bit
+    on random dense/conv/pooled/recurrent catalogs."""
     net, catalog = _cached(kind)
     rng = np.random.default_rng(seed)
     all_faults = catalog.faults
@@ -563,9 +546,9 @@ def test_property_fused_matches_legacy(kind, seed, n_faults, duration, time_bloc
     )
     faults = [all_faults[i] for i in sorted(picks)]
     stimulus = (rng.random((duration, 1) + net.input_shape) < 0.5).astype(float)
-    legacy = FaultSimulator(net, EXTENDED, fused=False)
-    reference = legacy.detect(stimulus, faults)
-    fused = FaultSimulator(net, EXTENDED, fused=True, time_block=time_block)
+    oracle = FaultSimulator(net, EXTENDED, fused=False)
+    reference = oracle.detect(stimulus, faults)
+    fused = FaultSimulator(net, EXTENDED, fused=True)
     result = fused.detect(stimulus, faults)
     assert np.array_equal(result.detected, reference.detected)
     assert np.array_equal(result.output_l1, reference.output_l1)

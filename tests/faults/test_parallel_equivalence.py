@@ -1,8 +1,8 @@
 """Differential suite: parallel campaigns must be *exactly* equal to the
 serial sequential reference.
 
-The reference is the one-fault-at-a-time path (``neuron_batch=1``,
-``synapse_batch=1``, no neuron splicing).  Every (workers, neuron_batch)
+The reference is the per-step oracle one fault at a time
+(``fused=False, neuron_batch=1``).  Every (workers, neuron_batch)
 combination is compared field-by-field with ``np.array_equal`` — no
 tolerances — on a mixed neuron+synapse catalog, so process sharding,
 batch-axis batching, K-batched synapse passes, and neuron splicing are all
@@ -73,9 +73,7 @@ def campaign():
     stimulus = (rng.random((8, 1, 2, 6, 6)) > 0.6).astype(float)
     inputs = (rng.random((8, 5, 2, 6, 6)) > 0.6).astype(float)
     labels = rng.integers(0, 4, size=5)
-    reference = FaultSimulator(
-        net, config, neuron_batch=1, synapse_batch=1, neuron_splice=False
-    )
+    reference = FaultSimulator(net, config, fused=False, neuron_batch=1)
     return {
         "net": net,
         "config": config,

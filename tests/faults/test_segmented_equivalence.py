@@ -192,14 +192,14 @@ def test_exact_metrics_without_dropping(mixed_campaign):
 
 
 def test_sequential_synapse_path_matches(mixed_campaign):
-    """synapse_batch=1 / no splice exercises the one-at-a-time group
-    kinds, which share nothing with the K-batched paths."""
+    """``neuron_batch=1, synapse_batch=1``: the module-re-running group
+    kinds run one fault per batch (K-batches of one) and channel packing
+    runs one weight copy at a time."""
     simulator = FaultSimulator(
         mixed_campaign["net"],
         mixed_campaign["config"],
         neuron_batch=1,
         synapse_batch=1,
-        neuron_splice=False,
     )
     result = simulator.detect_segmented(
         mixed_campaign["stimulus"], mixed_campaign["faults"], drop_detected=False

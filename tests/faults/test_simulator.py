@@ -14,6 +14,8 @@ from repro.faults.model import (
     SynapseFault,
     SynapseFaultKind,
 )
+from repro.core.testset import TestStimulus
+from repro.faults import parallel, segmented
 from repro.faults.simulator import FaultSimulator
 from repro.snn.builder import DenseSpec, NetworkSpec, build_network
 from repro.snn.neuron import LIFParameters
@@ -281,3 +283,69 @@ class TestCoverage:
         classification = sim.classify(inputs, labels, [fault])
         coverage = FaultSimulator.coverage(detection, classification)
         assert coverage.fc_overall == 1.0
+
+
+class TestEngines:
+    """The simulator has two engines: production (``fused=True``) and the
+    per-step oracle (``fused=False``); no other combination builds."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(fused=False, synapse_batch=2),
+            dict(fused=False, neuron_splice=True),
+            dict(fused=True, neuron_splice=False),
+            dict(neuron_splice=False),
+        ],
+    )
+    def test_other_combinations_are_rejected(self, options):
+        with pytest.raises(FaultModelError, match="two engines"):
+            FaultSimulator(_net(), **options)
+
+    def test_both_spellings_build_one_oracle(self):
+        """``fused=False`` alone and the benchmark's full spelling run the
+        same engine, byte for byte, in every flat campaign."""
+        net = _net()
+        config = FaultModelConfig(synapse_sample_fraction=0.3)
+        faults = build_catalog(net, config, rng=np.random.default_rng(4)).faults
+        inputs, labels = _dataset()
+        short = FaultSimulator(net, config, fused=False)
+        full = FaultSimulator(
+            net, config, fused=False, synapse_batch=1, neuron_splice=False
+        )
+        assert short.synapse_batch == full.synapse_batch == 1
+        results = [
+            (
+                sim.detect(_stimulus(), faults),
+                sim.classify(inputs, labels, faults, chunk_size=2),
+                sim.accuracy_drops(inputs, labels, faults),
+            )
+            for sim in (short, full)
+        ]
+        (d1, c1, a1), (d2, c2, a2) = results
+        for field in ("detected", "output_l1", "class_count_diff"):
+            assert getattr(d1, field).tobytes() == getattr(d2, field).tobytes()
+        assert c1.critical.tobytes() == c2.critical.tobytes()
+        assert c1.accuracy_drop.tobytes() == c2.accuracy_drop.tobytes()
+        assert a1.tobytes() == a2.tobytes()
+        assert d1.detected.any() and c1.critical.any()
+
+    def test_segment_engine_refuses_the_oracle_before_any_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the segment engine")
+
+        monkeypatch.setattr(parallel, "_launch", forbidden)
+        monkeypatch.setattr(parallel, "resolve_workers", forbidden)
+        monkeypatch.setattr(segmented, "stimulus_chain", forbidden)
+        monkeypatch.setattr(segmented, "_FaultGroup", forbidden)
+        oracle = FaultSimulator(_net(), fused=False)
+        stimulus = TestStimulus(
+            chunks=[_stimulus(steps=4), _stimulus(seed=3, steps=3)], input_shape=(10,)
+        )
+        faults = [NeuronFault(2, 0, NeuronFaultKind.SATURATED)]
+        with pytest.raises(FaultModelError, match="production engine"):
+            oracle.detect_segmented(stimulus, faults)
+        with pytest.raises(FaultModelError, match="production engine"):
+            segmented.SegmentedDetectionCampaign(oracle, stimulus, faults)
+        with pytest.raises(FaultModelError, match="production engine"):
+            parallel.parallel_detect_segmented(oracle, stimulus, faults, workers=2)

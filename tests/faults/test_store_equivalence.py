@@ -8,8 +8,7 @@ be **bit-identical** to a cold full run of the same engine configuration
 — ``np.array_equal`` on the detection mask and, with identical engine
 options, on ``output_l1`` / ``class_count_diff`` too.
 
-Three edit scenarios are pinned, each across serial, 4-worker, fused,
-and legacy (non-fused) engines:
+Three edit scenarios are pinned, each serially and over 4 workers:
 
 - **append** — a new iteration chunk is appended to the test.  The chain
   digest of the previously-final segment changes (its sleep flag flips),
@@ -107,10 +106,9 @@ def campaign():
 
 
 ENGINES = [
-    pytest.param("serial-fused", 1, True, id="serial-fused-f64"),
-    pytest.param("serial-legacy", 1, False, id="serial-legacy-f64"),
+    pytest.param("serial-fused", 1, id="serial-fused-f64"),
     pytest.param(
-        "pool4-fused", 4, True, id="pool4-fused-f64",
+        "pool4-fused", 4, id="pool4-fused-f64",
         marks=pytest.mark.skipif(
             not fork_available(), reason="fork start method unavailable"
         ),
@@ -118,8 +116,8 @@ ENGINES = [
 ]
 
 
-def _run(campaign, stimulus, faults, *, workers, fused, store, drop=True):
-    simulator = FaultSimulator(campaign["net"], campaign["config"], fused=fused)
+def _run(campaign, stimulus, faults, *, workers, store, drop=True):
+    simulator = FaultSimulator(campaign["net"], campaign["config"])
     if workers == 1:
         return simulator.detect_segmented(
             stimulus, faults, drop_detected=drop, store=store
@@ -130,12 +128,10 @@ def _run(campaign, stimulus, faults, *, workers, fused, store, drop=True):
     )
 
 
-@pytest.mark.parametrize("name, workers, fused", ENGINES)
-def test_incremental_rerun_is_bit_identical_to_cold(
-    campaign, tmp_path, name, workers, fused
-):
+@pytest.mark.parametrize("name, workers", ENGINES)
+def test_incremental_rerun_is_bit_identical_to_cold(campaign, tmp_path, name, workers):
     store = CoverageStore(tmp_path / name)
-    engine = dict(workers=workers, fused=fused)
+    engine = dict(workers=workers)
     faults = campaign["faults"]
     # Populate: the base test set's campaign runs once against the store.
     seeded = _run(campaign, campaign["base"], faults, store=store, **engine)
@@ -176,12 +172,12 @@ def test_warm_rerun_of_unchanged_test_writes_nothing(campaign, tmp_path):
     faults = campaign["faults"]
     first = _run(
         campaign, campaign["base"], faults,
-        workers=1, fused=True, store=store,
+        workers=1, store=store,
     )
     writes = store.writes
     again = _run(
         campaign, campaign["base"], faults,
-        workers=1, fused=True, store=store,
+        workers=1, store=store,
     )
     assert store.writes == writes, "identical re-run must be fully cached"
     assert np.array_equal(first.detected, again.detected)
@@ -197,13 +193,13 @@ def test_store_matches_assembled_reference(campaign, tmp_path):
     simulator = FaultSimulator(campaign["net"], campaign["config"])
     _run(
         campaign, campaign["base"], faults,
-        workers=1, fused=True, store=store,
+        workers=1, store=store,
     )
     stimulus = campaign["stimuli"]["append"]
     reference = simulator.detect(stimulus.assembled(), faults)
     warm = _run(
         campaign, stimulus, faults,
-        workers=1, fused=True, store=store,
+        workers=1, store=store,
     )
     assert np.array_equal(warm.detected, reference.detected)
 
@@ -213,7 +209,7 @@ def test_exact_metrics_mode_is_differential_too(campaign, tmp_path):
     records separately and stays bit-identical warm-vs-cold."""
     store = CoverageStore(tmp_path / "exact")
     faults = campaign["faults"]
-    engine = dict(workers=1, fused=True)
+    engine = dict(workers=1)
     _run(campaign, campaign["base"], faults, store=store, drop=False, **engine)
     stimulus = campaign["stimuli"]["append"]
     cold = _run(campaign, stimulus, faults, store=None, drop=False, **engine)
@@ -229,7 +225,7 @@ def test_option_change_never_reuses_records(campaign, tmp_path):
     scratch rather than splicing incompatible accumulators."""
     store = CoverageStore(tmp_path / "options")
     faults = campaign["faults"]
-    engine = dict(workers=1, fused=True)
+    engine = dict(workers=1)
     _run(campaign, campaign["base"], faults, store=store, drop=True, **engine)
     writes = store.writes
     cold = _run(campaign, campaign["base"], faults, store=None, drop=False, **engine)

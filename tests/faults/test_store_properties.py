@@ -115,26 +115,14 @@ def test_chain_array_round_trip(digests):
 
 
 def test_options_token_injective_over_the_full_grid():
-    """One token per (fused, drop) pair, spelled exactly as stores written
-    while divergence exit and compaction were options keyed them
-    (``div=1,comp=1``), so those stores keep serving every record."""
-    net = build_network(
-        NetworkSpec(
-            name="opt", input_shape=(3,), layers=(DenseSpec(out_features=2),),
-            lif=LIFParameters(),
-        ),
-        np.random.default_rng(0),
-    )
-    tokens = {}
-    for fused in (True, False):
-        simulator = FaultSimulator(net, FaultModelConfig(), fused=fused)
-        for drop in (False, True):
-            tokens[fused, drop] = options_token(simulator, drop)
+    """One token per drop flag, spelled exactly as stores written while
+    divergence exit, compaction and the fused path were options keyed
+    them (``div=1,comp=1,fused=1``), so those stores keep serving every
+    record."""
+    tokens = {drop: options_token(drop) for drop in (True, False)}
     assert tokens == {
-        (True, True): "drop=1,div=1,comp=1,fused=1,engine=2",
-        (True, False): "drop=0,div=1,comp=1,fused=1,engine=2",
-        (False, True): "drop=1,div=1,comp=1,fused=0,engine=2",
-        (False, False): "drop=0,div=1,comp=1,fused=0,engine=2",
+        True: "drop=1,div=1,comp=1,fused=1,engine=2",
+        False: "drop=0,div=1,comp=1,fused=1,engine=2",
     }
 
 
@@ -188,8 +176,7 @@ def test_base_fingerprint_tracks_weights_and_config(seed):
     )
     net = build_network(spec, rng)
     config = FaultModelConfig()
-    simulator = FaultSimulator(net, config)
-    options = options_token(simulator, True)
+    options = options_token(True)
     fp = base_fingerprint(network_digest(net), config, options)
     # One weight element perturbed in the smallest representable way.
     module = net.modules[rng.integers(len(net.modules))]

@@ -1,10 +1,11 @@
-"""Bitwise pins for the K-batched kernels on an untiled input.
+"""Bitwise pins for the fused K-batched kernels on an untiled input.
 
-``run_sequence_kbatched`` and ``run_sequence_kbatched_fused`` take the
-module input ``(T, S, ...)`` shared by all K weight variants and
-broadcast it over K inside the matmul.  They replaced kernels that took a
-fault-major K-fold tiled copy ``np.tile(seq, (1, K, ...))``; those tiled
-formulations are kept below as the reference.  Spikes and the carried
+``run_sequence_kbatched_fused`` (conv and recurrent layers; dense layers
+splice their synapse faults instead) takes the module input
+``(T, S, ...)`` shared by all K weight variants and broadcasts it over K
+inside the matmul.  It replaced kernels that took a fault-major K-fold
+tiled copy ``np.tile(seq, (1, K, ...))``; those tiled formulations are
+kept below as the reference.  Spikes and the carried
 :class:`LIFState` must match byte for byte, with and without an attached
 :class:`EventDispatch`, on inputs with all-zero time slices, and the
 dispatcher must count the cells and spikes of all K*S rows exactly as a
@@ -16,7 +17,7 @@ import pytest
 
 from repro.autograd import functional as F
 from repro.snn.events import EventDispatch
-from repro.snn.layers import ConvLIF, DenseLIF, RecurrentLIF, event_dispatch_context
+from repro.snn.layers import ConvLIF, RecurrentLIF, event_dispatch_context
 from repro.snn.neuron import LIFParameters
 
 K, S, T, SPLIT = 3, 2, 9, 4
@@ -29,14 +30,6 @@ def _tile(seq, k):
 
 
 # -- the tiled reference kernels ----------------------------------------
-
-
-def _dense_currents(module, tiled, stacks):
-    (weight,) = stacks
-    k = weight.shape[0]
-    steps, batch = tiled.shape[:2]
-    currents = np.matmul(tiled.reshape(steps, k, batch // k, -1), weight)
-    return currents.reshape(steps, batch, -1)
 
 
 def _conv_currents(module, tiled, stacks):
@@ -96,33 +89,7 @@ def _recurrent_fused_reference(module, tiled, stacks, state, events):
     return out
 
 
-def _per_step_reference(module, tiled, stacks, state, events):
-    """The per-step K-batched kernels on the tiled input (no dispatch)."""
-    k = stacks[0].shape[0]
-    steps, batch = tiled.shape[:2]
-    s = batch // k
-    out = np.empty((steps, batch) + module.neuron_shape)
-    previous = None
-    if isinstance(module, RecurrentLIF):
-        previous = np.asarray(state.last_spike).reshape(k, s, -1)
-    for t in range(steps):
-        if isinstance(module, ConvLIF):
-            cols = module._im2col(tiled[t])
-            w_mats = stacks[0].reshape(k, module.out_channels, -1)
-            current = np.matmul(w_mats[:, None], cols.reshape((k, s) + cols.shape[1:]))
-        else:
-            current = np.matmul(tiled[t].reshape(k, s, -1), stacks[0])
-            if previous is not None:
-                current += np.matmul(previous, stacks[1])
-        spikes = module._lif_numpy(current.reshape((batch,) + module.neuron_shape), state)
-        if previous is not None:
-            previous = spikes.reshape(k, s, -1)
-        out[t] = spikes
-    return out
-
-
-FUSED_REFERENCES = {
-    "dense": _scan_reference(_dense_currents),
+REFERENCES = {
     "conv": _scan_reference(_conv_currents),
     "recurrent": _recurrent_fused_reference,
 }
@@ -133,9 +100,7 @@ FUSED_REFERENCES = {
 
 def _module(kind):
     rng = np.random.default_rng(11)
-    if kind == "dense":
-        module = DenseLIF(12, 5, PARAMS, rng=rng)
-    elif kind == "conv":
+    if kind == "conv":
         module = ConvLIF(2, 3, (6, 5), kernel=3, params=PARAMS, padding=1, rng=rng)
     else:
         module = RecurrentLIF(12, 5, PARAMS, rng=rng, recurrent_scale=2.0)
@@ -172,27 +137,22 @@ def _run_split(fn, seq, state):
     return np.concatenate([fn(seq[:SPLIT], state), fn(seq[SPLIT:], state)], axis=0)
 
 
-@pytest.mark.parametrize("dispatch", [False, True], ids=["dense-path", "dispatch"])
-@pytest.mark.parametrize("kernel", ["fused", "per_step"])
-@pytest.mark.parametrize("kind", ["dense", "conv", "recurrent"])
-def test_untiled_kernels_equal_tiled_reference(kind, kernel, dispatch):
+@pytest.mark.parametrize(
+    "dispatch", [False, True], ids=["fused-dense-path", "fused-dispatch"]
+)
+@pytest.mark.parametrize("kind", ["conv", "recurrent"])
+def test_untiled_kernels_equal_tiled_reference(kind, dispatch):
     module, seq, stacks = _case(kind)
     tiled = _tile(seq, K)
-    run = (
-        module.run_sequence_kbatched_fused
-        if kernel == "fused"
-        else module.run_sequence_kbatched
-    )
-    reference = FUSED_REFERENCES[kind] if kernel == "fused" else _per_step_reference
-    # The per-step kernels never route through the dispatcher.
-    counted = dispatch and kernel == "fused"
+    run = module.run_sequence_kbatched_fused
+    reference = REFERENCES[kind]
 
     events = EventDispatch() if dispatch else None
     state = module.init_state(K * S)
     with event_dispatch_context([module], events):
         out = _run_split(lambda part, st: run(part, stacks, state=st), seq, state)
 
-    ref_events = EventDispatch() if counted else None
+    ref_events = EventDispatch() if dispatch else None
     ref_state = module.init_state(K * S)
     ref_out = _run_split(
         lambda part, st: reference(module, _tile(part, K), stacks, st, ref_events),
@@ -205,9 +165,7 @@ def test_untiled_kernels_equal_tiled_reference(kind, kernel, dispatch):
     assert out.tobytes() == ref_out.tobytes()
     _assert_state_equal(state, ref_state)
     if dispatch:
-        expected = ref_events.stats.as_dict() if counted else EventDispatch().stats.as_dict()
-        assert events.stats.as_dict() == expected
-    if counted:
+        assert events.stats.as_dict() == ref_events.stats.as_dict()
         stats = events.stats.as_dict()
         assert stats["cells"] == tiled.size
         assert stats["zero_slices"] > 0
