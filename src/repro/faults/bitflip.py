@@ -30,10 +30,14 @@ from repro.errors import FaultModelError
 def quant_scale(weights: np.ndarray, bits: int = 8) -> float:
     """Symmetric per-tensor quantization scale: max|w| maps to the most
     positive ``bits``-wide code (±127 for int8)."""
+    return peak_scale(float(np.abs(weights).max()), bits)
+
+
+def peak_scale(peak: float, bits: int) -> float:
+    """:func:`quant_scale` of a tensor whose largest magnitude is ``peak``."""
     if bits < 2:
         raise FaultModelError(f"word width must be >= 2 bits, got {bits}")
     top = float(2 ** (bits - 1) - 1)
-    peak = float(np.abs(weights).max())
     if peak == 0.0:
         return 1.0 / top  # degenerate all-zero layer; any scale works
     return peak / top
@@ -72,9 +76,9 @@ def flip_bit(code: int, bit: int, bits: int = 8) -> int:
     return flipped - (1 << bits) if flipped > high else flipped
 
 
-def truncate_to_grid(value: float, weights: np.ndarray, bits: int) -> float:
-    """Snap a real weight to the ``bits``-wide datapath grid of ``weights``."""
-    scale = quant_scale(weights, bits)
+def truncate_to_grid(value: float, scale: float, bits: int) -> float:
+    """Snap a real weight to a ``bits``-wide datapath grid of step
+    ``scale`` (the :func:`quant_scale` of the weights at that width)."""
     return quantize_code(value, scale, bits) * scale
 
 

@@ -89,52 +89,61 @@ def validate_faults(
     a window at or beyond the test's end can never activate, so the
     descriptor is certainly a mistake.
     """
-    spiking = {int(i) for i in network.spiking_indices}
+    # Per-module sizes are read once, and a message is formatted only for
+    # the first descriptor that fails.
+    neurons, weights = {}, {}
+    for i in network.spiking_indices:
+        module = network.modules[int(i)]
+        neurons[int(i)] = module.neuron_count
+        weights[int(i)] = [int(p.size) for p in module.parameters()]
+    bits = None if config is None else config.weight_bits
     for idx, fault in enumerate(faults):
-        where = f"fault {idx} ({fault.describe()})"
-        if fault.module_index not in spiking:
-            raise FaultModelError(
-                f"{where} targets module {fault.module_index}, which is not "
-                "a spiking module of this network"
-            )
-        module = network.modules[fault.module_index]
-        if fault.is_neuron:
-            if fault.neuron_index >= module.neuron_count:
-                raise FaultModelError(
-                    f"{where} targets neuron {fault.neuron_index}, but module "
-                    f"{fault.module_index} has {module.neuron_count} neurons"
-                )
-        else:
-            params = module.parameters()
-            if fault.parameter_index >= len(params):
-                raise FaultModelError(
-                    f"{where} targets parameter {fault.parameter_index}, but "
-                    f"module {fault.module_index} has {len(params)} parameters"
-                )
-            size = int(params[fault.parameter_index].size)
-            if fault.weight_index >= size:
-                raise FaultModelError(
-                    f"{where} targets weight {fault.weight_index}, but the "
-                    f"parameter holds {size} weights"
-                )
-            if (
-                config is not None
-                and fault.bit is not None
-                and fault.bit >= config.weight_bits
-            ):
-                raise FaultModelError(
-                    f"{where} flips bit {fault.bit}, but the configured "
-                    f"weight word is only {config.weight_bits} bits wide"
-                )
+        problem = _site_problem(fault, neurons, weights, bits)
         if (
-            duration_steps is not None
+            problem is None
+            and duration_steps is not None
             and fault.window is not None
             and fault.window[0] >= duration_steps
         ):
-            raise FaultModelError(
-                f"{where} has window [{fault.window[0]}, {fault.window[1]}), "
-                f"which never activates within the {duration_steps}-step test"
+            problem = (
+                f"has window [{fault.window[0]}, {fault.window[1]}), which "
+                f"never activates within the {duration_steps}-step test"
             )
+        if problem is not None:
+            raise FaultModelError(f"fault {idx} ({fault.describe()}) {problem}")
+
+
+def _site_problem(fault: Fault, neurons, weights, bits: Optional[int]) -> Optional[str]:
+    """Why ``fault`` names no site of the network (``neurons`` and
+    ``weights`` hold each spiking module's neuron count and parameter
+    sizes), or ``None``."""
+    m = fault.module_index
+    if m not in neurons:
+        return f"targets module {m}, which is not a spiking module of this network"
+    if fault.is_neuron:
+        if fault.neuron_index >= neurons[m]:
+            return (
+                f"targets neuron {fault.neuron_index}, but module {m} has "
+                f"{neurons[m]} neurons"
+            )
+        return None
+    sizes = weights[m]
+    if fault.parameter_index >= len(sizes):
+        return (
+            f"targets parameter {fault.parameter_index}, but module {m} has "
+            f"{len(sizes)} parameters"
+        )
+    if fault.weight_index >= sizes[fault.parameter_index]:
+        return (
+            f"targets weight {fault.weight_index}, but the parameter holds "
+            f"{sizes[fault.parameter_index]} weights"
+        )
+    if bits is not None and fault.bit is not None and fault.bit >= bits:
+        return (
+            f"flips bit {fault.bit}, but the configured weight word is only "
+            f"{bits} bits wide"
+        )
+    return None
 
 
 def _sample_indices(

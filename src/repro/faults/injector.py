@@ -11,12 +11,12 @@ fault simulation.
 from __future__ import annotations
 
 import contextlib
-from typing import Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from repro.errors import InjectionError
-from repro.faults.bitflip import bitflip_value, quant_scale, truncate_to_grid
+from repro.faults.bitflip import bitflip_value, peak_scale, truncate_to_grid
 from repro.faults.model import (
     FaultModelConfig,
     NeuronFault,
@@ -146,32 +146,51 @@ def synapse_fault_value(
     weight tensor.
 
     Shared by the sequential :func:`inject` path and the batched
-    synapse-fault simulation, so both campaigns perturb the weight
-    identically by construction.
+    synapse-fault simulation (through :func:`synapse_fault_values`), so
+    both campaigns perturb the weight identically by construction.
     """
+    return synapse_fault_values(weights, [fault], config)[0]
+
+
+def synapse_fault_values(
+    weights: np.ndarray, faults: Sequence[SynapseFault], config: FaultModelConfig
+) -> List[float]:
+    """:func:`synapse_fault_value` of each of ``faults``, all on the
+    pristine tensor ``weights``.  The tensor's largest magnitude and its
+    quantization scales are computed once, on the first fault that needs
+    them, and give the same floats a per-fault computation gives."""
     flat = weights.reshape(-1)
-    if fault.weight_index >= flat.size:
-        raise InjectionError(f"{fault.describe()}: weight index out of range")
-    previous = flat[fault.weight_index]
-    kind = fault.kind
-    if kind is SynapseFaultKind.DEAD:
-        return 0.0
-    if kind is SynapseFaultKind.SATURATED_POSITIVE:
-        return config.saturation_multiplier * float(np.abs(weights).max())
-    if kind is SynapseFaultKind.SATURATED_NEGATIVE:
-        return -config.saturation_multiplier * float(np.abs(weights).max())
-    if kind is SynapseFaultKind.BITFLIP:
-        bits = config.weight_bits
-        value = bitflip_value(
-            float(previous), fault.bit, quant_scale(weights, bits), bits
-        )
-        if config.datapath_bits is not None:
-            # The datapath reads the stored word through a narrower
-            # truncation grid: sub-resolution flips snap back onto the
-            # nominal value (the collapse equivalence class).
-            value = truncate_to_grid(value, weights, config.datapath_bits)
-        return value
-    raise InjectionError(f"unhandled synapse fault kind {kind}")
+    peak = None
+    values: List[float] = []
+    for fault in faults:
+        if fault.weight_index >= flat.size:
+            raise InjectionError(f"{fault.describe()}: weight index out of range")
+        kind = fault.kind
+        if kind is SynapseFaultKind.DEAD:
+            values.append(0.0)
+            continue
+        if peak is None:
+            peak = float(np.abs(weights).max())
+            scale = peak_scale(peak, config.weight_bits)
+            if config.datapath_bits is not None:
+                grid = peak_scale(peak, config.datapath_bits)
+        if kind is SynapseFaultKind.SATURATED_POSITIVE:
+            values.append(config.saturation_multiplier * peak)
+        elif kind is SynapseFaultKind.SATURATED_NEGATIVE:
+            values.append(-config.saturation_multiplier * peak)
+        elif kind is SynapseFaultKind.BITFLIP:
+            value = bitflip_value(
+                float(flat[fault.weight_index]), fault.bit, scale, config.weight_bits
+            )
+            if config.datapath_bits is not None:
+                # The datapath reads the stored word through a narrower
+                # truncation grid: sub-resolution flips snap back onto the
+                # nominal value (the collapse equivalence class).
+                value = truncate_to_grid(value, grid, config.datapath_bits)
+            values.append(value)
+        else:
+            raise InjectionError(f"unhandled synapse fault kind {kind}")
+    return values
 
 
 def _apply_synapse_fault(module, fault: SynapseFault, config: FaultModelConfig):

@@ -58,17 +58,20 @@ transformations are applied, all exact:
 
 Metric accumulation across segments is also exact: spike trains are
 0.0/1.0 floats, so L1 distances and per-class spike counts are
-integer-valued float64 sums far below 2^53 — per-segment accumulation
-equals the whole-test sum bit for bit.
+integer-valued float64 sums far below 2^53 — per-segment accumulation,
+a batch of rows at a time, equals each row's whole-test sum bit for bit.
 
 Memory
 ------
 Peak memory is one segment's currents and spikes for one K-batch (the
 longest chunk and its sleep gap, not ``T_test``) plus per-fault carry
 state: one LIF state per fault for the faulty module and, only after
-divergence, one per downstream spiking module.  Segments bound the time
-axis but not the rows: the conv patch matrices of a segment are built in
-cache-sized blocks (:func:`repro.autograd.functional.im2col_matmul`),
+divergence, one per downstream spiking module.  The downstream states sit
+in one slab per stateful downstream module, a slot per diverged row; a
+dropped row's slot is reused, and the slabs double only when the live
+divergence front outgrows them (:class:`_RowStates`).  Segments bound the
+time axis but not the rows: the conv patch matrices of a segment are built
+in cache-sized blocks (:func:`repro.autograd.functional.im2col_matmul`),
 a K-batched synapse run reads the segment input untiled, and packed rows
 hold only their footprint's conv spikes (footprint packing) or their own
 channel, pooled when a sum pool follows (channel packing), between the
@@ -98,17 +101,6 @@ from repro.faults.simulator import (
 from repro.snn.events import DispatchStats, EventDispatch
 from repro.snn.layers import ConvLIF, SumPool, event_dispatch_context
 from repro.snn.neuron import LIFState, lif_scan_numpy
-
-
-def _unstack(slots, potential, last_spike, refractory) -> None:
-    """Scatter a stacked ``(R, ...)`` state into R per-row state slots, each
-    row its own copy."""
-    for field, stacked in (
-        ("pot", potential), ("spk", last_spike), ("ref", refractory)
-    ):
-        stacked = np.asarray(stacked)
-        for j, slot in enumerate(slots):
-            slot[field] = stacked[j].copy()
 
 
 class _GoldenSegment:
@@ -312,6 +304,100 @@ def _pack_runs(packs: np.ndarray, width: int):
         yield sel, packs[sel] - lo
 
 
+#: The fields of a carried LIF state, in record order.
+_FIELDS = (("pot", "potential"), ("spk", "last_spike"), ("ref", "refractory"))
+
+
+class _RowStates:
+    """The downstream LIF state of a group's diverged rows.
+
+    Each stateful downstream module keeps one potential, one last-spike
+    and one refractory slab (``slabs[dj]``, ``None`` for a stateless
+    module), and ``slot[row]`` is a row's index into them, ``-1`` while it
+    holds none.  A row takes a slot when it diverges and gives it back
+    when it is dropped, so only diverged, undropped rows hold state.  The
+    slabs double when the free slots run out: memory follows the live
+    divergence front, never all ``k`` rows."""
+
+    def __init__(self, modules: Sequence, rows: int) -> None:
+        # Empty slabs: a batch-0 state has each module's shapes and dtypes.
+        self.slabs: List[Optional[LIFState]] = [module.init_state(0) for module in modules]
+        self.slot = np.full(rows, -1, dtype=np.int64)
+        self.free: List[int] = []  # a stack: freed slots are reused first
+        self.capacity = 0
+
+    def _grow(self, need: int) -> None:
+        capacity = max(need, 2 * self.capacity)
+        for slab in self.slabs:
+            if slab is None:
+                continue
+            # One field at a time: growing holds one old field beside the
+            # new slabs, not a whole old state.
+            for _key, name in _FIELDS:
+                old = getattr(slab, name)
+                grown = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+                grown[: self.capacity] = old
+                setattr(slab, name, grown)
+        # New slots go under the freed ones, which are taken first.
+        self.free[:0] = range(capacity - 1, self.capacity - 1, -1)
+        self.capacity = capacity
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """Give each of ``rows`` (holding none) a slot; returns the slots."""
+        short = len(rows) - len(self.free)
+        if short > 0:
+            self._grow(self.capacity + short)
+        cut = len(self.free) - len(rows)
+        slots = np.array(self.free[cut:][::-1], dtype=np.int64)
+        del self.free[cut:]
+        self.slot[rows] = slots
+        return slots
+
+    def give_back(self, rows: np.ndarray) -> None:
+        """Free the slots ``rows`` hold."""
+        held = self.slot[rows]
+        self.free.extend(held[held >= 0].tolist())
+        self.slot[rows] = -1
+
+    def gather(self, dj: int, slots: np.ndarray) -> LIFState:
+        """Module ``dj``'s state of the rows at ``slots``, a copy."""
+        slab = self.slabs[dj]
+        return LIFState(*(getattr(slab, name)[slots] for _key, name in _FIELDS))
+
+    def scatter(self, dj: int, slots: np.ndarray, state: LIFState) -> None:
+        """Write ``state`` (``(R, ...)``, or one row to broadcast) to
+        module ``dj``'s slabs at ``slots``."""
+        slab = self.slabs[dj]
+        for _key, name in _FIELDS:
+            getattr(slab, name)[slots] = getattr(state, name)
+
+    def export(self) -> Dict[str, np.ndarray]:
+        """The held rows in row order and, per stateful module, their
+        states stacked in that order (the record's ``grp.d*`` arrays)."""
+        rows = np.flatnonzero(self.slot >= 0).astype(np.int64)
+        if not rows.size:
+            return {}
+        arrays = {"grp.drows": rows}
+        slots = self.slot[rows]
+        for dj, slab in enumerate(self.slabs):
+            if slab is not None:
+                for key, name in _FIELDS:
+                    arrays[f"grp.d{dj}.{key}"] = getattr(slab, name)[slots]
+        return arrays
+
+    def restore(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Hold exactly the rows and states of an :meth:`export`."""
+        self.give_back(np.flatnonzero(self.slot >= 0))
+        if "grp.drows" not in arrays:
+            return
+        slots = self.take(np.asarray(arrays["grp.drows"], dtype=np.int64))
+        for dj, slab in enumerate(self.slabs):
+            if slab is not None:
+                self.scatter(dj, slots, LIFState(*(
+                    arrays[f"grp.d{dj}.{key}"] for key, _name in _FIELDS
+                )))
+
+
 class _FaultGroup:
     """All faults of one (kind, module) pair, simulated K rows at a time
     with per-row state carried across segments.
@@ -355,7 +441,7 @@ class _FaultGroup:
         self.campaign = campaign
         self.kind = kind
         self.module_index = module_index
-        self.indices = list(indices)
+        self.indices = np.asarray(indices, dtype=np.int64)
         self.window = window
         simulator = campaign.simulator
         network = simulator.network
@@ -364,11 +450,10 @@ class _FaultGroup:
         k = len(self.indices)
         self.active = np.ones(k, dtype=bool)
         self.diverged = np.zeros(k, dtype=bool)
-        # row -> per-downstream-module state dicts, only for rows that
-        # have diverged and are still active (see _run_downstream).
-        self.dstates: Dict[int, List[Optional[Dict[str, np.ndarray]]]] = {}
-        self._down_stateful_cache: Optional[List[bool]] = None
-        group_faults = [campaign.faults[i] for i in self.indices]
+        # The downstream state of diverged, undropped rows (see
+        # _run_downstream), allocated with the other state arrays.
+        self.down: Optional[_RowStates] = None
+        group_faults = [campaign.faults[i] for i in self.indices.tolist()]
         shape = self.module.neuron_shape
         # Splice and delay rows carry (k, 1) scalar state and never re-run
         # the module, so they batch far wider than the module-re-running
@@ -468,12 +553,13 @@ class _FaultGroup:
             self.ref = np.zeros(self._state_shape, dtype=np.int64)
         if self.kind == "delay" and self.hist is None:
             self.hist = np.zeros((len(self.indices), self.hist_len))
+        if self.down is None:
+            self.down = _RowStates(self.downstream, len(self.indices))
 
     def release(self) -> None:
         """Free the per-row state once the group has run its last segment
         (the small ``active``/``diverged`` masks stay for bookkeeping)."""
-        self.pot = self.spk = self.ref = self.hist = None
-        self.dstates = {}
+        self.pot = self.spk = self.ref = self.hist = self.down = None
 
     def _batches(self) -> List[np.ndarray]:
         """The active rows, compacted into full batches in row order."""
@@ -745,31 +831,18 @@ class _FaultGroup:
     # ------------------------------------------------------------------
     # Downstream propagation with golden-entry seeding
     # ------------------------------------------------------------------
-    def _down_stateful(self) -> List[bool]:
-        if self._down_stateful_cache is None:
-            self._down_stateful_cache = [
-                dm.init_state(1) is not None for dm in self.downstream
-            ]
-        return self._down_stateful_cache
-
     def _seed(self, rows: np.ndarray, gseg: _GoldenSegment) -> None:
-        """Create the downstream state of newly diverging rows from the
-        golden entry states of this segment — until now each such row's
+        """Give newly diverging rows a downstream slot holding the golden
+        entry states of this segment — until now each such row's
         cross-section was bit-identical to golden, so the golden entry IS
         its state."""
-        for row in rows[~self.diverged[rows]]:
-            slots: List[Optional[Dict[str, np.ndarray]]] = []
-            for dj, stateful in enumerate(self._down_stateful()):
-                if not stateful:
-                    slots.append(None)
-                else:
+        new = rows[~self.diverged[rows]]
+        if new.size:
+            slots = self.down.take(new)
+            for dj, slab in enumerate(self.down.slabs):
+                if slab is not None:
                     entry = gseg.entry_states[self.module_index + 1 + dj]
-                    slots.append({
-                        "pot": entry.potential[0].copy(),
-                        "spk": entry.last_spike[0].copy(),
-                        "ref": entry.refractory[0].copy(),
-                    })
-            self.dstates[int(row)] = slots
+                    self.down.scatter(dj, slots, entry)
         self.diverged[rows] = True
 
     def _run_downstream(
@@ -780,26 +853,24 @@ class _FaultGroup:
         from index ``start`` (default ``self.entry``), one row per batch
         row, seeding newly diverged rows from the golden entry states.
 
-        Downstream state is stored per diverged row (``self.dstates`` maps
-        row -> per-module state dicts), not as dense ``(k, ...)`` arrays:
-        only diverged-and-undropped rows need it, and with fault dropping
-        those are freed the moment the fault is detected, so group memory
-        stays proportional to the live divergence front."""
+        Downstream state lives in per-module slabs indexed by each
+        diverged row's slot (:class:`_RowStates`), not in dense
+        ``(k, ...)`` arrays: only diverged-and-undropped rows need it, and
+        with fault dropping a row's slot is freed the moment its fault is
+        detected, so group memory stays proportional to the live
+        divergence front.  Each module gathers the rows' states, runs,
+        and scatters them back."""
         self._seed(rows, gseg)
+        slots = self.down.slot[rows]
         current = module_out
         for dj in range(self.entry if start is None else start, len(self.downstream)):
             dm = self.downstream[dj]
-            if not self._down_stateful()[dj]:
+            if self.down.slabs[dj] is None:
                 current = dm.run_sequence_fused(current)
                 continue
-            slots = [self.dstates[int(r)][dj] for r in rows]
-            state = LIFState(
-                potential=np.stack([slot["pot"] for slot in slots]),
-                last_spike=np.stack([slot["spk"] for slot in slots]),
-                refractory=np.stack([slot["ref"] for slot in slots]),
-            )
+            state = self.down.gather(dj, slots)
             current = dm.run_sequence_fused(current, state=state)
-            _unstack(slots, state.potential, state.last_spike, state.refractory)
+            self.down.scatter(dj, slots, state)
         return current.reshape(current.shape[0], current.shape[1], -1)
 
     def _run_packed(self, rows: np.ndarray, deltas: np.ndarray,
@@ -859,36 +930,30 @@ class _FaultGroup:
         loc = self.cell_loc[members]
         reach = fp.mask[loc]  # (M, positions)
         jj, ll = np.nonzero(reach)
-        slots = [self.dstates[int(r)][1] for r in members]
+        slots = self.down.slot[members]
+        slab = self.down.slabs[1]
         entry, exit_state = gseg.entry_states[at], gseg.exit_states[at]
         tiles = []
-        for field, golden in zip(
-            ("pot", "spk", "ref"), (entry.potential, entry.last_spike, entry.refractory)
-        ):
+        for _key, name in _FIELDS:
+            golden = getattr(entry, name)
             tile = np.broadcast_to(
                 golden.reshape(1, fp.channels, -1), (shared_n, fp.channels, reach.shape[1])
             ).copy()
-            carried = np.stack([slot[field] for slot in slots])
-            carried = carried.reshape(len(members), fp.channels, -1)
-            tile[packs[jj], :, ll] = carried[jj, :, ll]
+            carried = getattr(slab, name).reshape(self.down.capacity, fp.channels, -1)
+            tile[packs[jj], :, ll] = carried[slots[jj], :, ll]
             tiles.append(tile.reshape((shared_n,) + conv.neuron_shape))
         state = LIFState(*tiles)
         out = conv.run_sequence_fused(
             shared.reshape((steps, shared_n) + pooled.shape[2:]), state=state
         )
-        own = [
+        self.down.scatter(1, slots, LIFState(*(
             np.where(
                 reach[:, None, :],
-                np.asarray(after).reshape(shared_n, fp.channels, -1)[packs],
-                golden.reshape(1, fp.channels, -1),
+                np.asarray(getattr(state, name)).reshape(shared_n, fp.channels, -1)[packs],
+                getattr(exit_state, name).reshape(1, fp.channels, -1),
             ).reshape((len(members),) + conv.neuron_shape)
-            for after, golden in (
-                (state.potential, exit_state.potential),
-                (state.last_spike, exit_state.last_spike),
-                (state.refractory, exit_state.refractory),
-            )
-        ]
-        _unstack(slots, *own)
+            for _key, name in _FIELDS
+        )))
         out = out.reshape(steps, shared_n, fp.channels, -1)
         return out[:, packs[:, None], :, fp.pos[loc]]  # (M, slots, T, channels)
 
@@ -911,8 +976,7 @@ class _FaultGroup:
         return tile.reshape((steps, len(rows)) + base.shape[2:])
 
     def _record(self, rows: np.ndarray, outs: np.ndarray, gseg: _GoldenSegment) -> None:
-        for j, row in enumerate(rows):
-            self.campaign.record(self.indices[row], outs[:, j], gseg)
+        self.campaign.record(self.indices[rows], outs, gseg)
 
     # ------------------------------------------------------------------
     def step(self, segment_index: int, gseg: _GoldenSegment) -> None:
@@ -992,13 +1056,13 @@ class _FaultGroup:
                 gseg,
             )
         if campaign.drop_detected:
+            dropped = active[campaign.detected[self.indices[active]]]
+            self.active[dropped] = False
+            self.down.give_back(dropped)
             remaining = campaign.n_segments - 1 - segment_index
-            for row in active:
-                if campaign.detected[self.indices[row]] and self.active[row]:
-                    self.active[row] = False
-                    self.dstates.pop(int(row), None)
-                    if remaining:
-                        campaign.tracker.tick(remaining)
+            if remaining:
+                for _ in range(dropped.size):
+                    campaign.tracker.tick(remaining)
 
     # ------------------------------------------------------------------
     # Carried state of coverage-store records
@@ -1014,18 +1078,8 @@ class _FaultGroup:
         }
         if self.kind == "delay":
             arrays["grp.hist"] = self.hist
-        if self.dstates:
-            # Sparse downstream state: the row list plus, per stateful
-            # downstream module, the rows' states stacked in row order.
-            drows = sorted(self.dstates)
-            arrays["grp.drows"] = np.asarray(drows, dtype=np.int64)
-            for dj, stateful in enumerate(self._down_stateful()):
-                if not stateful:
-                    continue
-                for field in ("pot", "spk", "ref"):
-                    arrays[f"grp.d{dj}.{field}"] = np.stack(
-                        [self.dstates[row][dj][field] for row in drows]
-                    )
+        # Sparse downstream state: the diverged, undropped rows only.
+        arrays.update(self.down.export())
         return arrays
 
     def restore_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
@@ -1038,19 +1092,7 @@ class _FaultGroup:
             self.ref[...] = arrays["grp.ref"]
             if self.kind == "delay":
                 self.hist[...] = arrays["grp.hist"]
-            self.dstates = {}
-            if "grp.drows" in arrays:
-                for i, row in enumerate(arrays["grp.drows"]):
-                    slots: List[Optional[Dict[str, np.ndarray]]] = []
-                    for dj, stateful in enumerate(self._down_stateful()):
-                        if not stateful:
-                            slots.append(None)
-                        else:
-                            slots.append({
-                                field: np.array(arrays[f"grp.d{dj}.{field}"][i])
-                                for field in ("pot", "spk", "ref")
-                            })
-                    self.dstates[int(row)] = slots
+            self.down.restore(arrays)
         except (KeyError, ValueError, IndexError) as exc:
             raise StoreError(
                 f"coverage record does not match this group: {exc}"
@@ -1129,6 +1171,10 @@ class SegmentedDetectionCampaign:
         neuron_map: Dict[Tuple, List[int]] = {}
         synapse_splice_map: Dict[Tuple, List[int]] = {}
         synapse_k_map: Dict[Tuple, List[int]] = {}
+        synapse_maps = [
+            synapse_splice_map if _supports_synapse_splice(module) else synapse_k_map
+            for module in network.modules
+        ]
         for idx, fault in enumerate(self.faults):
             if fault.module_index >= len(network.modules):
                 raise FaultModelError(f"{fault.describe()}: module index out of range")
@@ -1136,12 +1182,8 @@ class SegmentedDetectionCampaign:
                 family = "delay" if fault.kind is NeuronFaultKind.DELAY else "param"
                 key = (fault.module_index, family, fault.window)
                 neuron_map.setdefault(key, []).append(idx)
-            elif _supports_synapse_splice(network.modules[fault.module_index]):
-                synapse_splice_map.setdefault(
-                    (fault.module_index, fault.window), []
-                ).append(idx)
             else:
-                synapse_k_map.setdefault(
+                synapse_maps[fault.module_index].setdefault(
                     (fault.module_index, fault.window), []
                 ).append(idx)
 
@@ -1178,12 +1220,15 @@ class SegmentedDetectionCampaign:
         return groups
 
     # ------------------------------------------------------------------
-    def record(self, fault_idx: int, out_flat: np.ndarray, gseg: _GoldenSegment) -> None:
-        diff = np.abs(out_flat - gseg.out_flat).sum()
+    def record(self, fault_idx: np.ndarray, outs: np.ndarray, gseg: _GoldenSegment) -> None:
+        """Accumulate one segment's metrics of distinct faults
+        ``fault_idx`` from their outputs ``outs`` ``(T, R, classes)``.
+        Spikes and counts are small integers, so the batched sums equal
+        the per-fault ones bit for bit."""
+        diff = np.abs(outs - gseg.out_flat[:, None]).sum(axis=(0, 2))
         self.output_l1[fault_idx] += diff
-        self.counts_delta[fault_idx] += out_flat.sum(axis=0) - gseg.counts
-        if diff > 0:
-            self.detected[fault_idx] = True
+        self.counts_delta[fault_idx] += outs.sum(axis=0) - gseg.counts
+        self.detected[fault_idx] |= diff > 0
 
     # ------------------------------------------------------------------
     def _apply_hit(self, group: _FaultGroup, hit) -> int:

@@ -42,12 +42,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import FaultModelError
-from repro.faults.injector import inject, synapse_fault_value
+from repro.faults.injector import inject, synapse_fault_value, synapse_fault_values
 from repro.faults.model import (
     FaultModelConfig,
     NeuronFault,
@@ -255,37 +255,45 @@ class _ProgressTracker:
             self._last_reported = self.done
 
 
-def _apply_neuron_kind(
-    fault: NeuronFault,
-    idx,
+def _apply_neuron_kinds(
+    group: Sequence[NeuronFault],
+    sites: Tuple[np.ndarray, ...],
     threshold: np.ndarray,
     leak: np.ndarray,
     refractory: np.ndarray,
     mode: np.ndarray,
     config: FaultModelConfig,
 ) -> None:
-    """Perturb one row/site of the per-neuron parameter arrays in place."""
-    kind = fault.kind
-    if kind is NeuronFaultKind.DEAD:
-        mode[idx] = MODE_DEAD
-    elif kind is NeuronFaultKind.SATURATED:
-        mode[idx] = MODE_SATURATED
-    elif kind is NeuronFaultKind.TIMING_THRESHOLD:
-        threshold[idx] *= config.timing_threshold_factor
-    elif kind is NeuronFaultKind.TIMING_LEAK:
-        leak[idx] *= config.timing_leak_factor
-    elif kind is NeuronFaultKind.TIMING_REFRACTORY:
-        refractory[idx] += config.timing_refractory_extra
-    elif kind is NeuronFaultKind.PARAM_THRESHOLD:
-        threshold[idx] = threshold[idx] * fault.scale + fault.offset
-    elif kind is NeuronFaultKind.PARAM_LEAK:
-        leak[idx] = leak[idx] * fault.scale + fault.offset
-    elif kind is NeuronFaultKind.PARAM_REFRACTORY:
-        refractory[idx] = max(
-            0, int(np.rint(refractory[idx] * fault.scale + fault.offset))
-        )
-    else:  # DELAY is handled by the golden-output transform path
-        raise FaultModelError(f"unhandled neuron fault kind {kind}")
+    """Perturb the per-neuron parameter arrays in place: fault ``group[j]``
+    at site ``tuple(axis[j] for axis in sites)``.  The sites are distinct,
+    so each kind's sites update in one array operation, elementwise the
+    same arithmetic as one fault at a time."""
+    members: Dict[NeuronFaultKind, List[int]] = {}
+    for j, fault in enumerate(group):
+        members.setdefault(fault.kind, []).append(j)
+    for kind, rows in members.items():
+        at = tuple(axis[rows] for axis in sites)
+        if kind is NeuronFaultKind.DEAD:
+            mode[at] = MODE_DEAD
+        elif kind is NeuronFaultKind.SATURATED:
+            mode[at] = MODE_SATURATED
+        elif kind is NeuronFaultKind.TIMING_THRESHOLD:
+            threshold[at] *= config.timing_threshold_factor
+        elif kind is NeuronFaultKind.TIMING_LEAK:
+            leak[at] *= config.timing_leak_factor
+        elif kind is NeuronFaultKind.TIMING_REFRACTORY:
+            refractory[at] += config.timing_refractory_extra
+        elif kind.is_parametric:
+            scale = np.array([group[j].scale for j in rows])
+            offset = np.array([group[j].offset for j in rows])
+            if kind is NeuronFaultKind.PARAM_THRESHOLD:
+                threshold[at] = threshold[at] * scale + offset
+            elif kind is NeuronFaultKind.PARAM_LEAK:
+                leak[at] = leak[at] * scale + offset
+            else:  # PARAM_REFRACTORY
+                refractory[at] = np.maximum(np.rint(refractory[at] * scale + offset), 0)
+        else:  # DELAY is handled by the golden-output transform path
+            raise FaultModelError(f"unhandled neuron fault kind {kind}")
 
 
 def _window_pieces(window, steps: int, offset: int = 0):
@@ -342,9 +350,9 @@ def _perturbed_neuron_arrays(module, group: Sequence[NeuronFault], config: Fault
     leak = np.broadcast_to(module.leak, (k,) + shape).copy()
     refractory = np.broadcast_to(module.refractory_steps, (k,) + shape).copy()
     mode = np.broadcast_to(module.mode, (k,) + shape).copy()
-    for row, fault in enumerate(group):
-        idx = (row,) + tuple(np.unravel_index(fault.neuron_index, shape))
-        _apply_neuron_kind(fault, idx, threshold, leak, refractory, mode, config)
+    neuron_idx = np.array([f.neuron_index for f in group], dtype=np.int64)
+    sites = (np.arange(k),) + np.unravel_index(neuron_idx, shape)
+    _apply_neuron_kinds(group, sites, threshold, leak, refractory, mode, config)
     return threshold, leak, refractory, mode
 
 
@@ -360,8 +368,8 @@ def _perturbed_neuron_scalars(module, group: Sequence[NeuronFault], config: Faul
     leak = module.leak.reshape(-1)[neuron_idx].astype(float).copy()
     refractory = module.refractory_steps.reshape(-1)[neuron_idx].copy()
     mode = module.mode.reshape(-1)[neuron_idx].copy()
-    for row, fault in enumerate(group):
-        _apply_neuron_kind(fault, row, threshold, leak, refractory, mode, config)
+    sites = (np.arange(len(group)),)
+    _apply_neuron_kinds(group, sites, threshold, leak, refractory, mode, config)
     return neuron_idx, threshold, leak, refractory, mode
 
 
@@ -369,15 +377,21 @@ def _synapse_entries(module, group: Sequence[SynapseFault], config: FaultModelCo
     """Per-fault ``(parameter_index, weight_index, faulty_value)`` triples.
 
     The faulty value is computed from the pristine weights, exactly as the
-    sequential :func:`~repro.faults.injector.inject` path does.
+    sequential :func:`~repro.faults.injector.inject` path does, with each
+    parameter's peak magnitude and quantization scales computed once.
     """
     params = module.parameters()
-    entries = []
-    for fault in group:
+    rows: Dict[int, List[int]] = {}
+    for row, fault in enumerate(group):
         if fault.parameter_index >= len(params):
             raise FaultModelError(f"{fault.describe()}: parameter index out of range")
-        value = synapse_fault_value(params[fault.parameter_index].data, fault, config)
-        entries.append((fault.parameter_index, fault.weight_index, value))
+        rows.setdefault(fault.parameter_index, []).append(row)
+    entries: List[Tuple[int, int, float]] = [None] * len(group)
+    for pidx, members in rows.items():
+        faults = [group[row] for row in members]
+        values = synapse_fault_values(params[pidx].data, faults, config)
+        for row, fault, value in zip(members, faults, values):
+            entries[row] = (pidx, fault.weight_index, value)
     return entries
 
 

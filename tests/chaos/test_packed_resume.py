@@ -17,6 +17,11 @@ bit-identical to the per-step oracle.
   tails hold spikes: a resume that zero-filled them would drop them.  The
   scenario runs on the packing net (its conv1 delay rows are packed) and
   on a two-layer dense net.
+- **Reused slots.**  With dropping, a dropped row's downstream slot goes
+  to a row that diverges later.  A crash at the write of a segment whose
+  end dropped rows, or of the next one, whose new rows took their slots,
+  resumes with a slot history of its own; its results and every record
+  must equal the uninterrupted run's.
 """
 
 import numpy as np
@@ -25,9 +30,10 @@ import pytest
 from repro.core.checkpoint import deserialize_checkpoint
 from repro.core.testset import TestStimulus
 from repro.errors import ChaosError
+from repro.faults import segmented
 from repro.faults.model import FaultModelConfig, NeuronFault, NeuronFaultKind
 from repro.faults.simulator import FaultSimulator
-from repro.faults.store import CoverageStore
+from repro.faults.store import CoverageStore, StoreSession
 from repro.snn.builder import DenseSpec, NetworkSpec, build_network
 from repro.snn.neuron import LIFParameters
 from repro.utils import chaos
@@ -36,6 +42,7 @@ from tests.faults.test_footprint_packing import (
     WINDOW,
     _channel_faults,
     _packing_faults,
+    _record_tree,
     packing_net,
     packing_stimulus,
 )
@@ -212,3 +219,67 @@ def test_crash_after_channel_packed_state_resumes_bit_identical(
     )
     result = _crash_then_resume(channel_campaign, drop, tmp_path / "store", keys[strike])
     _assert_resumed(channel_campaign, drop, result)
+
+
+def _reused_slot_writes(campaign, root, monkeypatch):
+    """The chaos keys of two record writes of an uninterrupted dropping run
+    against a fresh store at ``root``: those of the first segment in which
+    rows newly diverged into slots that rows dropped before had freed, and
+    of the segment before it, whose end dropped them; plus the run's
+    result."""
+    real_take = segmented._RowStates.take
+    real_step = segmented._FaultGroup.step
+    real_stage = StoreSession.stage_group
+    reused = [False]
+    events = []  # (group id, segment) of each segment that reused slots
+    writes = {}  # (group id, segment) -> chaos key of its record write
+
+    def take(self, rows):
+        slots = real_take(self, rows)
+        issued = self.__dict__.setdefault("issued", set())
+        reused[0] |= not issued.isdisjoint(slots.tolist())
+        issued.update(slots.tolist())
+        return slots
+
+    def step(self, segment_index, gseg):
+        reused[0] = False
+        real_step(self, segment_index, gseg)
+        if reused[0]:
+            events.append((id(self), segment_index))
+
+    def stage(self, campaign_, group, gdigest, segment_index):
+        writes[id(group), segment_index] = self.store._write_count
+        return real_stage(self, campaign_, group, gdigest, segment_index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(segmented._RowStates, "take", take)
+        patch.setattr(segmented._FaultGroup, "step", step)
+        patch.setattr(StoreSession, "stage_group", stage)
+        result = _detect(campaign, True, CoverageStore(root))
+    assert events, "no row diverged into a slot a dropped row had freed"
+    group, segment = events[0]
+    return {"dropping": writes[group, segment - 1], "reusing": writes[group, segment]}, result
+
+
+@pytest.mark.parametrize("crash_at", ["dropping", "reusing"])
+@pytest.mark.parametrize("which", ["packed", "channel"])
+def test_crash_where_dropped_rows_slots_are_reused_resumes_bit_identical(
+    request, tmp_path, monkeypatch, which, crash_at
+):
+    """The crash hits the write of a segment whose end dropped rows
+    (``dropping``: the resumed run drops them and reuses their slots
+    itself), or of the next segment, in which other rows newly diverged
+    into the freed slots (``reusing``: the resumed run restores the held
+    rows into slots of its own and grows them instead).  Either way its
+    slot history differs from the uninterrupted run's; its results and
+    every record must not."""
+    campaign = request.getfixturevalue(f"{which}_campaign")
+    keys, whole = _reused_slot_writes(campaign, tmp_path / "whole", monkeypatch)
+    result = _crash_then_resume(campaign, True, tmp_path / "store", keys[crash_at])
+    assert np.array_equal(result.detected, campaign["oracle"].detected)
+    assert np.array_equal(result.detected, whole.detected)
+    assert np.array_equal(result.output_l1, whole.output_l1)
+    assert np.array_equal(result.class_count_diff, whole.class_count_diff)
+    tree = _record_tree(CoverageStore(tmp_path / "store"))
+    assert len(tree) > 10
+    assert tree == _record_tree(CoverageStore(tmp_path / "whole"))

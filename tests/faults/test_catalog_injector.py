@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import InjectionError
-from repro.faults.catalog import build_catalog
+from repro.errors import FaultModelError, InjectionError
+from repro.faults.catalog import build_catalog, validate_faults
 from repro.faults.injector import inject
 from repro.faults.model import (
     FaultModelConfig,
@@ -223,3 +223,53 @@ class TestSynapseInjection:
         with pytest.raises(InjectionError):
             with inject(net, NeuronFault(1, 0, NeuronFaultKind.DEAD), FaultModelConfig()):
                 pass
+
+
+class TestValidateFaults:
+    """A bad descriptor after thousands of good ones is reported with its
+    own index and the message of its kind; later bad ones are not."""
+
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            (
+                NeuronFault(module_index=7, neuron_index=0, kind=NeuronFaultKind.DEAD),
+                "targets module 7, which is not a spiking module of this network",
+            ),
+            (
+                NeuronFault(module_index=0, neuron_index=5, kind=NeuronFaultKind.DEAD),
+                "targets neuron 5, but module 0 has 5 neurons",
+            ),
+            (
+                SynapseFault(module_index=0, parameter_index=1, weight_index=0,
+                             kind=SynapseFaultKind.DEAD),
+                "targets parameter 1, but module 0 has 1 parameters",
+            ),
+            (
+                SynapseFault(module_index=1, parameter_index=0, weight_index=15,
+                             kind=SynapseFaultKind.DEAD),
+                "targets weight 15, but the parameter holds 15 weights",
+            ),
+            (
+                SynapseFault(module_index=0, parameter_index=0, weight_index=3,
+                             kind=SynapseFaultKind.BITFLIP, bit=9),
+                "flips bit 9, but the configured weight word is only 8 bits wide",
+            ),
+            (
+                NeuronFault(module_index=1, neuron_index=2, kind=NeuronFaultKind.DEAD,
+                            window=(40, 45)),
+                "has window [40, 45), which never activates within the 40-step test",
+            ),
+        ],
+    )
+    def test_first_bad_descriptor_is_reported_with_its_index(self, bad, problem):
+        net = _net()
+        config = FaultModelConfig()
+        good = build_catalog(net, config).faults * 15
+        assert len(good) > 3000
+        later = NeuronFault(module_index=9, neuron_index=0, kind=NeuronFaultKind.DEAD)
+        faults = good + [bad] + good[:100] + [later]
+        with pytest.raises(FaultModelError) as raised:
+            validate_faults(net, faults, config=config, duration_steps=40)
+        assert str(raised.value) == f"fault {len(good)} ({bad.describe()}) {problem}"
+        validate_faults(net, good, config=config, duration_steps=40)

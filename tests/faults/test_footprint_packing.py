@@ -395,10 +395,10 @@ def test_packed_rows_carry_their_own_downstream_state(packing_campaign, monkeypa
 
     def step(self, segment_index, gseg):
         real_step(self, segment_index, gseg)
-        if self.packing is not None and self.dstates:
+        arrays = self.export_arrays()
+        if self.packing is not None and "grp.drows" in arrays:
             exported[(self.kind, self.window, segment_index)] = (
-                self.export_arrays(), gseg.exit_states[2], self.cell_loc.copy(),
-                self.packing.mask,
+                arrays, gseg.exit_states[2], self.cell_loc.copy(), self.packing.mask,
             )
 
     monkeypatch.setattr(segmented._FaultGroup, "step", step)

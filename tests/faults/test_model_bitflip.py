@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FaultModelError
-from repro.faults.bitflip import bitflip_value, flip_bit, int8_scale, quantize_int8
+from repro.faults.bitflip import (
+    bitflip_value,
+    flip_bit,
+    int8_scale,
+    quant_scale,
+    quantize_code,
+    quantize_int8,
+)
+from repro.faults.injector import synapse_fault_value, synapse_fault_values
 from repro.faults.model import (
     FaultModelConfig,
     NeuronFault,
@@ -137,3 +145,47 @@ class TestBitflip:
         original = 0.1  # code 10
         flipped = bitflip_value(original, 6, scale)  # code 10 ^ 64 = 74
         assert np.isclose(flipped, 0.74)
+
+
+def _fault_value_per_fault(weights, fault, config):
+    """The per-fault computation :func:`synapse_fault_values` replaced:
+    the tensor's peak and quantization scales recomputed for each fault."""
+    if fault.kind is SynapseFaultKind.DEAD:
+        return 0.0
+    if fault.kind is SynapseFaultKind.SATURATED_POSITIVE:
+        return config.saturation_multiplier * float(np.abs(weights).max())
+    if fault.kind is SynapseFaultKind.SATURATED_NEGATIVE:
+        return -config.saturation_multiplier * float(np.abs(weights).max())
+    bits = config.weight_bits
+    value = bitflip_value(
+        float(weights.reshape(-1)[fault.weight_index]), fault.bit,
+        quant_scale(weights, bits), bits,
+    )
+    if config.datapath_bits is not None:
+        grid = quant_scale(weights, config.datapath_bits)
+        value = quantize_code(value, grid, config.datapath_bits) * grid
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 30),
+    weight_bits=st.integers(2, 12),
+    narrow=st.integers(0, 10),
+    zero=st.booleans(),
+)
+def test_per_tensor_fault_values_equal_per_fault_ones(seed, size, weight_bits, narrow, zero):
+    rng = np.random.default_rng(seed)
+    weights = np.zeros((size, 3)) if zero else rng.normal(0.0, 2.0, (size, 3))
+    datapath = weight_bits - narrow if narrow < weight_bits - 1 else None
+    config = FaultModelConfig(weight_bits=weight_bits, datapath_bits=datapath, bitflip_bit=0)
+    faults = []
+    for _ in range(20):
+        kind = list(SynapseFaultKind)[rng.integers(len(SynapseFaultKind))]
+        bit = int(rng.integers(weight_bits)) if kind is SynapseFaultKind.BITFLIP else None
+        faults.append(SynapseFault(0, 0, int(rng.integers(weights.size)), kind, bit=bit))
+    got = synapse_fault_values(weights, faults, config)
+    want = [_fault_value_per_fault(weights, fault, config) for fault in faults]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert [synapse_fault_value(weights, f, config) for f in faults] == got

@@ -3,6 +3,8 @@ coverage breakdown, and the layer-skip optimisation's correctness."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FaultModelError
 from repro.faults.catalog import build_catalog
@@ -16,9 +18,13 @@ from repro.faults.model import (
 )
 from repro.core.testset import TestStimulus
 from repro.faults import parallel, segmented
-from repro.faults.simulator import FaultSimulator
+from repro.faults.simulator import (
+    FaultSimulator,
+    _perturbed_neuron_arrays,
+    _perturbed_neuron_scalars,
+)
 from repro.snn.builder import DenseSpec, NetworkSpec, build_network
-from repro.snn.neuron import LIFParameters
+from repro.snn.neuron import MODE_DEAD, MODE_SATURATED, LIFParameters
 
 
 def _net(seed=0, sizes=(8, 6, 4)):
@@ -349,3 +355,64 @@ class TestEngines:
             segmented.SegmentedDetectionCampaign(oracle, stimulus, faults)
         with pytest.raises(FaultModelError, match="production engine"):
             parallel.parallel_detect_segmented(oracle, stimulus, faults, workers=2)
+
+
+def _apply_per_fault(fault, idx, threshold, leak, refractory, mode, config):
+    """The per-fault update :func:`_apply_neuron_kinds` replaced."""
+    kind = fault.kind
+    if kind is NeuronFaultKind.DEAD:
+        mode[idx] = MODE_DEAD
+    elif kind is NeuronFaultKind.SATURATED:
+        mode[idx] = MODE_SATURATED
+    elif kind is NeuronFaultKind.TIMING_THRESHOLD:
+        threshold[idx] *= config.timing_threshold_factor
+    elif kind is NeuronFaultKind.TIMING_LEAK:
+        leak[idx] *= config.timing_leak_factor
+    elif kind is NeuronFaultKind.TIMING_REFRACTORY:
+        refractory[idx] += config.timing_refractory_extra
+    elif kind is NeuronFaultKind.PARAM_THRESHOLD:
+        threshold[idx] = threshold[idx] * fault.scale + fault.offset
+    elif kind is NeuronFaultKind.PARAM_LEAK:
+        leak[idx] = leak[idx] * fault.scale + fault.offset
+    else:
+        refractory[idx] = max(
+            0, int(np.rint(refractory[idx] * fault.scale + fault.offset))
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40))
+def test_kind_batched_neuron_parameters_equal_per_fault_ones(seed, count):
+    rng = np.random.default_rng(seed)
+    module = _net().modules[1]
+    module.threshold = rng.uniform(0.5, 2.0, module.neuron_shape)
+    module.leak = rng.uniform(0.5, 1.0, module.neuron_shape)
+    module.refractory_steps = rng.integers(0, 4, module.neuron_shape)
+    config = FaultModelConfig(timing_threshold_factor=1.3, timing_leak_factor=0.7)
+    kinds = [kind for kind in NeuronFaultKind if kind is not NeuronFaultKind.DELAY]
+    group = []
+    for _ in range(count):
+        kind = kinds[rng.integers(len(kinds))]
+        magnitudes = (
+            {"scale": float(rng.uniform(-1.5, 2.5)), "offset": float(rng.uniform(-2, 2))}
+            if kind.is_parametric else {}
+        )
+        group.append(NeuronFault(
+            1, int(rng.integers(module.neuron_count)), kind, **magnitudes
+        ))
+    shape = module.neuron_shape
+    want = [
+        np.broadcast_to(array, (count,) + shape).copy()
+        for array in (module.threshold, module.leak, module.refractory_steps, module.mode)
+    ]
+    for row, fault in enumerate(group):
+        idx = (row,) + tuple(np.unravel_index(fault.neuron_index, shape))
+        _apply_per_fault(fault, idx, *want, config)
+    got = _perturbed_neuron_arrays(module, group, config)
+    for mine, theirs in zip(got, want):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    neuron_idx, *scalars = _perturbed_neuron_scalars(module, group, config)
+    rows = np.arange(count)
+    for mine, theirs in zip(scalars, want):
+        theirs = theirs.reshape(count, -1)[rows, neuron_idx]
+        assert mine.tobytes() == theirs.astype(mine.dtype).tobytes()
