@@ -7,7 +7,12 @@ kernels here collapse the whole differentiable recursion of one layer into
 a *single* tape node:
 
 - forward is a plain-numpy scan over time (same arithmetic, same order of
-  operations as the per-step path, so spike trains are bit-identical);
+  operations as the per-step path, so spike trains are bit-identical).
+  Under hard spikes, zero reset and a one-step refractory period it runs
+  :func:`lean_lif_scan`, the in-place recursion that every production
+  numpy LIF scan shares: campaign and golden scans
+  (:func:`repro.snn.neuron.lif_scan_numpy`) and the recurrent layers'
+  fused kernels call it too;
 - backward is a hand-written BPTT scan that reproduces, expression by
   expression, the gradient the elementary tape would have produced —
   surrogate spike derivatives, refractory masking (treated as a
@@ -40,7 +45,8 @@ The update implemented (identical to ``repro.snn.neuron``)::
 from __future__ import annotations
 
 import contextlib
-from typing import NamedTuple, Optional, Tuple
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +54,10 @@ from repro.autograd.functional import SURROGATES, _surrogate_derivative
 from repro.autograd.tensor import Tensor
 from repro.errors import ConfigurationError, ShapeError
 
-__all__ = ["lif_sequence", "recurrent_lif_sequence", "guarded"]
+__all__ = [
+    "lif_sequence", "recurrent_lif_sequence", "guarded", "lean_lif_scan",
+    "lean_scan_applies",
+]
 
 # Observer installed by the numerics guard (repro.core.guard) while a
 # guarded stage is running.  NaN input currents are otherwise *silent* in
@@ -119,10 +128,10 @@ class _Scan(NamedTuple):
     lk: np.ndarray
 
 
-def _lean_scan_applies(
-    th: np.ndarray, refractory_steps: np.ndarray, reset_mode: str, soft: bool
+def lean_scan_applies(
+    threshold, leak, refractory_steps, reset_mode: str, soft: bool = False
 ) -> bool:
-    """Whether the lean refractory-1 scan reproduces the general loop.
+    """Whether :func:`lean_lif_scan` reproduces the general recursion.
 
     With hard spikes, zero reset and a one-step refractory period, r is 1
     exactly where the neuron just fired, so ``active[t+1] == 1 - s[t]``
@@ -130,14 +139,106 @@ def _lean_scan_applies(
     finite threshold > 0 makes ``u >= th`` decide exactly what
     ``(u - th >= 0) * active`` decides: ``u - th`` is exact in sign for
     finite operands, and a refractory step's potential is zero or NaN,
-    which no positive threshold reaches.
+    which no positive threshold reaches.  A leak that is not NaN lets the
+    scan decay the potential in place (see :func:`lean_lif_scan`).
     """
+    th = np.asarray(threshold)
     return (
         not soft
         and reset_mode == "zero"
         and bool((np.asarray(refractory_steps) == 1).all())
         and bool(((th > 0.0) & (th < np.inf)).all())
+        and not np.isnan(leak).any()
     )
+
+
+def lean_lif_scan(
+    currents: np.ndarray,
+    state,
+    threshold,
+    leak,
+    spikes: np.ndarray,
+    feedback: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    potentials: Optional[np.ndarray] = None,
+    actives: Optional[np.ndarray] = None,
+) -> None:
+    """The in-place zero-reset, one-step-refractory LIF recursion.
+
+    Scans ``currents`` ``(T, *shape)`` into ``spikes`` (same shape) from
+    ``state`` (numpy ``potential``, ``last_spike`` and ``refractory``
+    broadcasting to ``shape``).  Where :func:`lean_scan_applies` holds
+    and no carried counter exceeds 1, every float equals the general
+    recursion's (:func:`repro.snn.neuron.lif_step_numpy`):
+
+    - step 0 runs the general expressions, since in a state a caller built
+      ``1 - last_spike`` need not equal ``refractory == 0``;
+    - from step 1 on ``active == 1 - s[t-1]``, and a refractory step's
+      potential is ±0 or NaN, which no threshold > 0 reaches, so
+      ``(u >= th) * active == u >= th``;
+    - each potential is ``(u * active) * leak + current * active``, term
+      for term (masking ``u * leak + current`` would flip the sign of some
+      refractory zeros);
+    - no call writes over its first operand unless the second cannot be
+      NaN (``active``, a leak the gate checked): numpy runs such a call
+      on a one-element array as a reduction that may swap the operands
+      and return the other NaN.  The sum goes over the gated current (or
+      into the kept potential block).
+
+    Later steps are six ufunc calls into preallocated buffers.
+    ``feedback`` maps the previous step's spikes to a term added to the
+    step's currents before gating (a recurrent layer's spike feedback).
+    ``potentials`` and ``actives`` (``(T, *shape)`` blocks), when given,
+    receive every step's potential and active mask for BPTT.
+
+    ``state`` is rebound, never written: its arrays become new ones, and
+    ``last_spike`` shares no memory with ``spikes``.  ``T == 0`` leaves it
+    as it is.
+    """
+    steps = currents.shape[0]
+    if not steps:
+        return
+    u, last, ref = state.potential, state.last_spike, state.refractory
+    dtype = currents.dtype
+    one = dtype.type(1.0)
+    active = (ref == 0).astype(dtype)
+    current = currents[0] if feedback is None else currents[0] + feedback(last)
+    gated = current * active
+    p = np.add(
+        u * (one - last) * leak, gated,
+        out=None if potentials is None else potentials[0],
+    )
+    s = spikes[0]
+    np.multiply(p >= threshold, active, out=s)
+    if actives is not None:
+        actives[0] = active
+    active = np.empty_like(gated)
+    # Kept potentials stay put, so the retained potential needs a buffer
+    # of its own; otherwise it decays in the previous potential's buffer,
+    # and the buffers of potential and gated current trade places (both
+    # of the potential's dtype).
+    gated = np.empty_like(p)
+    retained = p if potentials is None else np.empty_like(p)
+    for t in range(1, steps):
+        a = active if actives is None else actives[t]
+        np.subtract(one, s, out=a)
+        np.multiply(p, a, out=retained)
+        retained *= leak
+        if feedback is None:
+            np.multiply(currents[t], a, out=gated)
+        else:
+            np.add(currents[t], feedback(s), out=gated)
+            gated *= a
+        q = gated if potentials is None else potentials[t]
+        np.add(retained, gated, out=q)
+        s = spikes[t]
+        np.greater_equal(q, threshold, out=s)
+        if potentials is None:
+            gated, retained = retained, q
+        p = q
+    state.potential = p
+    # The general recursion's spike dtype is the current's.
+    state.last_spike = s.astype(current.dtype)
+    state.refractory = (s > 0.0).astype(ref.dtype)
 
 
 def _forward_scan(
@@ -162,32 +263,23 @@ def _forward_scan(
     spikes = np.empty_like(c)
     potentials = np.empty_like(c)
     actives = np.empty_like(c)
-    u = np.zeros(c.shape[1:], dtype=dtype)
-    s = np.zeros(c.shape[1:], dtype=dtype)
-    if _lean_scan_applies(th, refractory_steps, reset_mode, soft):
-        # Each potential is the general loop's float, term for term:
-        # ``(u * active) * leak + current * active``.  Masking ``u * leak
-        # + current`` instead would flip the sign of some refractory
-        # zeros, which reach the gradient through the reset carry.
+    if lean_scan_applies(th, lk, refractory_steps, reset_mode, soft):
         # Spikes come straight from ``u >= th``; ``u - th`` is left to
         # backward.
-        gated = np.empty(c.shape[1:], dtype=dtype)
-        if steps:
-            actives[0] = 1.0
-        for t in range(steps):
-            active = actives[t]
-            current = c[t] if w_rec is None else c[t] + s @ w_rec
-            p = potentials[t]
-            np.multiply(u, active, out=p)
-            p *= lk
-            np.multiply(current, active, out=gated)
-            p += gated
-            s = spikes[t]
-            np.greater_equal(p, th, out=s)
-            if t + 1 < steps:
-                np.subtract(1.0, s, out=actives[t + 1])
-            u = p
+        shape = c.shape[1:]
+        rest = SimpleNamespace(
+            potential=np.zeros(shape, dtype=dtype),
+            last_spike=np.zeros(shape, dtype=dtype),
+            refractory=np.zeros(shape, dtype=np.int64),
+        )
+        lean_lif_scan(
+            c, rest, th, lk, spikes,
+            feedback=None if w_rec is None else (lambda s: s @ w_rec),
+            potentials=potentials, actives=actives,
+        )
         return _Scan(spikes, potentials, None, actives, th, lk)
+    u = np.zeros(c.shape[1:], dtype=dtype)
+    s = np.zeros(c.shape[1:], dtype=dtype)
     # The loop writes each step's results straight into the (T, ...)
     # blocks with ``out=`` views — same arithmetic, same order, no
     # temporary-plus-copy per step.

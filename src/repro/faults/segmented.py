@@ -237,8 +237,9 @@ class _ConvFootprints:
     channel: ``mask[loc]`` over positions ``oh * W' + ow``.  ``pos[loc]``
     lists them, padded with position 0, and ``onehot[loc, i]`` maps slot
     ``i`` to its cell of the sum pool after the conv (``window``; the
-    identity without one), all zero on padding.  ``conflict[loc]`` is the
-    bit set of locations whose footprint meets that of ``loc``."""
+    identity without one), all zero on padding; float32, which holds the
+    small integer sums it forms exactly.  ``conflict[loc]`` is the bit set
+    of locations whose footprint meets that of ``loc``."""
 
     def __init__(self, conv: ConvLIF, window: Optional[int]) -> None:
         channels, out_h, out_w = conv.neuron_shape
@@ -263,7 +264,7 @@ class _ConvFootprints:
         if window:
             oh, ow = np.divmod(cell, out_w)
             cell = (oh // window) * (out_w // window) + ow // window
-        self.onehot = np.zeros(valid.shape + (int(cell.max()) + 1,))
+        self.onehot = np.zeros(valid.shape + (int(cell.max()) + 1,), np.float32)
         loc, slot = np.nonzero(valid)
         self.onehot[loc, slot, cell[self.pos[loc, slot]]] = 1.0
         meets = self.mask.astype(float) @ self.mask.T.astype(float) > 0
@@ -961,19 +962,22 @@ class _FaultGroup:
                         gseg: _GoldenSegment) -> np.ndarray:
         """The tail's input for packed ``rows``: its golden input plus each
         row's conv output delta on its footprint, pooled when a sum pool
-        follows the conv.  Spike deltas and counts are small integers, so
-        every sum is exact."""
+        follows the conv.  The deltas (-1, 0 or 1 per slot) are int8
+        differences of the rows' spikes and the golden spikes at their
+        footprint positions, scattered into pooled cells by one float32
+        one-hot product over the slots; every sum is a small integer, so
+        each order and width gives the same float."""
         fp = self.packing
-        steps = spikes.shape[2]
+        m, slots, steps = spikes.shape[:3]
         loc = self.cell_loc[rows]
-        pos = fp.pos[loc]
         golden = gseg.outputs[self.module_index + 2].reshape(steps, fp.channels, -1)
-        delta = spikes - golden[:, :, pos].transpose(2, 3, 0, 1)  # (m, slots, T, C)
-        delta = delta.transpose(0, 2, 3, 1).reshape(len(rows), -1, pos.shape[1])
-        moved = np.matmul(delta, fp.onehot[loc]).reshape(len(rows), steps, -1)
+        fired = np.ascontiguousarray((golden != 0.0).transpose(2, 0, 1))
+        delta = spikes.view(np.int8) - fired.view(np.int8)[fp.pos[loc]]  # (m, slots, T, C)
+        delta = delta.reshape(m, slots, -1).transpose(0, 2, 1).astype(np.float32)
+        moved = np.matmul(delta, fp.onehot[loc]).reshape(m, steps, -1)
         base = gseg.outputs[self.module_index + self.tail]
         tile = base.reshape(steps, 1, -1) + moved.transpose(1, 0, 2)
-        return tile.reshape((steps, len(rows)) + base.shape[2:])
+        return tile.reshape((steps, m) + base.shape[2:])
 
     def _record(self, rows: np.ndarray, outs: np.ndarray, gseg: _GoldenSegment) -> None:
         self.campaign.record(self.indices[rows], outs, gseg)

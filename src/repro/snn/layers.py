@@ -32,6 +32,7 @@ from repro.snn.events import EventDispatch
 from repro.snn.neuron import (
     LIFParameters,
     LIFState,
+    lean_scan_fits,
     lif_scan_numpy,
     lif_step_numpy,
     lif_step_tensor,
@@ -367,7 +368,13 @@ class RecurrentLIF(SpikingModule):
     """Recurrently-connected layer of LIF neurons.
 
     The layer's own spikes from the previous time step are fed back through
-    a recurrent weight matrix, as in the SHD benchmark architecture.
+    a recurrent weight matrix, as in the SHD benchmark architecture.  The
+    fused fast paths compute all T feedforward currents in one stacked
+    matmul and scan the membrane recurrence with the spike feedback
+    ``ff[t] + s[t-1] @ w_rec`` folded in: through the in-place recursion
+    :func:`repro.autograd.fused.lean_lif_scan` where
+    :func:`~repro.snn.neuron.lean_scan_fits` holds, one
+    :func:`~repro.snn.neuron.lif_step_numpy` per step otherwise.
     """
 
     def __init__(
@@ -406,6 +413,12 @@ class RecurrentLIF(SpikingModule):
             )
         return (self.out_features,)
 
+    def _lean_fits(self, currents: np.ndarray, state: LIFState) -> bool:
+        return lean_scan_fits(
+            currents, state, self.threshold, self.leak, self.refractory_steps,
+            self.mode, self.params.reset_mode,
+        )
+
     def run_sequence_numpy(
         self, seq: np.ndarray, state: Optional[LIFState] = None
     ) -> np.ndarray:
@@ -439,6 +452,12 @@ class RecurrentLIF(SpikingModule):
         else:
             ff = seq @ w_in
         out = np.empty_like(ff)
+        if self._lean_fits(ff, state):
+            fused.lean_lif_scan(
+                ff, state, self.threshold, self.leak, out,
+                feedback=lambda spikes: spikes @ w_rec,
+            )
+            return out
         previous = np.asarray(state.last_spike)
         for t in range(steps):
             current = ff[t] + previous @ w_rec
@@ -466,10 +485,19 @@ class RecurrentLIF(SpikingModule):
         else:
             ff = np.matmul(seq[:, None], w_in)  # (T, K, S, out)
         out = np.empty((steps, batch, self.out_features), dtype=seq.dtype)
+        ff = ff.reshape(steps, batch, self.out_features)
+        if self._lean_fits(ff, state):
+            fused.lean_lif_scan(
+                ff, state, self.threshold, self.leak, out,
+                feedback=lambda spikes: np.matmul(
+                    spikes.reshape(k, s, self.out_features), w_rec
+                ).reshape(batch, self.out_features),
+            )
+            return out
         previous = np.asarray(state.last_spike).reshape(k, s, self.out_features)
         for t in range(steps):
-            current = ff[t] + np.matmul(previous, w_rec)
-            spikes = self._lif_numpy(current.reshape(batch, self.out_features), state)
+            current = ff[t] + np.matmul(previous, w_rec).reshape(batch, self.out_features)
+            spikes = self._lif_numpy(current, state)
             previous = spikes.reshape(k, s, self.out_features)
             out[t] = spikes
         return out

@@ -30,6 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autograd import functional as F
+from repro.autograd import fused
 from repro.autograd.tensor import Tensor
 from repro.errors import ConfigurationError
 
@@ -207,6 +208,36 @@ def lif_step_numpy(
     return spikes
 
 
+def lean_scan_fits(
+    currents: np.ndarray,
+    state: LIFState,
+    threshold: np.ndarray,
+    leak: np.ndarray,
+    refractory_steps: np.ndarray,
+    mode: Optional[np.ndarray] = None,
+    reset_mode: str = "zero",
+) -> bool:
+    """Whether scanning ``currents`` from ``state`` may take the in-place
+    recursion :func:`repro.autograd.fused.lean_lif_scan`.
+
+    It needs at least one step, no behavioural mode, carried refractory
+    counters of at most 1, hard zero reset with ``refractory_steps == 1``,
+    finite thresholds > 0 and no NaN leak
+    (:func:`~repro.autograd.fused.lean_scan_applies`), and a state and
+    parameters that broadcast to one step's currents.
+    """
+    return (
+        currents.shape[0] > 0
+        and (mode is None or not mode.any())
+        and not (state.refractory > 1).any()
+        and fused.lean_scan_applies(threshold, leak, refractory_steps, reset_mode)
+        and np.broadcast(
+            currents[0], state.potential, state.last_spike, state.refractory,
+            threshold, leak,
+        ).shape == currents.shape[1:]
+    )
+
+
 def lif_scan_numpy(
     currents: np.ndarray,
     state: LIFState,
@@ -224,60 +255,47 @@ def lif_scan_numpy(
     only performs the (inherently sequential) membrane recurrence.  Each
     step is exactly :func:`lif_step_numpy`, so the result is bit-identical
     to the per-step path for identical inputs.
+
+    Where :func:`lean_scan_fits` holds (the production case: zero reset,
+    one-step refractory period, no fault mode) the scan runs the in-place
+    recursion :func:`repro.autograd.fused.lean_lif_scan`, which generation
+    shares; every other case takes the general per-step loop below.
+    Either way ``state`` is rebound, never written in place.
     """
     out = np.empty_like(currents)
+    if lean_scan_fits(
+        currents, state, threshold, leak, refractory_steps, mode, reset_mode
+    ):
+        fused.lean_lif_scan(currents, state, threshold, leak, out)
+        return out
     dtype = currents.dtype
     zero = dtype.type(0.0)
     one = dtype.type(1.0)
-    # Hoist loop invariants out of the scan: the behavioural-mode masks
-    # and the refractory fast path.  With ``refractory_steps == 1``
-    # everywhere (the ubiquitous case), a neuron is refractory at step t
-    # exactly when it spiked at t-1, so ``active == 1 - last_spike`` —
-    # the same float values the counter comparison produces, feeding
-    # bit-identical downstream arithmetic.
+    # Hoist the behavioural-mode masks out of the scan.
     has_mode = mode is not None and bool(mode.any())
     if has_mode:
         dead = mode == MODE_DEAD
         saturated = mode == MODE_SATURATED
-    plain_refractory = (
-        not has_mode
-        and np.all(refractory_steps == 1)
-        and not np.any(state.refractory > 1)
-    )
     subtract = reset_mode != "zero"
     potential = state.potential
     last = state.last_spike
     refractory = state.refractory
-    if plain_refractory:
+    for t in range(currents.shape[0]):
         active = (refractory == 0).astype(dtype)
-        for t in range(currents.shape[0]):
-            retained = (
-                potential - last * threshold if subtract
-                else potential * (one - last)
-            )
-            potential = retained * leak + currents[t] * active
-            spikes = (potential >= threshold).astype(dtype) * active
-            out[t] = spikes
-            last = spikes
-            active = one - spikes
-        refractory = (last > 0.0).astype(refractory.dtype)
-    else:
-        for t in range(currents.shape[0]):
-            active = (refractory == 0).astype(dtype)
-            retained = (
-                potential - last * threshold if subtract
-                else potential * (one - last)
-            )
-            potential = retained * leak + currents[t] * active
-            spikes = (potential >= threshold).astype(dtype) * active
-            if has_mode:
-                spikes = np.where(dead, zero, spikes)
-                spikes = np.where(saturated, one, spikes)
-            out[t] = spikes
-            last = spikes
-            refractory = np.where(
-                spikes > 0.0, refractory_steps, np.maximum(refractory - 1, 0)
-            )
+        retained = (
+            potential - last * threshold if subtract
+            else potential * (one - last)
+        )
+        potential = retained * leak + currents[t] * active
+        spikes = (potential >= threshold).astype(dtype) * active
+        if has_mode:
+            spikes = np.where(dead, zero, spikes)
+            spikes = np.where(saturated, one, spikes)
+        out[t] = spikes
+        last = spikes
+        refractory = np.where(
+            spikes > 0.0, refractory_steps, np.maximum(refractory - 1, 0)
+        )
     state.potential = potential
     state.last_spike = last
     state.refractory = refractory

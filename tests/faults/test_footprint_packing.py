@@ -16,6 +16,8 @@ footprints share one input row and one LIF scan
   byte-identical whether the rows ran alone or in packs.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +45,7 @@ from repro.snn.builder import (
     build_network,
 )
 from repro.snn.events import EventDispatch
-from repro.snn.layers import ConvLIF, DenseLIF, event_dispatch_context
+from repro.snn.layers import ConvLIF, DenseLIF, SumPool, event_dispatch_context
 from repro.snn.neuron import LIFParameters, LIFState
 from tests.faults.conftest import drop_on_reference
 
@@ -143,6 +145,51 @@ def test_conv_rows_with_disjoint_footprints_share_one_run(case):
             assert np.array_equal(shared, alone)
     golden_currents = conv.sequence_currents(golden).reshape(steps, shape[0], -1)
     assert np.array_equal(shared_currents[..., ~taken], golden_currents[..., ~taken])
+
+
+def _one_hot_tile(fp, loc, spikes, golden, base):
+    """The tail input of packed rows as ``_footprint_tile`` built it before
+    its deltas became int8: float64 deltas of every footprint slot summed
+    into pooled cells by a float64 one-hot product."""
+    m, slots, steps, channels = spikes.shape
+    pos = fp.pos[loc]
+    golden = golden.reshape(steps, channels, -1)
+    delta = spikes - golden[:, :, pos].transpose(2, 3, 0, 1)
+    delta = delta.transpose(0, 2, 3, 1).reshape(m, -1, slots)
+    moved = np.matmul(delta, fp.onehot[loc].astype(float)).reshape(m, steps, -1)
+    tile = base.reshape(steps, 1, -1) + moved.transpose(1, 0, 2)
+    return tile.reshape((steps, m) + base.shape[2:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=conv_cases(), pooled=st.booleans(), rows=st.integers(1, 12))
+def test_footprint_tile_equals_the_one_hot_product(case, pooled, rows):
+    """Each packed row's tail input, its footprint deltas scattered into
+    the golden (pooled) conv output, is the one-hot product byte for byte,
+    with a sum pool after the conv and without one."""
+    rng = np.random.default_rng(case["seed"])
+    conv = ConvLIF(
+        case["channels"], case["filters"], case["hw"], case["kernel"],
+        LIFParameters(leak=0.9, refractory_steps=1),
+        stride=case["stride"], padding=case["padding"],
+    )
+    height, width = conv.neuron_shape[1:]
+    window = 2 if pooled and height % 2 == 0 and width % 2 == 0 else None
+    fp = segmented._ConvFootprints(conv, window)
+    steps = case["steps"]
+    golden = (rng.random((steps, 1) + conv.neuron_shape) < 0.4).astype(float)
+    base = SumPool(window).run_sequence_fused(golden) if window else golden
+    group = SimpleNamespace(
+        packing=fp, cell_loc=rng.integers(0, fp.locations, rows),
+        module_index=0, tail=3 if window else 2,
+    )
+    gseg = SimpleNamespace(outputs=[None, None, golden, base])
+    spikes = rng.random((rows, fp.pos.shape[1], steps, fp.channels)) < 0.4
+    members = np.arange(rows)
+    tile = segmented._FaultGroup._footprint_tile(group, members, spikes, gseg)
+    expected = _one_hot_tile(fp, group.cell_loc, spikes, golden, base)
+    assert tile.dtype == expected.dtype and tile.shape == expected.shape
+    assert tile.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=120, deadline=None)

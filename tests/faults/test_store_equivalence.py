@@ -30,7 +30,7 @@ from repro.faults.catalog import build_catalog
 from repro.faults.model import FaultModelConfig
 from repro.faults.parallel import fork_available, parallel_detect_segmented
 from repro.faults.simulator import FaultSimulator
-from repro.faults.store import CoverageStore
+from repro.faults.store import CoverageStore, StoreSession
 from repro.snn.builder import (
     ConvSpec,
     DenseSpec,
@@ -234,3 +234,59 @@ def test_option_change_never_reuses_records(campaign, tmp_path):
     assert np.array_equal(other.detected, cold.detected)
     assert np.array_equal(other.output_l1, cold.output_l1)
     assert np.array_equal(other.class_count_diff, cold.class_count_diff)
+
+
+def _reread_golden_states(self, segment_index):
+    """Reference seek read: every call reads, verifies and decodes the
+    whole golden record again."""
+    arrays, key = self._load_golden_record(segment_index)
+    if arrays is None:
+        return None
+    return self._golden_states(arrays, key)
+
+
+def _tree(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*.rec"))
+    }
+
+
+def test_golden_end_states_are_read_once_per_session(campaign, tmp_path, monkeypatch):
+    """Every fault group that resumes mid-test seeks the golden runner to
+    its resume segment.  A session reads that golden record's end states
+    once and answers later seeks from memory: results and the store tree
+    equal those of a run that re-reads the record for every group."""
+    real = StoreSession._load_golden_record
+    reads = []
+
+    def counting(self, segment_index):
+        reads.append(segment_index)
+        return real(self, segment_index)
+
+    monkeypatch.setattr(StoreSession, "_load_golden_record", counting)
+    faults = campaign["faults"]
+    stimulus = campaign["stimuli"]["append"]
+    runs = {}
+    for name, seek_read in (
+        ("cached", StoreSession.load_golden_states),
+        ("reread", _reread_golden_states),
+    ):
+        monkeypatch.setattr(StoreSession, "load_golden_states", seek_read)
+        store = CoverageStore(tmp_path / name)
+        _run(campaign, campaign["base"], faults, workers=1, store=store)
+        reads.clear()
+        warm = _run(campaign, stimulus, faults, workers=1, store=store)
+        runs[name] = (warm, _tree(tmp_path / name), list(reads))
+    (cached, cached_tree, cached_reads), (reread, reread_tree, reread_reads) = (
+        runs["cached"], runs["reread"]
+    )
+    # The appended chunk changes the last old segment's chain, so groups
+    # resume after segment 1; nothing but a seek reads its record.
+    assert reread_reads.count(1) > 1, "too few resuming groups to compare"
+    assert cached_reads.count(1) == 1
+    assert len(cached_reads) == len(reread_reads) - reread_reads.count(1) + 1
+    assert np.array_equal(cached.detected, reread.detected)
+    assert cached.output_l1.tobytes() == reread.output_l1.tobytes()
+    assert cached.class_count_diff.tobytes() == reread.class_count_diff.tobytes()
+    assert cached_tree == reread_tree
