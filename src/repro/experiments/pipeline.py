@@ -19,7 +19,7 @@ import os
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -138,7 +138,6 @@ class ExperimentPipeline:
         self._training: Optional[TrainingResult] = None
         self._catalog: Optional[FaultCatalog] = None
         self._classify_data = None
-        self._classify_golden: Optional[List[np.ndarray]] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -212,19 +211,6 @@ class ExperimentPipeline:
             )
         return self._classify_data
 
-    def classify_golden(self) -> List[np.ndarray]:
-        """Fault-free per-module outputs for the classification samples.
-
-        Computed at most once per pipeline and shared by every campaign
-        that runs over these samples — the labelling campaign and the
-        exact accuracy-drop fill-in — so the fault-free network never runs
-        twice for the same stimulus.
-        """
-        if self._classify_golden is None:
-            inputs, _ = self.classify_data()
-            self._classify_golden = self.network().run_modules(inputs)
-        return self._classify_golden
-
     # ------------------------------------------------------------------
     def classification(self) -> ClassificationResult:
         """Criticality labels for the catalog (Table II campaign)."""
@@ -252,7 +238,6 @@ class ExperimentPipeline:
             workers=self.workers,
             checkpoint_path=str(progress_ckpt),
             resume=self.resume,
-            golden_modules=self.classify_golden(),
         )
         atomic_npz_save(
             str(path),
@@ -431,16 +416,4 @@ class ExperimentPipeline:
         """Table III coverage breakdown, with exact accuracy drops for the
         undetected critical faults."""
         detection = self.detection()
-        classification = self.classification()
-        # Fill in exact drops for undetected criticals if any are NaN
-        # (chunked classification) — they feed the Table III bottom row.
-        needs = ~detection.detected & classification.critical
-        if np.isnan(classification.accuracy_drop[needs]).any():
-            simulator = FaultSimulator(self.network(), self.fault_config)
-            inputs, labels = self.classify_data()
-            targets = [f for f, n in zip(classification.faults, needs) if n]
-            drops = simulator.accuracy_drops(
-                inputs, labels, targets, golden_modules=self.classify_golden()
-            )
-            classification.accuracy_drop[np.nonzero(needs)[0]] = drops
-        return FaultSimulator.coverage(detection, classification)
+        return FaultSimulator.coverage(detection, self.classification())

@@ -15,9 +15,13 @@ Design notes
   before workers are forked; workers inherit them (and the network)
   through copy-on-write memory, so no worker repeats upstream work and
   nothing large crosses a pipe except per-shard result arrays.
-- Shards are contiguous index blocks and each worker returns its block's
-  offset, so the merge is order-preserving no matter which worker finishes
-  first.  Determinism does not depend on scheduling, retries, or resume.
+- Shards are contiguous index blocks.  Each worker returns its block's
+  offset with a named payload, ``{field: array}``: the result fields of
+  its campaign, plus ``dispatch`` (the zero-skip counter vector) and, for
+  segment-wise shards, ``chain`` (the stimulus segment digests).  One
+  runner, :func:`_run_campaign`, writes every field at ``[lo:hi]``, so the
+  merge is order-preserving no matter which worker finishes first.
+  Determinism does not depend on scheduling, retries, or resume.
 - **Supervision**: one forked process per shard, each with a heartbeat
   thread.  The supervisor detects crashed workers (process died without
   delivering a result) and hung workers (stale heartbeat or shard
@@ -76,7 +80,7 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,8 +107,8 @@ SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
 MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 
 # Spool directories of in-flight campaigns.  Each campaign removes its own
-# directory on the way out (including abort paths — the frontends close
-# their shard generators explicitly); the atexit sweep only catches a
+# directory on the way out (including abort paths — the runner closes
+# its supervised-run generator explicitly); the atexit sweep only catches a
 # campaign torn down so abruptly that no ``finally`` ran.
 _SPOOL_DIRS: set = set()
 
@@ -242,11 +246,16 @@ class SupervisionConfig:
 # so the golden tensors still ride copy-on-write pages, and two campaigns
 # running concurrently in one process (the campaign service) can never
 # see each other's state.
-def _dispatch_vector(simulator: FaultSimulator, result: DetectionResult) -> np.ndarray:
-    """Flattened dispatch counters of a shard result for payload
-    transport."""
+def _detection_payload(simulator: FaultSimulator, result: DetectionResult) -> dict:
+    """A detection shard's named payload: the result arrays plus the
+    flattened dispatch counters."""
     names = dispatch_layer_names(simulator.network.modules)
-    return DispatchStats.from_dict(result.dispatch).to_vector(names)
+    return dict(
+        detected=result.detected,
+        output_l1=result.output_l1,
+        class_count_diff=result.class_count_diff,
+        dispatch=DispatchStats.from_dict(result.dispatch).to_vector(names),
+    )
 
 
 def _detect_shard(bounds: Tuple[int, int], shared: dict):
@@ -257,8 +266,7 @@ def _detect_shard(bounds: Tuple[int, int], shared: dict):
         shared["faults"][lo:hi],
         golden_modules=shared["golden_modules"],
     )
-    vector = _dispatch_vector(simulator, result)
-    return lo, result.detected, result.output_l1, result.class_count_diff, vector
+    return lo, _detection_payload(simulator, result)
 
 
 def _detect_seg_shard(bounds: Tuple[int, int], shared: dict):
@@ -281,29 +289,20 @@ def _detect_seg_shard(bounds: Tuple[int, int], shared: dict):
         drop_detected=shared["drop_detected"],
         store=shared.get("store"),
     )
-    chain = chain_to_array(result.segment_digests)
-    vector = _dispatch_vector(simulator, result)
-    return (
-        lo,
-        result.detected,
-        result.output_l1,
-        result.class_count_diff,
-        chain,
-        vector,
-    )
+    payload = _detection_payload(simulator, result)
+    payload["chain"] = chain_to_array(result.segment_digests)
+    return lo, payload
 
 
 def _classify_shard(bounds: Tuple[int, int], shared: dict):
     lo, hi = bounds
-    simulator: FaultSimulator = shared["simulator"]
-    result = simulator.classify(
+    result = shared["simulator"].classify(
         shared["inputs"],
         shared["labels"],
         shared["faults"][lo:hi],
-        chunk_size=shared["chunk_size"],
         golden_modules=shared["golden_modules"],
     )
-    return lo, result.critical, result.accuracy_drop
+    return lo, dict(critical=result.critical, accuracy_drop=result.accuracy_drop)
 
 
 def _shard_entry(worker_fn, shared, bounds, attempt, heartbeat, interval, conn, out_path):
@@ -563,23 +562,62 @@ def _supervised_run(
 
 
 # ----------------------------------------------------------------------
-def _run_sharded(
+def _prepare_checkpoint(
+    checkpoint_path: Optional[str],
+    resume: bool,
+    simulator: FaultSimulator,
+    faults: Sequence[Fault],
+    data: Sequence[np.ndarray],
+    workers: int,
+):
+    """Load-or-create the labelling checkpoint (``None`` without a path).
+    A resumed checkpoint keeps its own shard bounds."""
+    if checkpoint_path is None:
+        return None
+    from repro.core.checkpoint import CampaignCheckpoint, campaign_fingerprint
+
+    fingerprint = campaign_fingerprint(simulator.network, faults, *data)
+    if resume and os.path.exists(checkpoint_path):
+        checkpoint = CampaignCheckpoint.load(checkpoint_path)
+        checkpoint.validate("classify", fingerprint, checkpoint_path)
+        return checkpoint
+    return CampaignCheckpoint(
+        kind="classify",
+        fingerprint=fingerprint,
+        n_faults=len(faults),
+        bounds=shard_bounds(len(faults), workers),
+    )
+
+
+#: The labelling checkpoint's per-shard arrays, in their stored order.
+_CHECKPOINT_FIELDS = ("critical", "accuracy_drop")
+
+
+def _run_campaign(
     worker_fn,
     shared: dict,
-    bounds: Sequence[Tuple[int, int]],
     workers: int,
-    tracker: _ProgressTracker,
+    progress: Optional[ProgressFn],
+    supervision: Optional[SupervisionConfig],
     *,
-    use_pool: bool,
-    supervision: SupervisionConfig,
-    health: CampaignHealth,
+    use_pool: bool = True,
+    units: int = 1,
+    stats: Optional[DispatchStats] = None,
+    chain: Optional[np.ndarray] = None,
     checkpoint=None,
     checkpoint_path: Optional[str] = None,
-    units: int = 1,
-):
-    """Yield merged shard payloads: checkpointed shards first, then live
-    execution (supervised pool or in-process), persisting each completed
-    shard when a checkpoint is attached.
+) -> Tuple[Dict[str, np.ndarray], CampaignHealth]:
+    """Shard ``shared["faults"]``, run the shards and merge their named
+    payloads; returns ``(fields, health)``.
+
+    Checkpointed shards merge first; the rest run on the supervised pool
+    or, without ``use_pool``, in-process, and each finished shard is
+    persisted when a ``checkpoint`` is attached.  Every payload field is
+    written at its shard's ``[lo:hi]`` of an array shaped after the first
+    shard's, so the merge is in catalog order whichever shard finishes
+    first.  Two names are not result fields: ``dispatch`` vectors sum
+    into ``stats``, and a shard whose ``chain`` differs from the parent's
+    ``chain`` is refused before any of it merges.
 
     Progress ticks ``units`` per fault of a finished shard: 1 for flat
     campaigns, the segment count for segment-wise ones, whose progress
@@ -589,78 +627,72 @@ def _run_sharded(
     Process args — inherited by memory under fork, never pickled — so
     concurrent campaigns in one process stay fully isolated.
     """
-    spool_dir = None
-    try:
-        pending = list(bounds)
-        if checkpoint is not None and checkpoint.shards:
-            health.resumed_shards = len(checkpoint.shards)
-            health.events.append(
-                f"resumed {len(checkpoint.shards)} completed shards from checkpoint"
+    n_faults = len(shared["faults"])
+    health = CampaignHealth(workers=workers if use_pool else 1)
+    supervision = supervision or SupervisionConfig.from_env()
+    bounds = (
+        checkpoint.bounds if checkpoint is not None else shard_bounds(n_faults, workers)
+    )
+    layer_names = dispatch_layer_names(shared["simulator"].network.modules)
+    tracker = _ProgressTracker(progress, n_faults * units)
+    fields: Dict[str, np.ndarray] = {}
+
+    def merge(lo: int, hi: int, payload: Dict[str, np.ndarray]) -> None:
+        if chain is not None and not np.array_equal(np.asarray(payload["chain"]), chain):
+            raise WorkerFailureError(
+                f"shard {lo} reported segment chain digests that do "
+                "not match the parent's stimulus"
             )
-            for lo in sorted(checkpoint.shards):
-                payload = (lo,) + tuple(checkpoint.shards[lo])
-                yield payload
-            pending = checkpoint.pending()
-            done = {lo for lo in checkpoint.shards}
-            for lo, hi in bounds:
-                if lo in done:
-                    tracker.tick((hi - lo) * units)
+        for name, value in payload.items():
+            if name == "dispatch":
+                stats.merge(DispatchStats.from_vector(value, layer_names))
+            elif name != "chain":
+                if name not in fields:
+                    fields[name] = np.zeros(
+                        (n_faults,) + value.shape[1:], dtype=value.dtype
+                    )
+                fields[name][lo:hi] = value
+        tracker.tick((hi - lo) * units)
 
-        def complete(shard_bounds_, payload):
-            lo, hi = shard_bounds_
-            if checkpoint is not None:
-                checkpoint.add(lo, payload[1:])
-                checkpoint.save(checkpoint_path)
-            tracker.tick((hi - lo) * units)
-            return payload
+    def complete(shard: Tuple[int, int], result) -> None:
+        lo, payload = result
+        if checkpoint is not None:
+            checkpoint.add(lo, tuple(payload[name] for name in _CHECKPOINT_FIELDS))
+            checkpoint.save(checkpoint_path)
+        merge(shard[0], shard[1], payload)
 
-        if use_pool and pending:
-            spool_dir = tempfile.mkdtemp(prefix="repro-shards-")
-            _SPOOL_DIRS.add(spool_dir)
-            for shard, payload in _supervised_run(
-                worker_fn, shared, pending, workers, supervision, health, spool_dir
-            ):
-                yield complete(shard, payload)
-        else:
-            for shard in pending:
-                if chaos.strike("shard", key=shard[0], attempt=0) == "raise":
-                    raise ChaosError(f"chaos raise in in-process shard {shard[0]}")
-                yield complete(shard, worker_fn(shard, shared))
-    finally:
-        if spool_dir is not None:
+    pending = list(bounds)
+    if checkpoint is not None and checkpoint.shards:
+        health.resumed_shards = len(checkpoint.shards)
+        health.events.append(
+            f"resumed {len(checkpoint.shards)} completed shards from checkpoint"
+        )
+        for lo, hi in bounds:
+            if lo in checkpoint.shards:
+                merge(lo, hi, dict(zip(_CHECKPOINT_FIELDS, checkpoint.shards[lo])))
+        pending = checkpoint.pending()
+    if use_pool and pending:
+        spool_dir = tempfile.mkdtemp(prefix="repro-shards-")
+        _SPOOL_DIRS.add(spool_dir)
+        runs = _supervised_run(
+            worker_fn, shared, pending, workers, supervision, health, spool_dir
+        )
+        try:
+            for shard, result in runs:
+                complete(shard, result)
+        finally:
+            # Closing the generator reaps its workers *now*, even when a
+            # merge aborts, instead of whenever it is garbage collected.
+            runs.close()
             shutil.rmtree(spool_dir, ignore_errors=True)
             _SPOOL_DIRS.discard(spool_dir)
+    else:
+        for shard in pending:
+            if chaos.strike("shard", key=shard[0], attempt=0) == "raise":
+                raise ChaosError(f"chaos raise in in-process shard {shard[0]}")
+            complete(shard, worker_fn(shard, shared))
     tracker.finish()
-
-
-def _prepare_checkpoint(
-    checkpoint_path: Optional[str],
-    resume: bool,
-    simulator: FaultSimulator,
-    faults: Sequence[Fault],
-    data: Sequence[np.ndarray],
-    bounds: List[Tuple[int, int]],
-):
-    """Load-or-create the labelling checkpoint; returns (checkpoint, bounds)
-    where ``bounds`` may be adopted from the checkpoint on resume."""
-    if checkpoint_path is None:
-        return None, bounds
-    from repro.core.checkpoint import CampaignCheckpoint, campaign_fingerprint
-
-    fingerprint = campaign_fingerprint(simulator.network, faults, *data)
-    if resume and os.path.exists(checkpoint_path):
-        checkpoint = CampaignCheckpoint.load(checkpoint_path)
-        checkpoint.validate("classify", fingerprint, checkpoint_path)
-        return checkpoint, checkpoint.bounds
-    return (
-        CampaignCheckpoint(
-            kind="classify",
-            fingerprint=fingerprint,
-            n_faults=bounds[-1][1],
-            bounds=bounds,
-        ),
-        bounds,
-    )
+    return fields, health
 
 
 def parallel_detect(
@@ -682,59 +714,28 @@ def parallel_detect(
     workers = resolve_workers(workers)
     if len(faults) == 0 or workers <= 1 or not fork_available():
         return simulator.detect(stimulus, faults, progress=progress)
-    supervision = supervision or SupervisionConfig.from_env()
-    health = CampaignHealth(workers=workers)
     start = time.perf_counter()
     # Mirror the serial engine's accounting: the parent computes the
     # shared golden reference once under zero-skip dispatch, and the
     # per-shard counters (faulty-row work only) merge on top of it.
-    layer_names = dispatch_layer_names(simulator.network.modules)
-    merged_stats = DispatchStats()
-    with event_dispatch_context(
-        simulator.network.modules, EventDispatch(merged_stats)
-    ):
-        golden_modules = simulator.network.run_modules(
-            stimulus, fused=simulator.fused
-        )
-    classes = golden_modules[-1].reshape(stimulus.shape[0], -1).shape[1]
-
-    n_faults = len(faults)
-    bounds = shard_bounds(n_faults, workers)
-    detected = np.zeros(n_faults, dtype=bool)
-    output_l1 = np.zeros(n_faults)
-    class_diff = np.zeros((n_faults, classes))
+    stats = DispatchStats()
+    with event_dispatch_context(simulator.network.modules, EventDispatch(stats)):
+        golden_modules, _ = simulator._golden(stimulus, None)
     shared = dict(
         simulator=simulator,
         stimulus=stimulus,
         faults=list(faults),
         golden_modules=golden_modules,
     )
-    tracker = _ProgressTracker(progress, n_faults)
-    gen = _run_sharded(
-        _detect_shard, shared, bounds, workers, tracker,
-        use_pool=True, supervision=supervision, health=health,
+    fields, health = _run_campaign(
+        _detect_shard, shared, workers, progress, supervision, stats=stats
     )
-    try:
-        for lo, shard_detected, shard_l1, shard_diff, shard_vec in gen:
-            hi = lo + shard_detected.shape[0]
-            detected[lo:hi] = shard_detected
-            output_l1[lo:hi] = shard_l1
-            class_diff[lo:hi] = shard_diff
-            merged_stats.merge(DispatchStats.from_vector(shard_vec, layer_names))
-    finally:
-        # Closing the generator runs its cleanup *now* (remove the spool
-        # dir) even when this merge loop aborts — otherwise the suspended
-        # generator lives on in the traceback and the spool leaks until
-        # garbage collection.
-        gen.close()
     return DetectionResult(
         faults=list(faults),
-        detected=detected,
-        output_l1=output_l1,
-        class_count_diff=class_diff,
         wall_time=time.perf_counter() - start,
         health=health,
-        dispatch=merged_stats.as_dict(),
+        dispatch=stats.as_dict(),
+        **fields,
     )
 
 
@@ -787,20 +788,10 @@ def parallel_detect_segmented(
             drop_detected=drop_detected,
             store=store,
         )
-    supervision = supervision or SupervisionConfig.from_env()
-    health = CampaignHealth(workers=workers)
     start = time.perf_counter()
-    n_faults = len(faults)
-    n_segments = stimulus.num_segments
-    classes = simulator.network.num_classes
-    bounds = shard_bounds(n_faults, workers)
     # The chain the parent expects every shard to report.
     expected_chain = chain_to_array(stimulus_chain(stimulus))
-    layer_names = dispatch_layer_names(simulator.network.modules)
-    merged_stats = DispatchStats()
-    detected = np.zeros(n_faults, dtype=bool)
-    output_l1 = np.zeros(n_faults)
-    class_diff = np.zeros((n_faults, classes))
+    stats = DispatchStats()
     shared = dict(
         simulator=simulator,
         stimulus=stimulus,
@@ -808,35 +799,17 @@ def parallel_detect_segmented(
         drop_detected=bool(drop_detected),
         store=store,
     )
-    tracker = _ProgressTracker(progress, n_faults * n_segments)
-    gen = _run_sharded(
-        _detect_seg_shard, shared, bounds, workers, tracker,
-        use_pool=True, supervision=supervision, health=health,
-        units=n_segments,
+    fields, health = _run_campaign(
+        _detect_seg_shard, shared, workers, progress, supervision,
+        units=stimulus.num_segments, stats=stats, chain=expected_chain,
     )
-    try:
-        for lo, shard_detected, shard_l1, shard_diff, shard_chain, shard_vec in gen:
-            if not np.array_equal(np.asarray(shard_chain), expected_chain):
-                raise WorkerFailureError(
-                    f"shard {lo} reported segment chain digests that do "
-                    "not match the parent's stimulus"
-                )
-            hi = lo + shard_detected.shape[0]
-            detected[lo:hi] = shard_detected
-            output_l1[lo:hi] = shard_l1
-            class_diff[lo:hi] = shard_diff
-            merged_stats.merge(DispatchStats.from_vector(shard_vec, layer_names))
-    finally:
-        gen.close()
     return DetectionResult(
         faults=list(faults),
-        detected=detected,
-        output_l1=output_l1,
-        class_count_diff=class_diff,
         wall_time=time.perf_counter() - start,
         health=health,
         segment_digests=chain_from_array(expected_chain),
-        dispatch=merged_stats.as_dict(),
+        dispatch=stats.as_dict(),
+        **fields,
     )
 
 
@@ -847,74 +820,47 @@ def parallel_classify(
     faults: Sequence[Fault],
     workers: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
-    chunk_size: Optional[int] = None,
     *,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     supervision: Optional[SupervisionConfig] = None,
-    golden_modules: Optional[List[np.ndarray]] = None,
 ) -> ClassificationResult:
     """:meth:`FaultSimulator.classify` sharded across supervised processes.
 
-    Early-exit (``chunk_size``) semantics are per fault, so sharding,
-    retries, and resume do not change any label or NaN-drop marker.
-    ``golden_modules`` optionally supplies the fault-free per-module
-    outputs for ``inputs`` so callers running several campaigns over the
-    same samples (e.g. the experiment pipeline's classification and
-    coverage stages) compute them exactly once.
+    The parent runs the fault-free network over ``inputs`` once, on the
+    simulator's engine, and the forked shards share those outputs.
+    Labels and accuracy drops are exactly those of the serial campaign,
+    whatever the sharding, retries or resume.  With ``checkpoint_path``
+    set, each finished shard's ``critical`` and ``accuracy_drop`` arrays
+    are persisted in that order, even when the campaign runs serially.
     """
     workers = resolve_workers(workers)
     use_pool = workers > 1 and fork_available()
     if len(faults) == 0 or (not use_pool and checkpoint_path is None):
-        return simulator.classify(
-            inputs, labels, faults, progress=progress, chunk_size=chunk_size,
-            golden_modules=golden_modules,
-        )
-    supervision = supervision or SupervisionConfig.from_env()
-    health = CampaignHealth(workers=workers if use_pool else 1)
+        return simulator.classify(inputs, labels, faults, progress=progress)
     start = time.perf_counter()
     labels = np.asarray(labels)
-    if golden_modules is None:
-        golden_modules = simulator.network.run_modules(inputs, fused=simulator.fused)
-    golden_counts = golden_modules[-1].reshape(
-        inputs.shape[0], inputs.shape[1], -1
-    ).sum(axis=0)
-    nominal_accuracy = float((golden_counts.argmax(axis=1) == labels).mean())
-
-    n_faults = len(faults)
-    bounds = shard_bounds(n_faults, workers)
-    checkpoint, bounds = _prepare_checkpoint(
-        checkpoint_path, resume, simulator, faults, (inputs, labels), bounds
+    golden_modules, _, nominal_accuracy = simulator._labelling_reference(
+        inputs, labels
     )
-    critical = np.zeros(n_faults, dtype=bool)
-    accuracy_drop = np.zeros(n_faults)
     shared = dict(
         simulator=simulator,
         inputs=inputs,
         labels=labels,
         faults=list(faults),
-        chunk_size=chunk_size,
         golden_modules=golden_modules,
     )
-    tracker = _ProgressTracker(progress, n_faults)
-    gen = _run_sharded(
-        _classify_shard, shared, bounds, workers, tracker,
-        use_pool=use_pool, supervision=supervision, health=health,
-        checkpoint=checkpoint, checkpoint_path=checkpoint_path,
+    checkpoint = _prepare_checkpoint(
+        checkpoint_path, resume, simulator, faults, (inputs, labels), workers
     )
-    try:
-        for lo, shard_critical, shard_drop in gen:
-            hi = lo + shard_critical.shape[0]
-            critical[lo:hi] = shard_critical
-            accuracy_drop[lo:hi] = shard_drop
-    finally:
-        gen.close()
+    fields, health = _run_campaign(
+        _classify_shard, shared, workers, progress, supervision,
+        use_pool=use_pool, checkpoint=checkpoint, checkpoint_path=checkpoint_path,
+    )
     return ClassificationResult(
         faults=list(faults),
-        critical=critical,
-        accuracy_drop=accuracy_drop,
         nominal_accuracy=nominal_accuracy,
         wall_time=time.perf_counter() - start,
         health=health,
+        **fields,
     )
-

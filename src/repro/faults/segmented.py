@@ -439,7 +439,9 @@ class _FaultGroup:
     def __init__(self, campaign: "SegmentedDetectionCampaign", kind: str,
                  module_index: int, indices: Sequence[int],
                  window: Optional[Tuple[int, int]] = None) -> None:
-        self.campaign = campaign
+        # The campaign is passed to step() rather than kept: it holds its
+        # groups, and a reference back would keep a finished campaign (its
+        # store session and result arrays) alive until a cyclic collection.
         self.kind = kind
         self.module_index = module_index
         self.indices = np.asarray(indices, dtype=np.int64)
@@ -874,8 +876,8 @@ class _FaultGroup:
             self.down.scatter(dj, slots, state)
         return current.reshape(current.shape[0], current.shape[1], -1)
 
-    def _run_packed(self, rows: np.ndarray, deltas: np.ndarray,
-                    gseg: _GoldenSegment) -> None:
+    def _run_packed(self, campaign: "SegmentedDetectionCampaign", rows: np.ndarray,
+                    deltas: np.ndarray, gseg: _GoldenSegment) -> None:
         """Propagate splice-style rows of a module that feeds a sum pool and
         then a conv layer, many rows per conv run (footprint packing).
 
@@ -911,7 +913,8 @@ class _FaultGroup:
         for lo in range(0, len(rows), width):
             sub = rows[lo : lo + width]
             tile = self._footprint_tile(sub, spikes[lo : lo + width], gseg)
-            self._record(sub, self._run_downstream(tile, sub, gseg, start=self.tail), gseg)
+            outs = self._run_downstream(tile, sub, gseg, start=self.tail)
+            campaign.record(self.indices[sub], outs, gseg)
 
     def _run_shared(self, members: np.ndarray, deltas: np.ndarray,
                     packs: np.ndarray, gseg: _GoldenSegment) -> np.ndarray:
@@ -979,14 +982,12 @@ class _FaultGroup:
         tile = base.reshape(steps, 1, -1) + moved.transpose(1, 0, 2)
         return tile.reshape((steps, m) + base.shape[2:])
 
-    def _record(self, rows: np.ndarray, outs: np.ndarray, gseg: _GoldenSegment) -> None:
-        self.campaign.record(self.indices[rows], outs, gseg)
-
     # ------------------------------------------------------------------
-    def step(self, segment_index: int, gseg: _GoldenSegment) -> None:
-        """Advance every active fault of this group through one segment."""
+    def step(self, campaign: "SegmentedDetectionCampaign", segment_index: int,
+             gseg: _GoldenSegment) -> None:
+        """Advance every active fault of this group through one segment of
+        ``campaign``, recording into its accumulators."""
         self._ensure_state()
-        campaign = self.campaign
         offset = campaign.segment_offsets[segment_index]
         has_down = bool(self.downstream)
         seg_input = gseg.module_input(self.module_index)
@@ -1051,10 +1052,11 @@ class _FaultGroup:
                         if has_down
                         else module_out.reshape(module_out.shape[0], len(sub), -1)
                     )
-                    self._record(sub, outs, gseg)
+                    campaign.record(self.indices[sub], outs, gseg)
             campaign.tracker.tick(len(rows))
         if packed:
             self._run_packed(
+                campaign,
                 np.concatenate([rows for rows, _ in packed]),
                 np.concatenate([deltas for _, deltas in packed], axis=1),
                 gseg,
@@ -1298,7 +1300,7 @@ class SegmentedDetectionCampaign:
                     segment_index, self.stimulus.segment(segment_index)
                 )
                 with event_dispatch_context(modules, events):
-                    group.step(segment_index, gseg)
+                    group.step(self, segment_index, gseg)
                 if session is not None:
                     session.stage_group(self, group, gdigest, segment_index)
             group.release()

@@ -4,9 +4,9 @@ Two campaigns are provided, mirroring the paper's flow:
 
 - :meth:`FaultSimulator.classify` labels every fault *critical* or
   *benign* by checking, for each fault, whether the top-1 prediction of any
-  dataset sample changes (paper §III).  This reproduces Table II and is the
-  expensive step the proposed test-generation algorithm avoids during
-  optimisation.
+  dataset sample changes (paper §III), and records its exact accuracy
+  drop.  This reproduces Table II and is the expensive step the proposed
+  test-generation algorithm avoids during optimisation.
 - :meth:`FaultSimulator.detect` applies one test stimulus and marks a
   fault detected when the output spike trains differ from the fault-free
   response (Eq. 3); per-class spike-count differences are recorded for the
@@ -14,7 +14,10 @@ Two campaigns are provided, mirroring the paper's flow:
 
 Both campaigns exploit the feedforward structure: the fault-free response
 of every module is cached once, and each faulty simulation restarts at the
-module containing the fault site, skipping all upstream work.
+module containing the fault site, skipping all upstream work.  Both run
+one fault-batch loop (:meth:`FaultSimulator._fault_batches`) that yields
+each batch's output spikes; detection reduces them to L1 distances and
+class-count deltas, labelling to top-1 flips and accuracy drops.
 
 :class:`FaultSimulator` has two engines.  The production engine
 (``fused=True``, the default) computes a layer's synaptic currents for
@@ -874,6 +877,85 @@ class FaultSimulator:
                 sequential.append(idx)
         return batched, sequential
 
+    def _golden(self, inputs: np.ndarray, golden_modules: Optional[List[np.ndarray]]):
+        """The fault-free per-module outputs for ``inputs`` ``(T, S, ...)``
+        (computed on this engine unless given) and the output spikes
+        ``(T, S, classes)``.  A campaign over no time step or no input row
+        raises :class:`~repro.errors.FaultModelError`."""
+        steps, samples = inputs.shape[:2]
+        if steps == 0 or samples == 0:
+            raise FaultModelError(
+                "campaign inputs need at least one time step and one row, "
+                f"got shape {inputs.shape}"
+            )
+        if golden_modules is None:
+            golden_modules = self.network.run_modules(inputs, fused=self.fused)
+        return golden_modules, golden_modules[-1].reshape(steps, samples, -1)
+
+    def _fault_batches(
+        self,
+        inputs: np.ndarray,
+        faults: Sequence[Fault],
+        golden_modules: List[np.ndarray],
+        progress: Optional[ProgressFn],
+    ):
+        """The flat engine's one fault loop: yields ``(indices, out)`` per
+        fault batch, ``out`` the batch's output spikes ``(T, K, S,
+        classes)`` with row ``k`` for fault ``faults[indices[k]]`` over the
+        S rows of ``inputs``.
+
+        Neuron faults batch per ``(module, family, window)`` and synapse
+        faults per ``(module, window)`` on the production engine; the
+        oracle runs synapse faults one per pass.  A batch holds at most
+        ``192 // S`` faults, so K·S rows stay bounded.  Progress ticks as
+        the caller takes the next batch.
+        """
+        samples = inputs.shape[1]
+        neuron_k = max(1, min(self.neuron_batch, 192 // samples))
+        synapse_k = max(1, min(self.synapse_batch, 192 // samples))
+        tracker = _ProgressTracker(progress, len(faults))
+        memo: Dict[int, np.ndarray] = {}
+
+        def upstream(module_index: int) -> np.ndarray:
+            return inputs if module_index == 0 else golden_modules[module_index - 1]
+
+        for (module_index, family, window), indices in self._neuron_groups(
+            faults
+        ).items():
+            for lo in range(0, len(indices), neuron_k):
+                batch = indices[lo : lo + neuron_k]
+                group = [faults[i] for i in batch]
+                if family == "delay":
+                    out = self._delayed_neuron_run(
+                        module_index, group, golden_modules[module_index],
+                        window=window,
+                    )
+                else:
+                    out = self._batched_neuron_run(
+                        module_index, group, upstream(module_index),
+                        golden_out=golden_modules[module_index], window=window,
+                        memo=memo,
+                    )
+                yield batch, out
+                tracker.tick(len(batch))
+
+        syn_batched, syn_sequential = self._synapse_partition(faults)
+        for (module_index, window), indices in syn_batched.items():
+            for lo in range(0, len(indices), synapse_k):
+                batch = indices[lo : lo + synapse_k]
+                yield batch, self._batched_synapse_run(
+                    module_index, [faults[i] for i in batch], upstream(module_index),
+                    golden_out=golden_modules[module_index], window=window,
+                )
+                tracker.tick(len(batch))
+
+        for idx in syn_sequential:
+            fault = faults[idx]
+            out = self._sequential_synapse_run(fault, upstream(fault.module_index))
+            yield [idx], out[:, None]
+            tracker.tick(1)
+        tracker.finish()
+
     # ------------------------------------------------------------------
     def detect(
         self,
@@ -897,10 +979,24 @@ class FaultSimulator:
             )
         start = time.perf_counter()
         stats = DispatchStats()
+        n_faults = len(faults)
         with event_dispatch_context(self.network.modules, EventDispatch(stats)):
-            detected, output_l1, class_diff = self._detect_impl(
-                stimulus, faults, progress, golden_modules
-            )
+            golden_modules, golden = self._golden(stimulus, golden_modules)
+            golden_out = golden[:, 0]  # (T, classes)
+            golden_counts = golden_out.sum(axis=0)
+            detected = np.zeros(n_faults, dtype=bool)
+            output_l1 = np.zeros(n_faults)
+            class_diff = np.zeros((n_faults, golden_out.shape[1]))
+            # Spikes are 0/1, so every sum below is a small integer and
+            # equals the per-fault one bit for bit.
+            for indices, out in self._fault_batches(
+                stimulus, faults, golden_modules, progress
+            ):
+                out = out[:, :, 0]  # (T, K, classes)
+                diff = np.abs(out - golden_out[:, None]).sum(axis=(0, 2))
+                output_l1[indices] = diff
+                detected[indices] = diff > 0
+                class_diff[indices] = np.abs(out.sum(axis=0) - golden_counts)
         return DetectionResult(
             faults=list(faults),
             detected=detected,
@@ -909,81 +1005,6 @@ class FaultSimulator:
             wall_time=time.perf_counter() - start,
             dispatch=stats.as_dict(),
         )
-
-    def _detect_impl(
-        self,
-        stimulus: np.ndarray,
-        faults: Sequence[Fault],
-        progress: Optional[ProgressFn],
-        golden_modules: Optional[List[np.ndarray]],
-    ):
-        if golden_modules is None:
-            golden_modules = self.network.run_modules(stimulus, fused=self.fused)
-        golden_out = golden_modules[-1].reshape(stimulus.shape[0], -1)  # (T, classes)
-        golden_counts = golden_out.sum(axis=0)
-
-        n_faults = len(faults)
-        detected = np.zeros(n_faults, dtype=bool)
-        output_l1 = np.zeros(n_faults)
-        class_diff = np.zeros((n_faults, golden_out.shape[1]))
-        tracker = _ProgressTracker(progress, n_faults)
-
-        def record(idx: int, out: np.ndarray) -> None:
-            diff = np.abs(out - golden_out).sum()
-            output_l1[idx] = diff
-            detected[idx] = diff > 0
-            class_diff[idx] = np.abs(out.sum(axis=0) - golden_counts)
-
-        # Neuron faults: batched along the batch axis, grouped by
-        # (module, family, transient window).
-        memo: Dict[int, np.ndarray] = {}
-        for (module_index, family, window), indices in self._neuron_groups(
-            faults
-        ).items():
-            seq = stimulus if module_index == 0 else golden_modules[module_index - 1]
-            for group_start in range(0, len(indices), self.neuron_batch):
-                group = indices[group_start : group_start + self.neuron_batch]
-                group_faults = [faults[i] for i in group]
-                if family == "delay":
-                    out = self._delayed_neuron_run(
-                        module_index, group_faults,
-                        golden_modules[module_index], window=window,
-                    )[:, :, 0, :]  # (T, K, classes)
-                else:
-                    out = self._batched_neuron_run(
-                        module_index, group_faults, seq,
-                        golden_out=golden_modules[module_index], window=window,
-                        memo=memo,
-                    )[:, :, 0, :]  # (T, K, classes)
-                for row, idx in enumerate(group):
-                    record(idx, out[:, row])
-                tracker.tick(len(group))
-
-        # Synapse faults: K-batches grouped by (module, window) on the
-        # production engine, one fault per pass on the oracle.
-        syn_batched, syn_sequential = self._synapse_partition(faults)
-        for (module_index, window), indices in syn_batched.items():
-            seq = stimulus if module_index == 0 else golden_modules[module_index - 1]
-            for group_start in range(0, len(indices), self.synapse_batch):
-                group = indices[group_start : group_start + self.synapse_batch]
-                group_faults = [faults[i] for i in group]
-                out = self._batched_synapse_run(
-                    module_index, group_faults, seq,
-                    golden_out=golden_modules[module_index], window=window,
-                )[:, :, 0, :]  # (T, K, classes)
-                for row, idx in enumerate(group):
-                    record(idx, out[:, row])
-                tracker.tick(len(group))
-
-        for idx in syn_sequential:
-            fault = faults[idx]
-            module_index = fault.module_index
-            seq = stimulus if module_index == 0 else golden_modules[module_index - 1]
-            out = self._sequential_synapse_run(fault, seq)[:, 0, :]
-            record(idx, out)
-            tracker.tick(1)
-        tracker.finish()
-        return detected, output_l1, class_diff
 
     # ------------------------------------------------------------------
     def detect_segmented(
@@ -1038,162 +1059,57 @@ class FaultSimulator:
         return campaign.run()
 
     # ------------------------------------------------------------------
+    def _labelling_reference(
+        self,
+        inputs: np.ndarray,
+        labels: np.ndarray,
+        golden_modules: Optional[List[np.ndarray]] = None,
+    ):
+        """``(golden_modules, golden_preds, nominal_accuracy)`` of a
+        labelling campaign over ``inputs`` ``(T, S, *input_shape)``."""
+        if inputs.ndim < 3 or inputs.shape[1] != labels.shape[0]:
+            raise FaultModelError(
+                f"inputs {inputs.shape} inconsistent with labels {labels.shape}"
+            )
+        golden_modules, golden = self._golden(inputs, golden_modules)
+        golden_preds = golden.sum(axis=0).argmax(axis=1)
+        return golden_modules, golden_preds, float((golden_preds == labels).mean())
+
     def classify(
         self,
         inputs: np.ndarray,
         labels: np.ndarray,
         faults: Sequence[Fault],
         progress: Optional[ProgressFn] = None,
-        chunk_size: Optional[int] = None,
         golden_modules: Optional[List[np.ndarray]] = None,
     ) -> ClassificationResult:
-        """Label each fault critical (flips any sample's top-1) or benign.
+        """Label each fault critical (flips any sample's top-1) or benign,
+        and compute its exact accuracy drop (nominal minus faulty).
 
         ``inputs`` is a batched sample tensor ``(T, S, *input_shape)``; all
         S samples run through each faulty network in one batched pass.
-
-        With ``chunk_size`` set, samples are evaluated in chunks and the
-        per-fault loop exits as soon as one chunk shows a prediction flip
-        (the fault is then known critical).  Early-exited faults get
-        ``accuracy_drop = NaN``; use :meth:`accuracy_drops` to compute
-        exact drops for the (few) faults that need them.
-
         ``golden_modules`` optionally supplies precomputed fault-free
         per-module outputs for ``inputs`` (see :meth:`detect`).
 
         All-zero current blocks and time slices skip their GEMMs (see
         :mod:`repro.snn.events`); the counters are not reported.
         """
-        with event_dispatch_context(self.network.modules, EventDispatch()):
-            return self._classify_impl(
-                inputs, labels, faults, progress, chunk_size, golden_modules
-            )
-
-    def _classify_impl(
-        self,
-        inputs: np.ndarray,
-        labels: np.ndarray,
-        faults: Sequence[Fault],
-        progress: Optional[ProgressFn],
-        chunk_size: Optional[int],
-        golden_modules: Optional[List[np.ndarray]],
-    ) -> ClassificationResult:
         labels = np.asarray(labels)
-        if inputs.ndim < 3 or inputs.shape[1] != labels.shape[0]:
-            raise FaultModelError(
-                f"inputs {inputs.shape} inconsistent with labels {labels.shape}"
-            )
         start = time.perf_counter()
-        if golden_modules is None:
-            golden_modules = self.network.run_modules(inputs, fused=self.fused)
-        golden_counts = golden_modules[-1].reshape(
-            inputs.shape[0], inputs.shape[1], -1
-        ).sum(axis=0)
-        golden_preds = golden_counts.argmax(axis=1)
-        nominal_accuracy = float((golden_preds == labels).mean())
-
-        samples = labels.shape[0]
-        sample_chunk = samples if chunk_size is None else max(1, int(chunk_size))
-        sample_bounds = [
-            (lo, min(lo + sample_chunk, samples))
-            for lo in range(0, samples, sample_chunk)
-        ]
-
         n_faults = len(faults)
         critical = np.zeros(n_faults, dtype=bool)
         accuracy_drop = np.zeros(n_faults)
-        tracker = _ProgressTracker(progress, n_faults)
-
-        # Neuron faults: batched (K faults x S samples per pass).
-        k_max = max(1, min(self.neuron_batch, 192 // max(samples, 1)))
-        memo: Dict[int, np.ndarray] = {}
-        for (module_index, family, window), indices in self._neuron_groups(
-            faults
-        ).items():
-            seq = inputs if module_index == 0 else golden_modules[module_index - 1]
-            for group_start in range(0, len(indices), k_max):
-                group = indices[group_start : group_start + k_max]
-                group_faults = [faults[i] for i in group]
-                if family == "delay":
-                    out = self._delayed_neuron_run(
-                        module_index, group_faults,
-                        golden_modules[module_index], window=window,
-                    )  # (T, K, S, classes)
-                else:
-                    out = self._batched_neuron_run(
-                        module_index, group_faults, seq,
-                        golden_out=golden_modules[module_index], window=window,
-                        memo=memo,
-                    )  # (T, K, S, classes)
+        with event_dispatch_context(self.network.modules, EventDispatch()):
+            golden_modules, golden_preds, nominal_accuracy = (
+                self._labelling_reference(inputs, labels, golden_modules)
+            )
+            for indices, out in self._fault_batches(
+                inputs, faults, golden_modules, progress
+            ):
                 preds = out.sum(axis=0).argmax(axis=2)  # (K, S)
-                for row, idx in enumerate(group):
-                    critical[idx] = bool(np.any(preds[row] != golden_preds))
-                    accuracy_drop[idx] = nominal_accuracy - float(
-                        (preds[row] == labels).mean()
-                    )
-                tracker.tick(len(group))
-
-        # Synapse faults: K-batches on the production engine, with the same
-        # sample-chunk early-exit semantics as the one-at-a-time path.
-        syn_k_max = max(1, min(self.synapse_batch, 192 // max(samples, 1)))
-        syn_batched, syn_sequential = self._synapse_partition(faults)
-        for (module_index, window), indices in syn_batched.items():
-            seq_full = inputs if module_index == 0 else golden_modules[module_index - 1]
-            for group_start in range(0, len(indices), syn_k_max):
-                group = indices[group_start : group_start + syn_k_max]
-                group_faults = [faults[i] for i in group]
-                k = len(group)
-                mistakes = np.zeros(k, dtype=np.int64)
-                flipped_early = np.zeros(k, dtype=bool)
-                for lo, hi in sample_bounds:
-                    out = self._batched_synapse_run(
-                        module_index, group_faults, seq_full[:, lo:hi],
-                        golden_out=golden_modules[module_index][:, lo:hi],
-                        window=window,
-                    )  # (T, K, S_chunk, classes)
-                    preds = out.sum(axis=0).argmax(axis=2)  # (K, S_chunk)
-                    flips = np.any(preds != golden_preds[lo:hi], axis=1)
-                    for row, idx in enumerate(group):
-                        if flips[row]:
-                            critical[idx] = True
-                            if chunk_size is not None and hi < samples:
-                                flipped_early[row] = True
-                    mistakes += (preds != labels[lo:hi]).sum(axis=1)
-                    if chunk_size is not None and flipped_early.all():
-                        break  # every fault in the group is known critical
-                for row, idx in enumerate(group):
-                    if flipped_early[row]:
-                        accuracy_drop[idx] = np.nan
-                    else:
-                        accuracy_drop[idx] = (
-                            nominal_accuracy - (samples - mistakes[row]) / samples
-                        )
-                tracker.tick(len(group))
-
-        for idx in syn_sequential:
-            fault = faults[idx]
-            module_index = fault.module_index
-            mistakes = 0
-            evaluated_all = True
-            for lo, hi in sample_bounds:
-                if module_index == 0:
-                    seq = inputs[:, lo:hi]
-                else:
-                    seq = golden_modules[module_index - 1][:, lo:hi]
-                out = self._sequential_synapse_run(fault, seq)
-                preds = out.sum(axis=0).argmax(axis=1)
-                if np.any(preds != golden_preds[lo:hi]):
-                    critical[idx] = True
-                    if chunk_size is not None and hi < samples:
-                        evaluated_all = False
-                        break
-                mistakes += int((preds != labels[lo:hi]).sum())
-            if evaluated_all:
-                accuracy_drop[idx] = nominal_accuracy - (samples - mistakes) / samples
-            else:
-                accuracy_drop[idx] = np.nan
-            tracker.tick(1)
-        tracker.finish()
+                critical[indices] = np.any(preds != golden_preds, axis=1)
+                accuracy = (preds == labels).mean(axis=1)
+                accuracy_drop[indices] = nominal_accuracy - accuracy
         return ClassificationResult(
             faults=list(faults),
             critical=critical,
@@ -1202,56 +1118,15 @@ class FaultSimulator:
             wall_time=time.perf_counter() - start,
         )
 
-    # ------------------------------------------------------------------
     def accuracy_drops(
         self,
         inputs: np.ndarray,
         labels: np.ndarray,
         faults: Sequence[Fault],
-        golden_modules: Optional[List[np.ndarray]] = None,
     ) -> np.ndarray:
-        """Exact accuracy drop (nominal minus faulty) for each fault.
-
-        Used after a chunked :meth:`classify` to fill in the drops of the
-        undetected critical faults (the Table III bottom row).
-        ``golden_modules`` optionally reuses fault-free per-module outputs
-        already computed for ``inputs`` (see :meth:`detect`).
-        """
-        labels = np.asarray(labels)
-        if golden_modules is None:
-            golden_modules = self.network.run_modules(inputs, fused=self.fused)
-        golden_counts = golden_modules[-1].reshape(
-            inputs.shape[0], inputs.shape[1], -1
-        ).sum(axis=0)
-        nominal_accuracy = float((golden_counts.argmax(axis=1) == labels).mean())
-        drops = np.zeros(len(faults))
-        memo: Dict[int, np.ndarray] = {}
-        for idx, fault in enumerate(faults):
-            module_index = fault.module_index
-            seq = inputs if module_index == 0 else golden_modules[module_index - 1]
-            if fault.is_neuron:
-                if fault.kind is NeuronFaultKind.DELAY:
-                    out = self._delayed_neuron_run(
-                        module_index, [fault],
-                        golden_modules[module_index], window=fault.window,
-                    )[:, 0]
-                else:
-                    out = self._batched_neuron_run(
-                        module_index, [fault], seq,
-                        golden_out=golden_modules[module_index],
-                        window=fault.window, memo=memo,
-                    )[:, 0]
-            elif self._kbatched(module_index):
-                out = self._batched_synapse_run(
-                    module_index, [fault], seq,
-                    golden_out=golden_modules[module_index],
-                    window=fault.window,
-                )[:, 0]
-            else:
-                out = self._sequential_synapse_run(fault, seq)
-            preds = out.sum(axis=0).argmax(axis=1)
-            drops[idx] = nominal_accuracy - float((preds == labels).mean())
-        return drops
+        """Exact accuracy drop (nominal minus faulty accuracy) for each
+        fault: :meth:`classify`'s ``accuracy_drop``."""
+        return self.classify(inputs, labels, faults).accuracy_drop
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -1272,7 +1147,6 @@ class FaultSimulator:
 
         def max_drop(mask: np.ndarray) -> float:
             selected = drops[mask]
-            selected = selected[~np.isnan(selected)]  # early-exited faults
             return float(selected.max()) if selected.size else 0.0
 
         counts = {

@@ -241,9 +241,9 @@ def _reused_slot_writes(campaign, root, monkeypatch):
         issued.update(slots.tolist())
         return slots
 
-    def step(self, segment_index, gseg):
+    def step(self, campaign_, segment_index, gseg):
         reused[0] = False
-        real_step(self, segment_index, gseg)
+        real_step(self, campaign_, segment_index, gseg)
         if reused[0]:
             events.append((id(self), segment_index))
 

@@ -468,6 +468,24 @@ class TestCheckpointedCampaigns:
                 resume=True,
             )
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_stores_critical_then_drops(
+        self, chaos_campaign, tmp_path, workers
+    ):
+        """Each shard's stored arrays are ``a0`` the bool labels and ``a1``
+        the float drops, the layout older checkpoints resume from."""
+        path = tmp_path / "classify.ckpt"
+        _classify(chaos_campaign, workers, path)
+        arrays, meta = load_checkpoint(str(path))
+        reference = chaos_campaign["classify"]
+        assert len(meta["bounds"]) > 1
+        for lo, hi in meta["bounds"]:
+            assert meta["shard_counts"][str(lo)] == 2
+            critical, drops = arrays[f"s{lo:09d}a0"], arrays[f"s{lo:09d}a1"]
+            assert critical.dtype == np.bool_ and drops.dtype == np.float64
+            assert critical.tobytes() == reference.critical[lo:hi].tobytes()
+            assert drops.tobytes() == reference.accuracy_drop[lo:hi].tobytes()
+
     def test_classify_checkpoint_resume(self, chaos_campaign, tmp_path):
         path = tmp_path / "classify.ckpt"
         full = _classify(chaos_campaign, 1, path)

@@ -134,10 +134,9 @@ def test_synapse_detect_matches_sequential(net_factory, input_shape, synapse_bat
         assert (expected > 0) == detected, fault.describe()
 
 
-@pytest.mark.parametrize("chunk_size", [None, 2])
-def test_synapse_classify_matches_sequential(chunk_size):
+def test_synapse_classify_matches_sequential():
     """Batched synapse classification reproduces the sequential labels and
-    the chunk_size early-exit (NaN accuracy_drop) markers exactly."""
+    accuracy drops exactly."""
     net = _conv_net()
     config = FaultModelConfig(neuron_kinds=())
     faults = _synapse_faults(net)
@@ -146,23 +145,57 @@ def test_synapse_classify_matches_sequential(chunk_size):
     labels = rng.integers(0, 4, size=6)
 
     sequential = FaultSimulator(net, config, fused=False).classify(
-        inputs, labels, faults, chunk_size=chunk_size
+        inputs, labels, faults
     )
     batched = FaultSimulator(net, config, synapse_batch=8).classify(
-        inputs, labels, faults, chunk_size=chunk_size
+        inputs, labels, faults
     )
     assert np.array_equal(sequential.critical, batched.critical)
-    assert np.array_equal(
-        sequential.accuracy_drop, batched.accuracy_drop, equal_nan=True
-    )
+    assert sequential.accuracy_drop.tobytes() == batched.accuracy_drop.tobytes()
     assert sequential.nominal_accuracy == batched.nominal_accuracy
-    if chunk_size is not None:
-        # NaN only for faults that flipped before the final sample chunk,
-        # and every early-exited fault is necessarily critical.
-        nan_mask = np.isnan(batched.accuracy_drop)
-        assert np.all(batched.critical[nan_mask])
-    else:
-        assert not np.isnan(batched.accuracy_drop).any()
+    assert np.isfinite(batched.accuracy_drop).all()
+
+
+def _dense_net():
+    spec = NetworkSpec(
+        name="dense",
+        input_shape=(10,),
+        layers=(DenseSpec(out_features=8), DenseSpec(out_features=4)),
+        lif=LIFParameters(leak=0.9, refractory_steps=1),
+    )
+    return build_network(spec, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize(
+    "net_factory,input_shape",
+    [(_dense_net, (10,)), (_conv_net, (2, 8, 8)), (_rec_net, (10,))],
+)
+def test_accuracy_drops_equal_batched_classify(net_factory, input_shape, fused):
+    """``accuracy_drops`` batches its faults through the classify loop;
+    every drop equals the one-fault-per-pass drop byte for byte, and the
+    production engine's drops equal the oracle's."""
+    net = net_factory()
+    config = FaultModelConfig(synapse_sample_fraction=0.3)
+    catalog = build_catalog(net, config, rng=np.random.default_rng(7))
+    faults = catalog.faults[:: max(1, len(catalog.faults) // 40)]
+    rng = np.random.default_rng(8)
+    inputs = (rng.random((10, 5) + input_shape) > 0.6).astype(float)
+    labels = rng.integers(0, 4, size=5)
+
+    simulator = FaultSimulator(net, config, fused=fused)
+    drops = simulator.accuracy_drops(inputs, labels, faults)
+    classified = simulator.classify(inputs, labels, faults)
+    one_per_pass = np.array(
+        [simulator.classify(inputs, labels, [f]).accuracy_drop[0] for f in faults]
+    )
+    oracle = FaultSimulator(net, config, fused=False).accuracy_drops(
+        inputs, labels, faults
+    )
+    assert drops.tobytes() == classified.accuracy_drop.tobytes()
+    assert drops.tobytes() == one_per_pass.tobytes()
+    assert drops.tobytes() == oracle.tobytes()
+    assert classified.critical.any() and np.any(drops != 0.0)
 
 
 @pytest.mark.parametrize(

@@ -440,8 +440,8 @@ def test_packed_rows_carry_their_own_downstream_state(packing_campaign, monkeypa
     exported = {}
     real_step = segmented._FaultGroup.step
 
-    def step(self, segment_index, gseg):
-        real_step(self, segment_index, gseg)
+    def step(self, campaign, segment_index, gseg):
+        real_step(self, campaign, segment_index, gseg)
         arrays = self.export_arrays()
         if self.packing is not None and "grp.drows" in arrays:
             exported[(self.kind, self.window, segment_index)] = (

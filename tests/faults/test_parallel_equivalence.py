@@ -120,27 +120,6 @@ def test_parallel_classify_exactly_matches_serial(campaign, workers, neuron_batc
     assert result.nominal_accuracy == reference.nominal_accuracy
 
 
-def test_parallel_chunked_classify_matches_serial_chunked(campaign):
-    """chunk_size early-exit is a per-fault decision, so sharding must not
-    change which faults report NaN accuracy drops."""
-    simulator = FaultSimulator(campaign["net"], campaign["config"])
-    serial = simulator.classify(
-        campaign["inputs"], campaign["labels"], campaign["faults"], chunk_size=2
-    )
-    parallel = parallel_classify(
-        simulator,
-        campaign["inputs"],
-        campaign["labels"],
-        campaign["faults"],
-        workers=3,
-        chunk_size=2,
-    )
-    assert np.array_equal(parallel.critical, serial.critical)
-    assert np.array_equal(
-        parallel.accuracy_drop, serial.accuracy_drop, equal_nan=True
-    )
-
-
 def test_parallel_progress_aggregates_to_completion(campaign):
     simulator = FaultSimulator(campaign["net"], campaign["config"])
     calls = []

@@ -154,12 +154,12 @@ def test_carried_state_round_trips_byte_identically(row_campaign, monkeypatch, d
     real_step = segmented._FaultGroup.step
     held = {}  # (group, segment) -> the rows holding downstream state
 
-    def step(self, segment_index, gseg):
-        real_step(self, segment_index, gseg)
+    def step(self, campaign, segment_index, gseg):
+        real_step(self, campaign, segment_index, gseg)
         exported = self.export_arrays()
         copy = {key: value.copy() for key, value in exported.items()}
         fresh = segmented._FaultGroup(
-            self.campaign, self.kind, self.module_index, self.indices, window=self.window
+            campaign, self.kind, self.module_index, self.indices, window=self.window
         )
         fresh.restore_arrays(copy)
         assert _as_bytes(fresh.export_arrays()) == _as_bytes(exported)

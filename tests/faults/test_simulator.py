@@ -111,6 +111,18 @@ class TestDetect:
         with pytest.raises(FaultModelError):
             sim.detect(np.zeros((5, 2, 10)), [])
 
+    def test_rejects_inconsistent_shapes(self):
+        """A stimulus of no time step raises a typed error on both
+        engines, as a batched one does."""
+        fault = [NeuronFault(2, 0, NeuronFaultKind.SATURATED)]
+        for fused in (True, False):
+            sim = FaultSimulator(_net(), fused=fused)
+            for faults in (fault, []):
+                with pytest.raises(FaultModelError, match="at least one time step"):
+                    sim.detect(np.zeros((0, 1, 10)), faults)
+            with pytest.raises(FaultModelError, match="at least one time step"):
+                parallel.parallel_detect(sim, np.zeros((0, 1, 10)), fault, workers=2)
+
     def test_detection_rate_empty(self):
         sim = FaultSimulator(_net())
         result = sim.detect(_stimulus(), [])
@@ -209,31 +221,22 @@ class TestClassify:
         assert result.critical_count + result.benign_count == len(catalog.faults)
 
     def test_rejects_inconsistent_shapes(self):
-        sim = FaultSimulator(_net())
-        with pytest.raises(FaultModelError):
-            sim.classify(np.zeros((5, 3, 10)), np.zeros(4, dtype=int), [])
-
-    def test_chunked_classify_labels_match_unchunked(self):
-        """Regression for the classify() chunk variable shadowing: with
-        chunk_size set, the sample-chunk bounds and the fault groups are
-        distinct loops, and criticality labels must equal the unchunked
-        campaign for a mixed neuron+synapse fault list."""
-        net = _net()
-        sim = FaultSimulator(net)
-        inputs, labels = _dataset()
-        catalog = build_catalog(net, rng=np.random.default_rng(5))
-        subset = catalog.faults[:: max(1, len(catalog.faults) // 40)]
-        full = sim.classify(inputs, labels, subset)
-        for chunk_size in (1, 2, 4):
-            chunked = sim.classify(inputs, labels, subset, chunk_size=chunk_size)
-            assert np.array_equal(chunked.critical, full.critical), chunk_size
-            # Exact drops wherever the chunked campaign did not early-exit.
-            exact = ~np.isnan(chunked.accuracy_drop)
-            assert np.array_equal(
-                chunked.accuracy_drop[exact], full.accuracy_drop[exact]
-            )
-            # Early-exit markers only appear on critical faults.
-            assert np.all(chunked.critical[~exact])
+        """Labels that do not match the sample axis, and campaigns over
+        no time step or no sample, raise a typed error on both engines."""
+        fault = [NeuronFault(2, 0, NeuronFaultKind.SATURATED)]
+        for fused in (True, False):
+            sim = FaultSimulator(_net(), fused=fused)
+            with pytest.raises(FaultModelError):
+                sim.classify(np.zeros((5, 3, 10)), np.zeros(4, dtype=int), [])
+            with pytest.raises(FaultModelError, match="at least one time step"):
+                sim.classify(np.zeros((0, 3, 10)), np.zeros(3, dtype=int), fault)
+            with pytest.raises(FaultModelError, match="at least one time step"):
+                sim.classify(np.zeros((5, 0, 10)), np.zeros(0, dtype=int), fault)
+            with pytest.raises(FaultModelError, match="at least one time step"):
+                parallel.parallel_classify(
+                    sim, np.zeros((0, 3, 10)), np.zeros(3, dtype=int), fault,
+                    workers=2,
+                )
 
     def test_classification_layer_skip_consistency(self):
         net = _net()
@@ -323,7 +326,7 @@ class TestEngines:
         results = [
             (
                 sim.detect(_stimulus(), faults),
-                sim.classify(inputs, labels, faults, chunk_size=2),
+                sim.classify(inputs, labels, faults),
                 sim.accuracy_drops(inputs, labels, faults),
             )
             for sim in (short, full)

@@ -20,12 +20,15 @@ Three edit scenarios are pinned, each serially and over 4 workers:
   cross-run (they are keyed by network + stimulus alone).
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.testset import TestStimulus
+from repro.faults import segmented
 from repro.faults.catalog import build_catalog
 from repro.faults.model import FaultModelConfig
 from repro.faults.parallel import fork_available, parallel_detect_segmented
@@ -290,3 +293,30 @@ def test_golden_end_states_are_read_once_per_session(campaign, tmp_path, monkeyp
     assert cached.output_l1.tobytes() == reread.output_l1.tobytes()
     assert cached.class_count_diff.tobytes() == reread.class_count_diff.tobytes()
     assert cached_tree == reread_tree
+
+
+def test_finished_campaign_is_freed_on_return(campaign, tmp_path, monkeypatch):
+    """Fault groups hold no reference back to their campaign, so a
+    finished campaign, its store session and its result arrays go as
+    soon as ``detect_segmented`` returns, without the cyclic collector."""
+    real_run = segmented.SegmentedDetectionCampaign.run
+    refs = []
+
+    def run(self):
+        refs.extend((weakref.ref(self), weakref.ref(self.session)))
+        return real_run(self)
+
+    monkeypatch.setattr(segmented.SegmentedDetectionCampaign, "run", run)
+    store = CoverageStore(tmp_path / "store")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):  # cold, then warm against the records
+            result = _run(
+                campaign, campaign["base"], campaign["faults"], workers=1, store=store
+            )
+            assert result.detected.any()
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
+            refs.clear()
+    finally:
+        gc.enable()

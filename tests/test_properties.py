@@ -125,8 +125,7 @@ class TestStimulusProperties:
 @st.composite
 def campaign_outcome(draw):
     """An arbitrary (detection, classification) result pair over a mixed
-    neuron/synapse fault list, including NaN accuracy drops (the chunked
-    early-exit marker)."""
+    neuron/synapse fault list, with finite accuracy drops."""
     n = draw(st.integers(min_value=0, max_value=40))
     is_neuron = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     detected = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
@@ -134,10 +133,7 @@ def campaign_outcome(draw):
     drops = np.array(
         draw(
             st.lists(
-                st.one_of(
-                    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-                    st.just(float("nan")),
-                ),
+                st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
                 min_size=n,
                 max_size=n,
             )
@@ -212,11 +208,18 @@ class TestCoverageProperties:
 
     @given(campaign_outcome())
     @settings(max_examples=200, deadline=None)
-    def test_max_drop_ignores_nan_markers(self, outcome):
+    def test_max_drop_is_max_over_undetected_critical(self, outcome):
         detection, classification = outcome
         coverage = FaultSimulator.coverage(detection, classification)
-        assert not np.isnan(coverage.max_drop_undetected_neuron)
-        assert not np.isnan(coverage.max_drop_undetected_synapse)
+        is_neuron = np.array([f.is_neuron for f in detection.faults], dtype=bool)
+        escapes = ~detection.detected & classification.critical
+        drops = classification.accuracy_drop
+        for mask, value in (
+            (escapes & is_neuron, coverage.max_drop_undetected_neuron),
+            (escapes & ~is_neuron, coverage.max_drop_undetected_synapse),
+        ):
+            expected = max(drops[mask].tolist(), default=0.0)
+            assert value == expected
 
 
 # ----------------------------------------------------------------------
