@@ -366,10 +366,13 @@ class GeneratorCheckpoint:
 class CampaignCheckpoint:
     """Per-completed-shard results of one labelling campaign.
 
-    ``shards`` maps each completed shard's starting fault index to its
-    result arrays (in the worker payload's array order).  The shard
-    partition is stored so a resume only runs the missing shards, under
-    the checkpoint's own partition whatever the worker count.
+    ``bounds`` is the shard partition, each shard the slice ``(start,
+    stop, step)`` of the fault list it covers, and ``shards`` maps each
+    completed shard's ``start`` to its result arrays (in the worker
+    payload's array order).  The partition is stored so a resume only runs
+    the missing shards, under the checkpoint's own partition whatever the
+    worker count.  A checkpoint that stores ``[lo, hi]`` pairs, as
+    contiguous partitions once were, loads them as step-1 slices.
 
     Only labelling (kind ``"classify"``) checkpoints: verification
     resumes by re-running against its coverage store
@@ -380,14 +383,14 @@ class CampaignCheckpoint:
     kind: str  # "classify"
     fingerprint: str
     n_faults: int
-    bounds: List[Tuple[int, int]]
+    bounds: List[Tuple[int, int, int]]
     shards: Dict[int, Tuple[np.ndarray, ...]] = field(default_factory=dict)
 
     def add(self, lo: int, payload_arrays: Tuple[np.ndarray, ...]) -> None:
         self.shards[int(lo)] = tuple(np.asarray(a) for a in payload_arrays)
 
-    def pending(self) -> List[Tuple[int, int]]:
-        return [b for b in self.bounds if b[0] not in self.shards]
+    def pending(self) -> List[Tuple[int, int, int]]:
+        return [shard for shard in self.bounds if shard[0] not in self.shards]
 
     def save(self, path: str) -> None:
         arrays: Dict[str, np.ndarray] = {}
@@ -400,7 +403,7 @@ class CampaignCheckpoint:
             "kind": self.kind,
             "fingerprint": self.fingerprint,
             "n_faults": int(self.n_faults),
-            "bounds": [[int(lo), int(hi)] for lo, hi in self.bounds],
+            "bounds": [[int(v) for v in shard] for shard in self.bounds],
             "shard_counts": counts,
         }
         save_checkpoint(path, arrays, meta, chaos_key=len(self.shards))
@@ -413,7 +416,12 @@ class CampaignCheckpoint:
                 f"{path}: expected a campaign checkpoint, got {meta.get('kind')!r}"
             )
         try:
-            bounds = [(int(lo), int(hi)) for lo, hi in meta["bounds"]]
+            bounds = []
+            for shard in meta["bounds"]:
+                if len(shard) == 2:  # a contiguous [lo, hi] block
+                    shard = [*shard, 1]
+                start, stop, step = (int(v) for v in shard)
+                bounds.append((start, stop, step))
             shards = {
                 int(lo): tuple(
                     arrays[f"s{int(lo):09d}a{j}"] for j in range(int(count))
@@ -427,14 +435,14 @@ class CampaignCheckpoint:
                 bounds=bounds,
                 shards=shards,
             )
-        except KeyError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: incomplete campaign checkpoint: {exc}") from exc
 
     def validate(self, kind: str, fingerprint: str, path: str) -> None:
         """Refuse to resume against a different campaign.
 
         The shard partition itself is *not* validated: a resume adopts the
-        checkpoint's own bounds, so the campaign can be resumed with a
+        checkpoint's own shards, so the campaign can be resumed with a
         different worker count (shard boundaries never affect results —
         pinned by the parallel-equivalence suite).
         """

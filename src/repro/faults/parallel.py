@@ -15,13 +15,21 @@ Design notes
   before workers are forked; workers inherit them (and the network)
   through copy-on-write memory, so no worker repeats upstream work and
   nothing large crosses a pipe except per-shard result arrays.
-- Shards are contiguous index blocks.  Each worker returns its block's
-  offset with a named payload, ``{field: array}``: the result fields of
-  its campaign, plus ``dispatch`` (the zero-skip counter vector) and, for
-  segment-wise shards, ``chain`` (the stimulus segment digests).  One
-  runner, :func:`_run_campaign`, writes every field at ``[lo:hi]``, so the
-  merge is order-preserving no matter which worker finishes first.
-  Determinism does not depend on scheduling, retries, or resume.
+- Shards are interleaved slices: with ``w`` workers, shard ``k`` holds
+  faults ``k, k + w, k + 2w, ...`` (``(start, stop, step)``, see
+  :func:`shard_bounds`), so every worker gets the same mix of fault kinds
+  and layers, and the same share of the work, with no cost model.  Each
+  worker returns its slice's start with a named payload, ``{field:
+  array}``: the result fields of its campaign, plus ``dispatch`` (the
+  zero-skip counter vector) and, for segment-wise shards, ``chain`` (the
+  stimulus segment digests).  One runner, :func:`_run_campaign`, writes
+  every field at the shard's slice, so the merge is order-preserving no
+  matter which worker finishes first.  Determinism does not depend on
+  scheduling, retries, or resume.
+- **Progress**: each worker publishes how much of its shard it has done
+  (faults, or (fault, segment) pairs) through a shared counter beside its
+  heartbeat, and the supervisor ticks the campaign's progress from those
+  counters at every poll, crediting each shard once across retries.
 - **Supervision**: one forked process per shard, each with a heartbeat
   thread.  The supervisor detects crashed workers (process died without
   delivering a result) and hung workers (stale heartbeat or shard
@@ -30,11 +38,12 @@ Design notes
   serially in the parent when retries are exhausted.  If total failures
   exceed the pool's ``failure_budget``, the pool is declared unhealthy and
   every remaining shard runs in-process.  Every shard is a pure function
-  of its bounds, so none of this changes a single result byte.  What
+  of its slice, so none of this changes a single result byte.  What
   happened is reported in :class:`~repro.faults.simulator.CampaignHealth`
   on the returned result.
 - **Durability**: a labelling campaign (:func:`parallel_classify`) with
-  ``checkpoint_path`` set persists each completed shard's result arrays
+  ``checkpoint_path`` set cuts its catalog into ``CHECKPOINT_SHARDS``
+  slices per worker and persists each completed shard's result arrays
   (atomically, digest-protected — see :mod:`repro.core.checkpoint`), so a
   killed campaign resumes with ``resume=True``: finished shards are
   restored and only the missing ones run.  Detection campaigns keep no
@@ -49,9 +58,11 @@ Design notes
 - **Segment-wise detection** (:func:`parallel_detect_segmented`) shards
   the same way but never ships a golden cache: each worker advances its
   own fault-free network one test segment at a time, so peak memory is
-  bounded by the longest chunk on both sides of the fork.  With a
-  coverage store, every worker writes a record after each (fault group,
-  segment), so a kill mid-shard loses at most one segment of one group.
+  bounded by the longest chunk on both sides of the fork.  Without a
+  store, a crashed worker loses its whole shard, up to ``1/workers`` of
+  the campaign, which its retry recomputes exactly.  With a coverage
+  store, every worker writes a record after each (fault group, segment),
+  so a kill mid-shard loses at most one segment of each group.
 - Worker count comes from ``workers=`` or the ``REPRO_WORKERS`` environment
   variable (default 1).  With ``workers <= 1``, or on platforms without
   ``fork`` (Windows, macOS spawn-default interpreters), campaigns run
@@ -80,7 +91,7 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -154,19 +165,32 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def shard_bounds(n_faults: int, workers: int, per_worker: int = 4) -> List[Tuple[int, int]]:
-    """Contiguous ``(lo, hi)`` index blocks covering ``range(n_faults)``.
+#: A shard: the faults ``faults[start:stop:step]`` of a campaign.
+Shard = Tuple[int, int, int]
 
-    More shards than workers (``per_worker`` per worker) keeps the pool
-    busy when shards have uneven cost — synapse-heavy blocks batch much
-    better than timing-fault blocks — and bounds how much work one worker
-    failure can discard.
+#: Shards per worker of a checkpointed labelling campaign: a kill loses at
+#: most one of them, even in a serial run.
+CHECKPOINT_SHARDS = 4
+
+
+def shard_bounds(n_faults: int, shards: int) -> List[Shard]:
+    """``shards`` interleaved slices partitioning ``range(n_faults)``:
+    shard ``k`` is ``(k, n_faults, shards)``, the faults ``k, k + shards,
+    k + 2 * shards, ...``.
+
+    A catalog lists its faults layer by layer and kind by kind, and the
+    cost per fault varies a lot across them, so contiguous blocks would
+    cost unevenly; interleaved slices all get the same mix.  The
+    segment-wise engine shares one golden pass among all the fault groups
+    of a shard, so a shard costs no more for holding a slice of every
+    group.  Fewer faults than shards leave out the empty slices.
     """
-    if n_faults <= 0:
-        return []
-    shards = min(n_faults, max(1, workers * per_worker))
-    edges = np.linspace(0, n_faults, shards + 1, dtype=np.int64)
-    return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    count = min(n_faults, max(1, shards))
+    return [(k, n_faults, count) for k in range(count)] if n_faults > 0 else []
+
+
+def _shard_name(shard: Shard) -> str:
+    return "[{}:{}:{}]".format(*shard)
 
 
 # ----------------------------------------------------------------------
@@ -258,18 +282,18 @@ def _detection_payload(simulator: FaultSimulator, result: DetectionResult) -> di
     )
 
 
-def _detect_shard(bounds: Tuple[int, int], shared: dict):
-    lo, hi = bounds
+def _detect_shard(shard: Shard, shared: dict, progress: ProgressFn) -> dict:
     simulator: FaultSimulator = shared["simulator"]
     result = simulator.detect(
         shared["stimulus"],
-        shared["faults"][lo:hi],
+        shared["faults"][slice(*shard)],
+        progress=progress,
         golden_modules=shared["golden_modules"],
     )
-    return lo, _detection_payload(simulator, result)
+    return _detection_payload(simulator, result)
 
 
-def _detect_seg_shard(bounds: Tuple[int, int], shared: dict):
+def _detect_seg_shard(shard: Shard, shared: dict, progress: ProgressFn) -> dict:
     """Segment-wise detection shard.  No golden cache is shipped: each
     worker advances its own fault-free network segment by segment (see
     :class:`repro.faults.segmented.GoldenSegmentRunner`), so the parent
@@ -281,33 +305,35 @@ def _detect_seg_shard(bounds: Tuple[int, int], shared: dict):
     # module back — at call time both sides are fully initialized.
     from repro.faults.store import chain_to_array
 
-    lo, hi = bounds
     simulator: FaultSimulator = shared["simulator"]
     result = simulator.detect_segmented(
         shared["stimulus"],
-        shared["faults"][lo:hi],
+        shared["faults"][slice(*shard)],
+        progress=progress,
         drop_detected=shared["drop_detected"],
         store=shared.get("store"),
     )
     payload = _detection_payload(simulator, result)
     payload["chain"] = chain_to_array(result.segment_digests)
-    return lo, payload
+    return payload
 
 
-def _classify_shard(bounds: Tuple[int, int], shared: dict):
-    lo, hi = bounds
+def _classify_shard(shard: Shard, shared: dict, progress: ProgressFn) -> dict:
     result = shared["simulator"].classify(
         shared["inputs"],
         shared["labels"],
-        shared["faults"][lo:hi],
+        shared["faults"][slice(*shard)],
+        progress=progress,
         golden_modules=shared["golden_modules"],
     )
-    return lo, dict(critical=result.critical, accuracy_drop=result.accuracy_drop)
+    return dict(critical=result.critical, accuracy_drop=result.accuracy_drop)
 
 
-def _shard_entry(worker_fn, shared, bounds, attempt, heartbeat, interval, conn, out_path):
-    """Forked worker body: beat, compute, deliver via spool file + signal
-    byte.  Any exception is transported to the parent for re-raising."""
+def _shard_entry(worker_fn, shared, shard, attempt, heartbeat, progress, interval,
+                 conn, out_path):
+    """Forked worker body: beat, compute (publishing the shard's progress
+    into ``progress``), deliver via spool file + signal byte.  Any
+    exception is transported to the parent for re-raising."""
     stop = threading.Event()
 
     def beat():
@@ -315,17 +341,20 @@ def _shard_entry(worker_fn, shared, bounds, attempt, heartbeat, interval, conn, 
             heartbeat.value = time.monotonic()
             stop.wait(interval)
 
+    def publish(done: int, _total: int) -> None:
+        progress.value = done
+
     threading.Thread(target=beat, daemon=True).start()
     try:
-        action = chaos.strike("shard", key=bounds[0], attempt=attempt)
+        action = chaos.strike("shard", key=shard[0], attempt=attempt)
         if action == "crash":
             os._exit(13)
         if action == "hang":
             stop.set()  # go silent: the supervisor must notice on its own
             time.sleep(chaos.hang_seconds())
         if action == "raise":
-            raise ChaosError(f"chaos raise in shard {bounds[0]} attempt {attempt}")
-        status = ("ok", worker_fn(bounds, shared))
+            raise ChaosError(f"chaos raise in shard {shard[0]} attempt {attempt}")
+        status = ("ok", worker_fn(shard, shared, publish))
     except BaseException as exc:  # noqa: BLE001 - transported to the parent
         try:
             pickle.dumps(exc)
@@ -352,19 +381,21 @@ class _ShardRun:
     process: multiprocessing.Process
     conn: object  # parent's receive Connection
     heartbeat: object  # RawValue('d') the worker beats into
-    bounds: Tuple[int, int]
+    progress: object  # RawValue('q'): the progress units the worker has done
+    shard: Shard
     attempt: int
     started: float
     out_path: str
 
 
-def _launch(ctx, worker_fn, shared, bounds, attempt, supervision, spool_dir) -> _ShardRun:
+def _launch(ctx, worker_fn, shared, shard, attempt, supervision, spool_dir) -> _ShardRun:
     recv_conn, send_conn = ctx.Pipe(duplex=False)
     heartbeat = ctx.RawValue("d", time.monotonic())
-    out_path = os.path.join(spool_dir, f"shard{bounds[0]}-a{attempt}.pkl")
+    progress = ctx.RawValue("q", 0)
+    out_path = os.path.join(spool_dir, f"shard{shard[0]}-a{attempt}.pkl")
     process = ctx.Process(
         target=_shard_entry,
-        args=(worker_fn, shared, bounds, attempt, heartbeat,
+        args=(worker_fn, shared, shard, attempt, heartbeat, progress,
               supervision.heartbeat_interval, send_conn, out_path),
         daemon=True,
     )
@@ -375,7 +406,8 @@ def _launch(ctx, worker_fn, shared, bounds, attempt, supervision, spool_dir) -> 
         process=process,
         conn=recv_conn,
         heartbeat=heartbeat,
-        bounds=bounds,
+        progress=progress,
+        shard=shard,
         attempt=attempt,
         started=time.monotonic(),
         out_path=out_path,
@@ -434,19 +466,23 @@ def _trim_heap() -> None:
 def _supervised_run(
     worker_fn,
     shared: dict,
-    pending: Sequence[Tuple[int, int]],
+    pending: Sequence[Shard],
     workers: int,
     supervision: SupervisionConfig,
     health: CampaignHealth,
     spool_dir: str,
-) -> Iterator[Tuple[Tuple[int, int], tuple]]:
+    on_progress: Callable[[Shard, int], None],
+) -> Iterator[Tuple[Shard, dict]]:
     """Run ``pending`` shards under supervision, yielding
-    ``(bounds, payload)`` as each completes (any order).
+    ``(shard, payload)`` as each completes (any order).
 
     Crashed and hung workers are retried with backoff; shards whose
     retries are exhausted — or every remaining shard, once the failure
     budget is blown — run serially in the parent.  A worker-reported
     exception (deterministic library error) is re-raised immediately.
+    At every poll, ``on_progress(shard, done)`` receives each running
+    worker's published progress (an attempt counts from zero), and an
+    in-process shard reports its own as it goes.
     """
     ctx = multiprocessing.get_context("fork")
     # Resolve the workers' deferred imports (see _detect_seg_shard) in the
@@ -457,10 +493,10 @@ def _supervised_run(
     _trim_heap()
 
     ticket = itertools.count()
-    queue: List[tuple] = [(0.0, next(ticket), b, 0) for b in pending]
+    queue: List[tuple] = [(0.0, next(ticket), shard, 0) for shard in pending]
     heapq.heapify(queue)
     running: dict = {}  # conn -> _ShardRun
-    fallback: List[Tuple[int, int]] = []
+    fallback: List[Shard] = []
     failures = 0
     degraded = False
     budget = supervision.effective_failure_budget(workers)
@@ -472,9 +508,7 @@ def _supervised_run(
             health.crashes += 1
         else:
             health.hangs += 1
-        health.events.append(
-            f"shard {rec.bounds[0]}:{rec.bounds[1]} attempt {rec.attempt} {kind}"
-        )
+        health.events.append(f"shard {_shard_name(rec.shard)} attempt {rec.attempt} {kind}")
         if failures >= budget and not degraded:
             degraded = True
             health.degraded = True
@@ -483,22 +517,21 @@ def _supervised_run(
                 "running remaining shards in-process"
             )
             while queue:
-                _, _, bounds, _ = heapq.heappop(queue)
-                fallback.append(bounds)
+                _, _, shard, _ = heapq.heappop(queue)
+                fallback.append(shard)
                 health.fallback_shards += 1
         next_attempt = rec.attempt + 1
         if degraded or next_attempt > supervision.max_retries:
-            fallback.append(rec.bounds)
+            fallback.append(rec.shard)
             health.fallback_shards += 1
             health.events.append(
-                f"shard {rec.bounds[0]}:{rec.bounds[1]} "
-                "falling back to in-process execution"
+                f"shard {_shard_name(rec.shard)} falling back to in-process execution"
             )
         else:
             health.retries += 1
             delay = supervision.backoff_s * (2 ** rec.attempt)
             heapq.heappush(
-                queue, (time.monotonic() + delay, next(ticket), rec.bounds, next_attempt)
+                queue, (time.monotonic() + delay, next(ticket), rec.shard, next_attempt)
             )
 
     def handle_status(rec: _ShardRun, status):
@@ -521,8 +554,8 @@ def _supervised_run(
                 and len(running) < workers
                 and queue[0][0] <= now
             ):
-                _, _, bounds, attempt = heapq.heappop(queue)
-                rec = _launch(ctx, worker_fn, shared, bounds, attempt,
+                _, _, shard, attempt = heapq.heappop(queue)
+                rec = _launch(ctx, worker_fn, shared, shard, attempt,
                               supervision, spool_dir)
                 running[rec.conn] = rec
             if not running:
@@ -534,7 +567,9 @@ def _supervised_run(
                 rec = running.pop(conn)
                 payload = handle_status(rec, _reap(rec))
                 if payload is not None:
-                    yield rec.bounds, payload
+                    yield rec.shard, payload
+            for rec in list(running.values()):
+                on_progress(rec.shard, rec.progress.value)
             now = time.monotonic()
             for conn, rec in list(running.items()):
                 beat_age = now - rec.heartbeat.value
@@ -553,12 +588,17 @@ def _supervised_run(
                     running.pop(conn)
                     payload = handle_status(rec, _reap(rec))
                     if payload is not None:
-                        yield rec.bounds, payload
+                        yield rec.shard, payload
     finally:
         for rec in running.values():
             _reap(rec, kill=True)
-    for bounds in fallback:
-        yield bounds, worker_fn(bounds, shared)
+    for shard in fallback:
+        yield shard, _run_in_process(worker_fn, shard, shared, on_progress)
+
+
+def _run_in_process(worker_fn, shard: Shard, shared: dict, on_progress) -> dict:
+    """Run ``shard`` in this process, reporting its progress as it goes."""
+    return worker_fn(shard, shared, lambda done, _total: on_progress(shard, done))
 
 
 # ----------------------------------------------------------------------
@@ -571,7 +611,8 @@ def _prepare_checkpoint(
     workers: int,
 ):
     """Load-or-create the labelling checkpoint (``None`` without a path).
-    A resumed checkpoint keeps its own shard bounds."""
+    A new one cuts the catalog into ``CHECKPOINT_SHARDS`` slices per
+    worker; a resumed one keeps its own shards."""
     if checkpoint_path is None:
         return None
     from repro.core.checkpoint import CampaignCheckpoint, campaign_fingerprint
@@ -585,7 +626,7 @@ def _prepare_checkpoint(
         kind="classify",
         fingerprint=fingerprint,
         n_faults=len(faults),
-        bounds=shard_bounds(len(faults), workers),
+        bounds=shard_bounds(len(faults), CHECKPOINT_SHARDS * workers),
     )
 
 
@@ -610,18 +651,24 @@ def _run_campaign(
     """Shard ``shared["faults"]``, run the shards and merge their named
     payloads; returns ``(fields, health)``.
 
-    Checkpointed shards merge first; the rest run on the supervised pool
-    or, without ``use_pool``, in-process, and each finished shard is
-    persisted when a ``checkpoint`` is attached.  Every payload field is
-    written at its shard's ``[lo:hi]`` of an array shaped after the first
-    shard's, so the merge is in catalog order whichever shard finishes
-    first.  Two names are not result fields: ``dispatch`` vectors sum
-    into ``stats``, and a shard whose ``chain`` differs from the parent's
-    ``chain`` is refused before any of it merges.
+    The shards are one interleaved slice per worker (see
+    :func:`shard_bounds`), or a ``checkpoint``'s own.  Checkpointed shards
+    merge first; the rest run on the supervised pool or, without
+    ``use_pool``, in-process, and each finished shard is persisted when a
+    ``checkpoint`` is attached.  Every payload field is written at its
+    shard's slice of an array shaped after the first shard's, so the merge
+    is in catalog order whichever shard finishes first.  Two names are not
+    result fields: ``dispatch`` vectors sum into ``stats``, and a shard
+    whose ``chain`` differs from the parent's ``chain`` is refused before
+    any of it merges.
 
-    Progress ticks ``units`` per fault of a finished shard: 1 for flat
-    campaigns, the segment count for segment-wise ones, whose progress
-    is counted in (fault, segment) pairs.
+    Progress counts ``units`` per fault: 1 for flat campaigns, the segment
+    count for segment-wise ones, whose progress is counted in (fault,
+    segment) pairs.  It ticks as the shards report theirs, live, and a
+    shard's remainder ticks when it merges.  A retry reports from zero
+    again, so a shard ticks only past its highest report: each shard is
+    credited once, whatever its retries, and the total ends at
+    ``n_faults * units``.
 
     ``shared`` (the campaign's state dict) travels to workers through
     Process args — inherited by memory under fork, never pickled — so
@@ -630,18 +677,25 @@ def _run_campaign(
     n_faults = len(shared["faults"])
     health = CampaignHealth(workers=workers if use_pool else 1)
     supervision = supervision or SupervisionConfig.from_env()
-    bounds = (
+    shards = (
         checkpoint.bounds if checkpoint is not None else shard_bounds(n_faults, workers)
     )
     layer_names = dispatch_layer_names(shared["simulator"].network.modules)
     tracker = _ProgressTracker(progress, n_faults * units)
+    credited: Dict[int, int] = {}  # per shard start: the units ticked
     fields: Dict[str, np.ndarray] = {}
 
-    def merge(lo: int, hi: int, payload: Dict[str, np.ndarray]) -> None:
+    def credit(shard: Shard, done: int) -> None:
+        gain = done - credited.get(shard[0], 0)
+        if gain > 0:
+            credited[shard[0]] = done
+            tracker.tick(gain)
+
+    def merge(shard: Shard, payload: Dict[str, np.ndarray]) -> None:
         if chain is not None and not np.array_equal(np.asarray(payload["chain"]), chain):
             raise WorkerFailureError(
-                f"shard {lo} reported segment chain digests that do "
-                "not match the parent's stimulus"
+                f"shard {_shard_name(shard)} reported segment chain digests "
+                "that do not match the parent's stimulus"
             )
         for name, value in payload.items():
             if name == "dispatch":
@@ -651,35 +705,34 @@ def _run_campaign(
                     fields[name] = np.zeros(
                         (n_faults,) + value.shape[1:], dtype=value.dtype
                     )
-                fields[name][lo:hi] = value
-        tracker.tick((hi - lo) * units)
+                fields[name][slice(*shard)] = value
+        credit(shard, len(range(*shard)) * units)
 
-    def complete(shard: Tuple[int, int], result) -> None:
-        lo, payload = result
+    def complete(shard: Shard, payload: Dict[str, np.ndarray]) -> None:
         if checkpoint is not None:
-            checkpoint.add(lo, tuple(payload[name] for name in _CHECKPOINT_FIELDS))
+            checkpoint.add(shard[0], tuple(payload[name] for name in _CHECKPOINT_FIELDS))
             checkpoint.save(checkpoint_path)
-        merge(shard[0], shard[1], payload)
+        merge(shard, payload)
 
-    pending = list(bounds)
+    pending = list(shards)
     if checkpoint is not None and checkpoint.shards:
         health.resumed_shards = len(checkpoint.shards)
         health.events.append(
             f"resumed {len(checkpoint.shards)} completed shards from checkpoint"
         )
-        for lo, hi in bounds:
-            if lo in checkpoint.shards:
-                merge(lo, hi, dict(zip(_CHECKPOINT_FIELDS, checkpoint.shards[lo])))
+        for shard in shards:
+            if shard[0] in checkpoint.shards:
+                merge(shard, dict(zip(_CHECKPOINT_FIELDS, checkpoint.shards[shard[0]])))
         pending = checkpoint.pending()
     if use_pool and pending:
         spool_dir = tempfile.mkdtemp(prefix="repro-shards-")
         _SPOOL_DIRS.add(spool_dir)
         runs = _supervised_run(
-            worker_fn, shared, pending, workers, supervision, health, spool_dir
+            worker_fn, shared, pending, workers, supervision, health, spool_dir, credit
         )
         try:
-            for shard, result in runs:
-                complete(shard, result)
+            for shard, payload in runs:
+                complete(shard, payload)
         finally:
             # Closing the generator reaps its workers *now*, even when a
             # merge aborts, instead of whenever it is garbage collected.
@@ -689,8 +742,8 @@ def _run_campaign(
     else:
         for shard in pending:
             if chaos.strike("shard", key=shard[0], attempt=0) == "raise":
-                raise ChaosError(f"chaos raise in in-process shard {shard[0]}")
-            complete(shard, worker_fn(shard, shared))
+                raise ChaosError(f"chaos raise in in-process shard {_shard_name(shard)}")
+            complete(shard, _run_in_process(worker_fn, shard, shared, credit))
     tracker.finish()
     return fields, health
 

@@ -150,68 +150,71 @@ class GoldenSegmentRunner:
         ]
         return _GoldenSegment(seg, outputs, entry, exit_states)
 
-    def skip_segments(self, stimulus, count: int) -> None:
-        """Replay ``count`` segments without keeping outputs (deterministic
-        golden-state reconstruction when a store record resumes a group
-        mid-test and the golden end-state record is missing).
+    def skip_segments(self, stimulus, start: int, stop: int) -> None:
+        """Replay segments ``start..stop-1`` without keeping outputs
+        (deterministic golden-state reconstruction when no fault group
+        steps through them and the store holds no end states to seek to).
 
         The replay still skips zero blocks, but on a throwaway counter
         set: golden work never counts into a campaign's dispatch stats."""
         events = EventDispatch() if self.events is not None else None
         with event_dispatch_context(self.network.modules, events):
-            for index in range(count):
+            for index in range(start, stop):
                 self.network.run_modules(
                     stimulus.segment(index), states=self.states, fused=True
                 )
 
 
-class _PlainGoldenRunner:
-    """Golden-runner adapter with the ``run_segment(index, seg)`` interface
-    the campaign loop drives (the store-backed runner below shares it)."""
+class _GoldenPass:
+    """A campaign's one fault-free pass over its stimulus: each segment is
+    computed, or read from the coverage store, once, and every fault group
+    stepping through it shares the result.
 
-    def __init__(self, network, events=None) -> None:
-        self.inner = GoldenSegmentRunner(network, events=events)
+    ``position`` is the segment whose entry states the runner holds.  A
+    segment no group steps through is skipped: the pass seeks past it to
+    the next segment asked for, from the stored end states of the segment
+    before that one, else by replaying the skipped segments unstored.  A
+    stored segment is answered from its record (outputs and end states,
+    the current states becoming the entry states) without simulating; a
+    missing one runs and is stored for every later worker and invocation.
+    Segments are asked for in increasing order, so a campaign reads each
+    golden record at most once."""
 
-    def run_segment(self, segment_index: int, seg: np.ndarray) -> _GoldenSegment:
-        return self.inner.run_segment(seg)
-
-
-class _SessionGoldenRunner:
-    """Golden runner with cross-run (and cross-group) segment reuse
-    through a coverage store.
-
-    Maintains the invariant that the inner runner's states are the golden
-    state at the entry of the next segment to run: a stored segment is
-    answered from its record (outputs + end states, the current states
-    becoming the entry states) without simulating; a missing segment runs
-    normally and is stored for every later group, worker, and invocation.
-    """
-
-    def __init__(self, session: StoreSession, network, events=None) -> None:
+    def __init__(self, network, stimulus, session: Optional[StoreSession]) -> None:
+        self.runner = GoldenSegmentRunner(network, events=EventDispatch())
+        self.stimulus = stimulus
         self.session = session
-        self.inner = GoldenSegmentRunner(network, events=events)
+        self.position = 0
 
-    def seek(self, stimulus, count: int) -> None:
-        if not count:
+    def _seek(self, index: int) -> None:
+        if index == self.position:
             return
-        states = self.session.load_golden_states(count - 1)
+        states = None
+        if self.session is not None:
+            states = self.session.load_golden_states(index - 1)
         if states is not None:
-            self.inner.states = states
+            self.runner.states = states
         else:
-            self.inner.skip_segments(stimulus, count)
+            self.runner.skip_segments(self.stimulus, self.position, index)
+        self.position = index
 
-    def run_segment(self, segment_index: int, seg: np.ndarray) -> _GoldenSegment:
-        cached = self.session.load_golden(segment_index)
+    def segment(self, index: int) -> _GoldenSegment:
+        self._seek(index)
+        self.position = index + 1
+        seg = self.stimulus.segment(index)
+        session = self.session
+        cached = session.load_golden(index) if session is not None else None
         if cached is not None:
             outputs, end_states = cached
             # The runner's current state objects are this segment's entry
             # states; replacing ``states`` freezes them, so no copy is
             # needed before handing them to the segment.
-            gseg = _GoldenSegment(seg, outputs, self.inner.states, end_states)
-            self.inner.states = end_states
+            gseg = _GoldenSegment(seg, outputs, self.runner.states, end_states)
+            self.runner.states = end_states
             return gseg
-        gseg = self.inner.run_segment(seg)
-        self.session.store_golden(segment_index, gseg.outputs, self.inner.states)
+        gseg = self.runner.run_segment(seg)
+        if session is not None:
+            session.store_golden(index, gseg.outputs, self.runner.states)
         return gseg
 
 
@@ -525,9 +528,9 @@ class _FaultGroup:
                 self.packing = _ConvFootprints(self.downstream[1], window)
                 self.cell_loc = self.cell_idx % self.packing.locations
                 self.tail = 3 if window else 2
-        # State arrays are allocated lazily (and released when the group
-        # finishes) so peak memory is bounded by the largest *single*
-        # group, not the sum over all groups in the campaign.
+        # State arrays are allocated at the group's first step and released
+        # as soon as its last row is dropped: every running group holds
+        # its own, so a campaign's row state is that of its live groups.
         self._state_shape = state_shape
         self.pot: Optional[np.ndarray] = None
         self.spk: Optional[np.ndarray] = None
@@ -1108,12 +1111,14 @@ class _FaultGroup:
 class SegmentedDetectionCampaign:
     """Drives the segment-wise detection campaign for one fault list.
 
-    Groups are processed one at a time (group-outer loop); each group gets
-    its own :class:`GoldenSegmentRunner`, so at most one group's segment
-    tensors and golden cache are live at once and a coverage-store record
-    only carries one group's state.  The golden re-runs this
-    costs (one fault-free pass per group per segment) are negligible next
-    to the thousands of faulty rows each group simulates.
+    Segments are the outer loop: each segment gets one fault-free pass
+    (:class:`_GoldenPass`), and every fault group still running steps
+    through it in group order.  A group that a coverage-store record
+    resumes joins at the segment after that record's, and a group is
+    released as soon as its last row is dropped, so the live groups hold
+    row state and one segment's golden outputs at a time.  Groups never
+    share rows, so the order of their steps changes no result, record
+    or dispatch counter.
     """
 
     def __init__(
@@ -1161,10 +1166,10 @@ class SegmentedDetectionCampaign:
         self.counts_delta = np.zeros((n, classes))
         self.tracker = _ProgressTracker(progress, n * self.n_segments)
         # Dispatch counters.  The shared set only accumulates the faulty-row
-        # work this run computes — once per (fault, segment); the per-group
-        # golden re-runs use throwaway counters so stats stay identical
-        # whether a group's golden pass ran or was answered from the
-        # coverage store.
+        # work this run computes — once per (fault, segment); the golden
+        # pass uses throwaway counters so stats stay identical whether a
+        # segment's golden run happened or was answered from the coverage
+        # store.
         self.stats = DispatchStats()
         self.groups = self._build_groups()
 
@@ -1275,34 +1280,39 @@ class SegmentedDetectionCampaign:
     def run(self) -> DetectionResult:
         start = time.perf_counter()
         network = self.simulator.network
-        modules = network.modules
         session = self.session
         events = EventDispatch(self.stats)
+        # Every unfinished group with the segment it joins at: 0, or the
+        # one after the deepest store record of it.
+        joins: List[Tuple[int, _FaultGroup, Optional[str]]] = []
         for group in self.groups:
-            first_segment = 0
-            gdigest = None
-            # The golden re-run is per group, so it counts into a
-            # throwaway set (see the ``stats`` note in ``__init__``).
+            first_segment, gdigest = 0, None
             if session is not None:
                 gdigest = session.group_digest(self, group)
                 hit = session.lookup_group(self, group, gdigest)
                 if hit is not None:
                     first_segment = self._apply_hit(group, hit)
-                golden = _SessionGoldenRunner(session, network, EventDispatch())
-                if 0 < first_segment < self.n_segments and not group.done:
-                    golden.seek(self.stimulus, first_segment)
-            else:
-                golden = _PlainGoldenRunner(network, EventDispatch())
-            for segment_index in range(first_segment, self.n_segments):
-                if group.done:
-                    break
-                gseg = golden.run_segment(
-                    segment_index, self.stimulus.segment(segment_index)
-                )
-                with event_dispatch_context(modules, events):
+            if not group.done:
+                joins.append((first_segment, group, gdigest))
+        # The golden pass counts into a throwaway set (see the ``stats``
+        # note in ``__init__``).
+        golden = _GoldenPass(network, self.stimulus, session)
+        for segment_index in range(self.n_segments):
+            live = [
+                (group, gdigest) for first, group, gdigest in joins
+                if first <= segment_index and not group.done
+            ]
+            if not live:
+                continue
+            gseg = golden.segment(segment_index)
+            with event_dispatch_context(network.modules, events):
+                for group, gdigest in live:
                     group.step(self, segment_index, gseg)
-                if session is not None:
-                    session.stage_group(self, group, gdigest, segment_index)
+                    if session is not None:
+                        session.stage_group(self, group, gdigest, segment_index)
+                    if group.done:
+                        group.release()
+        for group in self.groups:
             group.release()
         self.tracker.finish()
         return DetectionResult(

@@ -436,8 +436,7 @@ class StoreSession:
     and mediates group-record lookup/staging and golden-record reuse for
     the segmented engine.  Sessions hold no mutable campaign state, so a
     session built in the parent is safely inherited by forked workers
-    (each fork keeps its own hit/write counters and the golden end states
-    its seeks read, see :meth:`load_golden_states`).
+    (each fork keeps its own hit/write counters).
     """
 
     def __init__(
@@ -457,7 +456,6 @@ class StoreSession:
         self.base_fp = base_fingerprint(self.network_fp, simulator.config, self.options)
         self.touched: set = set()
         self.golden_max = env_int(GOLDEN_MAX_ENV, _GOLDEN_MAX_DEFAULT, minimum=0)
-        self._golden_ends: Dict[int, List[Optional[LIFState]]] = {}
 
     # ------------------------------------------------------------------
     # Keys
@@ -601,24 +599,13 @@ class StoreSession:
 
     def load_golden_states(self, segment_index: int):
         """Just the end states of segment ``segment_index`` (the golden
-        entry states of the next segment), or ``None``.
-
-        Every fault group that resumes after the segment seeks to it, so
-        the states of the first read are kept for the session, and every
-        call gets fresh state objects over the same arrays: the kernels
-        rebind the attributes of the states they advance and never write
-        their arrays."""
-        states = self._golden_ends.get(segment_index)
-        if states is None:
-            arrays, key = self._load_golden_record(segment_index)
-            if arrays is None:
-                return None
-            states = self._golden_ends[segment_index] = self._golden_states(arrays, key)
-        return [
-            None if state is None
-            else LIFState(state.potential, state.last_spike, state.refractory)
-            for state in states
-        ]
+        entry states of the next segment), or ``None``: what a campaign's
+        golden pass seeks to when its first running group resumes after
+        the segment."""
+        arrays, key = self._load_golden_record(segment_index)
+        if arrays is None:
+            return None
+        return self._golden_states(arrays, key)
 
     def store_golden(self, segment_index: int, outputs, states) -> None:
         key = self.golden_key(segment_index)

@@ -87,10 +87,10 @@ def _strike_keys(campaign, workers, drop, root, monkeypatch):
     else:
         monkeypatch.setenv(GOLDEN_MAX_ENV, "0")  # count group records only
         writes = 0
-        for lo, hi in shard_bounds(len(campaign["faults"]), workers):
-            store = CoverageStore(root / f"shard{lo}")
+        for shard in shard_bounds(len(campaign["faults"]), workers):
+            store = CoverageStore(root / f"shard{shard[0]}")
             campaign["simulator"].detect_segmented(
-                campaign["stimulus"], campaign["faults"][lo:hi],
+                campaign["stimulus"], campaign["faults"][slice(*shard)],
                 drop_detected=drop, store=store,
             )
             writes = max(writes, store.writes)

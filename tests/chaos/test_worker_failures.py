@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.faults.parallel import (
     fork_available,
     parallel_classify,
     parallel_detect,
+    parallel_detect_segmented,
 )
 from repro.faults.simulator import _ProgressTracker
 from repro.faults.store import CoverageStore
@@ -101,6 +103,51 @@ class TestCrashRecovery:
         assert_detect_equal(chaos_campaign["detect"], result)
         assert result.health.crashes == 1
         assert result.health.retries == 1
+
+    def test_progress_is_live_and_credited_once_across_a_retry(
+        self, chaos_campaign, tight_supervision, tmp_path, monkeypatch
+    ):
+        """Workers publish their progress while they run, and the parent
+        ticks from it at every poll: the first attempt at shard 0 reports
+        part of its (fault, segment) pairs and crashes, its retry runs the
+        whole shard.  Progress shows the partial count before the shard
+        lands, never goes back or past the total, ends exactly at it, and
+        the result is the serial one."""
+        monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "1")
+        stimulus = TestStimulus(
+            chunks=[chaos_campaign["stimulus"][:4], chaos_campaign["stimulus"][4:]],
+            input_shape=(12,),
+        )
+        faults = chaos_campaign["faults"]
+        serial = chaos_campaign["simulator"].detect_segmented(stimulus, faults)
+        real_shard = parallel_mod._detect_seg_shard
+        crashed = tmp_path / "crashed"
+
+        def crash_once(shard, shared, progress):
+            if shard[0] == 0 and not crashed.exists():
+                crashed.touch()
+                progress(5, None)
+                time.sleep(0.5)  # many supervisor polls
+                os._exit(13)
+            return real_shard(shard, shared, progress)
+
+        monkeypatch.setattr(parallel_mod, "_detect_seg_shard", crash_once)
+        calls = []
+        result = parallel_detect_segmented(
+            chaos_campaign["simulator"], stimulus, faults, workers=2,
+            supervision=tight_supervision,
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        assert_detect_equal(serial, result)
+        assert result.health.crashes == 1 and result.health.retries == 1
+        units = stimulus.num_segments
+        total = len(faults) * units
+        dones = [done for done, _ in calls]
+        assert all(t == total for _, t in calls)
+        assert dones == sorted(dones) and dones[-1] == total
+        sizes = [len(range(*shard)) * units for shard in parallel_mod.shard_bounds(len(faults), 2)]
+        whole_shards = {0, sizes[0], sizes[1], total}
+        assert set(dones) - whole_shards, "progress only ticked when shards landed"
 
     def test_persistent_crash_falls_back_in_process(
         self, chaos_campaign, tight_supervision
@@ -479,12 +526,54 @@ class TestCheckpointedCampaigns:
         arrays, meta = load_checkpoint(str(path))
         reference = chaos_campaign["classify"]
         assert len(meta["bounds"]) > 1
-        for lo, hi in meta["bounds"]:
-            assert meta["shard_counts"][str(lo)] == 2
-            critical, drops = arrays[f"s{lo:09d}a0"], arrays[f"s{lo:09d}a1"]
+        for start, stop, step in meta["bounds"]:
+            assert meta["shard_counts"][str(start)] == 2
+            critical, drops = arrays[f"s{start:09d}a0"], arrays[f"s{start:09d}a1"]
             assert critical.dtype == np.bool_ and drops.dtype == np.float64
-            assert critical.tobytes() == reference.critical[lo:hi].tobytes()
-            assert drops.tobytes() == reference.accuracy_drop[lo:hi].tobytes()
+            held = slice(start, stop, step)
+            assert critical.tobytes() == reference.critical[held].tobytes()
+            assert drops.tobytes() == reference.accuracy_drop[held].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_contiguous_checkpoint_resumes_bit_identically(
+        self, chaos_campaign, tmp_path, workers
+    ):
+        """A checkpoint that stores contiguous ``[lo, hi]`` blocks, the
+        partition earlier versions wrote, resumes as step-1 slices: its
+        finished blocks merge, the others run, and the result is the
+        serial one."""
+        from repro.core.checkpoint import campaign_fingerprint, save_checkpoint
+
+        reference = chaos_campaign["classify"]
+        faults = chaos_campaign["faults"]
+        edges = np.linspace(0, len(faults), 5, dtype=np.int64).tolist()
+        blocks = list(zip(edges[:-1], edges[1:]))
+        arrays, counts = {}, {}
+        for lo, hi in blocks[::2]:
+            arrays[f"s{lo:09d}a0"] = reference.critical[lo:hi]
+            arrays[f"s{lo:09d}a1"] = reference.accuracy_drop[lo:hi]
+            counts[str(lo)] = 2
+        fingerprint = campaign_fingerprint(
+            chaos_campaign["simulator"].network, faults,
+            chaos_campaign["inputs"], chaos_campaign["labels"],
+        )
+        path = tmp_path / "contiguous.ckpt"
+        save_checkpoint(str(path), arrays, {
+            "kind": "classify",
+            "fingerprint": fingerprint,
+            "n_faults": len(faults),
+            "bounds": [[lo, hi] for lo, hi in blocks],
+            "shard_counts": counts,
+        })
+        assert CampaignCheckpoint.load(str(path)).bounds == [
+            (lo, hi, 1) for lo, hi in blocks
+        ]
+        resumed = _classify(chaos_campaign, workers, path, resume=True)
+        assert_classify_equal(reference, resumed)
+        assert resumed.health.resumed_shards == 2
+        _, meta = load_checkpoint(str(path))
+        assert meta["bounds"] == [[lo, hi, 1] for lo, hi in blocks]
+        assert sorted(meta["shard_counts"]) == sorted(str(lo) for lo, _ in blocks)
 
     def test_classify_checkpoint_resume(self, chaos_campaign, tmp_path):
         path = tmp_path / "classify.ckpt"

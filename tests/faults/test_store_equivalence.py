@@ -239,15 +239,6 @@ def test_option_change_never_reuses_records(campaign, tmp_path):
     assert np.array_equal(other.class_count_diff, cold.class_count_diff)
 
 
-def _reread_golden_states(self, segment_index):
-    """Reference seek read: every call reads, verifies and decodes the
-    whole golden record again."""
-    arrays, key = self._load_golden_record(segment_index)
-    if arrays is None:
-        return None
-    return self._golden_states(arrays, key)
-
-
 def _tree(root):
     return {
         str(path.relative_to(root)): path.read_bytes()
@@ -255,44 +246,84 @@ def _tree(root):
     }
 
 
-def test_golden_end_states_are_read_once_per_session(campaign, tmp_path, monkeypatch):
-    """Every fault group that resumes mid-test seeks the golden runner to
-    its resume segment.  A session reads that golden record's end states
-    once and answers later seeks from memory: results and the store tree
-    equal those of a run that re-reads the record for every group."""
-    real = StoreSession._load_golden_record
-    reads = []
-
-    def counting(self, segment_index):
-        reads.append(segment_index)
-        return real(self, segment_index)
-
-    monkeypatch.setattr(StoreSession, "_load_golden_record", counting)
+def test_one_golden_pass_per_segment(campaign, tmp_path, monkeypatch):
+    """A campaign runs the fault-free network once per segment it
+    computes, whatever its number of fault groups, and reads each golden
+    record at most once.  Its results and store tree equal those of one
+    campaign per fault group, which pays a golden pass per group and
+    segment."""
     faults = campaign["faults"]
-    stimulus = campaign["stimuli"]["append"]
-    runs = {}
-    for name, seek_read in (
-        ("cached", StoreSession.load_golden_states),
-        ("reread", _reread_golden_states),
-    ):
-        monkeypatch.setattr(StoreSession, "load_golden_states", seek_read)
+    base, appended = campaign["base"], campaign["stimuli"]["append"]
+    simulator = FaultSimulator(campaign["net"], campaign["config"])
+    groups = [
+        group.indices
+        for group in segmented.SegmentedDetectionCampaign(simulator, base, faults).groups
+    ]
+    assert len(groups) > 2, "too few fault groups to share a golden pass"
+    passes, reads = [], []
+    real_pass = segmented.GoldenSegmentRunner.run_segment
+    real_read = StoreSession._load_golden_record
+
+    def counting_pass(self, seg):
+        passes.append(seg.shape[0])
+        return real_pass(self, seg)
+
+    def counting_read(self, segment_index):
+        reads.append(segment_index)
+        return real_read(self, segment_index)
+
+    monkeypatch.setattr(segmented.GoldenSegmentRunner, "run_segment", counting_pass)
+    monkeypatch.setattr(StoreSession, "_load_golden_record", counting_read)
+
+    def whole(stimulus, store):
+        result = _run(campaign, stimulus, faults, workers=1, store=store)
+        return result.detected, result.output_l1, result.class_count_diff
+
+    def group_by_group(stimulus, store):
+        parts = [
+            _run(campaign, stimulus, [faults[i] for i in indices], workers=1, store=store)
+            for indices in groups
+        ]
+        arrays = []
+        for name in ("detected", "output_l1", "class_count_diff"):
+            merged = np.zeros((len(faults),) + getattr(parts[0], name).shape[1:],
+                              dtype=getattr(parts[0], name).dtype)
+            for indices, part in zip(groups, parts):
+                merged[indices] = getattr(part, name)
+            arrays.append(merged)
+        return arrays
+
+    whole(base, None)
+    assert len(passes) == base.num_segments
+    passes.clear()
+    group_by_group(base, None)
+    assert len(passes) > base.num_segments
+    outcome = {}
+    for name, run in (("whole", whole), ("groups", group_by_group)):
         store = CoverageStore(tmp_path / name)
-        _run(campaign, campaign["base"], faults, workers=1, store=store)
-        reads.clear()
-        warm = _run(campaign, stimulus, faults, workers=1, store=store)
-        runs[name] = (warm, _tree(tmp_path / name), list(reads))
-    (cached, cached_tree, cached_reads), (reread, reread_tree, reread_reads) = (
-        runs["cached"], runs["reread"]
-    )
-    # The appended chunk changes the last old segment's chain, so groups
-    # resume after segment 1; nothing but a seek reads its record.
-    assert reread_reads.count(1) > 1, "too few resuming groups to compare"
-    assert cached_reads.count(1) == 1
-    assert len(cached_reads) == len(reread_reads) - reread_reads.count(1) + 1
-    assert np.array_equal(cached.detected, reread.detected)
-    assert cached.output_l1.tobytes() == reread.output_l1.tobytes()
-    assert cached.class_count_diff.tobytes() == reread.class_count_diff.tobytes()
-    assert cached_tree == reread_tree
+        counts = []
+        results = []
+        for stimulus in (base, appended):
+            passes.clear()
+            reads.clear()
+            results.append(run(stimulus, store))
+            counts.append((len(passes), list(reads)))
+        outcome[name] = (results, _tree(tmp_path / name), counts)
+    (cold, warm), tree, counts = outcome["whole"]
+    # Cold: every segment computed once.  Warm: the appended chunk changes
+    # the last old segment's chain, so the pass seeks past segment 1 (one
+    # read of its end states) and computes segments 2 and 3.
+    assert counts[0][0] == base.num_segments
+    assert counts[1][0] == 2
+    for _, segment_reads in counts:
+        assert len(segment_reads) == len(set(segment_reads)), segment_reads
+    assert 1 in counts[1][1]
+    group_results, group_tree, group_counts = outcome["groups"]
+    assert len(group_counts[1][1]) > len(counts[1][1])
+    for mine, theirs in zip((cold, warm), group_results):
+        for a, b in zip(mine, theirs):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert tree == group_tree
 
 
 def test_finished_campaign_is_freed_on_return(campaign, tmp_path, monkeypatch):
